@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import time
+import traceback
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -585,6 +586,7 @@ def run(experiment, config_path, strict=False, threads=1):
         status = 3
         files = []
         manifest["error"] = f"{type(err).__name__}: {err}"
+        manifest["traceback"] = traceback.format_exc()
     manifest["wall_time_s"] = time.time() - t0
     manifest["exit_code"] = status
     manifest["outputs"] = [os.path.basename(f) for f in files]

@@ -29,6 +29,9 @@ RANK_REL_CUTOFF = 1e-10
 RANK_MARGIN = 10.0
 MAX_DENSE_DIM = 4096
 
+#: _DIRAC_LINK[i] is the matrix of w -> e_i (w i), the Dirac-row link block
+_DIRAC_LINK = quat.left_matrix(quat.BASIS) @ quat.right_matrix(quat.QI)
+
 
 class RankMarginWarning(UserWarning):
     """Retained and discarded singular values are less than 10x apart."""
@@ -340,10 +343,10 @@ def random_tangent(c: Configuration, seed, amplitude=1.0) -> TangentConfig:
 # operator assembly
 
 
-def _neighbor_index(geom: LatticeGeom, axis):
-    """Flat site index of x + e_axis (wrapping; callers mask boxes)."""
-    idx = np.arange(geom.n_sites).reshape(geom.dims)
-    return np.roll(idx, -1, axis=axis).reshape(-1)
+def _neighbor_index(geom: LatticeGeom):
+    """(4, n_sites) flat index of x + e_axis per axis (wrapping; callers mask boxes)."""
+    coords = np.indices(geom.dims).reshape(4, 1, -1) + np.eye(4, dtype=int)[:, :, None]
+    return np.ravel_multi_index(tuple(coords), geom.dims, mode="wrap")
 
 
 def _transported_neighbor(c: Configuration, axis):
@@ -351,7 +354,22 @@ def _transported_neighbor(c: Configuration, axis):
     u_nb = lat._shift(c.u.values, axis, +1, c.geom.topology)
     if c.a.links is None:
         return u_nb
-    return quat.mul(u_nb, quat.exp_i(c.geom.h * c.a.links[..., axis]))
+    return quat.mul_exp_i(u_nb, c.geom.h * c.a.links[..., axis])
+
+
+def _assemble(shape, blocks):
+    """Dense matrix summed in one bincount from (rows, cols, values) blocks.
+
+    The three arrays of a block broadcast together; entries named more
+    than once add up.
+    """
+    flat, vals = zip(*(np.broadcast_arrays(r * shape[1] + c, v) for r, c, v in blocks))
+    out = np.bincount(
+        np.concatenate([f.ravel() for f in flat]),
+        weights=np.concatenate([v.ravel() for v in vals]),
+        minlength=shape[0] * shape[1],
+    )
+    return out.reshape(shape)
 
 
 def lin_gauge(c: Configuration) -> LinearMap:
@@ -359,19 +377,16 @@ def lin_gauge(c: Configuration) -> LinearMap:
     geom = c.geom
     cols = GaugeScalarSpace(geom, c.group)
     rows = TangentSpace(geom, c.group)
-    mat = np.zeros((rows.dim, cols.dim))
-    n = geom.n_sites
-    if c.group is not GaugeGroup.TRIVIAL:
-        nb = [_neighbor_index(geom, i) for i in range(4)]
-        for i in range(4):
-            sites = np.flatnonzero(rows.link_masks[i])
-            r = rows.link_dof[i, sites]
-            mat[r, nb[i][sites]] += 1.0 / geom.h
-            mat[r, sites] += -1.0 / geom.h
-        ku = quat.mul(c.u.values, quat.QI).reshape(-1, 4)  # K_1|_u = u i
-        for a in range(4):
-            r = rows.spinor_dof(np.arange(n), a)
-            mat[r, np.arange(n)] += -ku[:, a]
+    if c.group is GaugeGroup.TRIVIAL:
+        return LinearMap(np.zeros((rows.dim, cols.dim)), rows, cols)
+    live = rows.link_dof >= 0
+    sites = np.arange(geom.n_sites)[:, None]
+    ku = quat.mul(c.u.values, quat.QI).reshape(-1, 4)  # K_1|_u = u i
+    mat = _assemble((rows.dim, cols.dim), [
+        (rows.link_dof[live], _neighbor_index(geom)[live], 1.0 / geom.h),
+        (rows.link_dof[live], np.nonzero(live)[1], -1.0 / geom.h),
+        (rows.spinor_dof(sites, np.arange(4)), sites, -ku),
+    ])
     return LinearMap(mat, rows, cols)
 
 
@@ -395,13 +410,13 @@ def lin_gauge_adjoint_formula(c: Configuration, zeta) -> LinearMap:
     if c.group is GaugeGroup.TRIVIAL:
         return LinearMap(mat, rows, cols)
     n = geom.n_sites
+    nb = _neighbor_index(geom)
     # d* on the one-form block
     for i in range(4):
         sites = np.flatnonzero(cols.link_masks[i])
         dofs = cols.link_dof[i, sites]
-        nb = _neighbor_index(geom, i)
         mat[sites, dofs] += -1.0 / geom.h
-        mat[nb[sites], dofs] += 1.0 / geom.h
+        mat[nb[i][sites], dofs] += 1.0 / geom.h
     # pointwise term: for each spinor basis direction e_a evaluate
     # d_u mu_zeta (zeta e_a) sitewise
     zim = np.asarray(zeta, dtype=float)[1:]
@@ -414,66 +429,61 @@ def lin_gauge_adjoint_formula(c: Configuration, zeta) -> LinearMap:
 
 
 def linearize_fsw(c: Configuration, stencil=Stencil.FORWARD) -> LinearMap:
-    """Exact Jacobian of the residual map on the trusted equation rows."""
+    """Exact Jacobian of the residual map on the trusted equation rows.
+
+    Every block is built as (row, col, value) triplets over the trusted
+    sites, whose stencils only reach existing links, and the matrix is
+    summed from them in one scatter.
+    """
     if stencil is not Stencil.FORWARD:
         raise NotImplementedError("deformation operators use the forward stencil")
     geom = c.geom
+    h = geom.h
     cols = TangentSpace(geom, c.group)
     rows = EquationSpace(geom, c.group)
-    mat = np.zeros((rows.dim, cols.dim))
-    n = geom.n_sites
+    nb = _neighbor_index(geom)
     sites = rows.dirac_sites
-    nb = [_neighbor_index(geom, i) for i in range(4)]
+    dirac_r = rows.dirac_dof(sites[:, None], np.arange(4))  # (site, r)
+    spinor_c = cols.spinor_dof(np.arange(geom.n_sites)[:, None], np.arange(4))
 
-    # Dirac rows, spinor columns: sum_i e_i (v(x+e_i) T_i - v(x)) / h
-    for i in range(4):
-        if c.a.links is None:
-            blk_nb = np.broadcast_to(
-                quat.left_matrix(quat.BASIS[i]), (sites.size, 4, 4)
-            ) / geom.h
-        else:
-            phase = quat.exp_i(geom.h * c.a.links[..., i]).reshape(-1, 4)[sites]
-            blk_nb = np.einsum(
-                "ab,nbc->nac", quat.left_matrix(quat.BASIS[i]), quat.right_matrix(phase)
-            ) / geom.h
-        blk_self = -quat.left_matrix(quat.BASIS[i]) / geom.h
-        for comp_r in range(4):
-            r = rows.dirac_dof(sites, comp_r)
-            for comp_c in range(4):
-                np.add.at(mat, (r, cols.spinor_dof(nb[i][sites], comp_c)), blk_nb[:, comp_r, comp_c])
-                mat[r, cols.spinor_dof(sites, comp_c)] += blk_self[comp_r, comp_c]
+    # Dirac rows, spinor columns: sum_i e_i (v(x+e_i) T_i - v(x)) / h, with
+    # neighbor blocks blk[i, n, c, r] = (e_i e_c e^{i h a_i(x_n)})_r / h
+    if c.a.links is None:
+        blk = quat.MUL_TABLE[:, None] / h
+    else:
+        theta = h * c.a.links.reshape(-1, 4)[sites].T  # (i, n)
+        blk = quat.mul_exp_i(quat.MUL_TABLE[:, None], theta[..., None]) / h
+    blocks = [
+        (dirac_r[:, None, :], spinor_c[nb[:, sites]][..., None], blk),
+        (dirac_r[:, None, :], spinor_c[sites][..., None], -quat.MUL_TABLE.sum(axis=0) / h),
+    ]
 
     if c.group is not GaugeGroup.TRIVIAL:
         # Dirac rows, one-form columns: e_i (T_i u(x+e_i)) i per link
-        for i in range(4):
-            w = _transported_neighbor(c, i).reshape(-1, 4)[sites]
-            colvec = quat.mul(quat.BASIS[i], quat.mul(w, quat.QI))
-            dofs = cols.link_dof[i, sites]
-            for comp_r in range(4):
-                np.add.at(mat, (rows.dirac_dof(sites, comp_r), dofs), colvec[:, comp_r])
+        u_flat = c.u.values.reshape(-1, 4)
+        w = quat.mul_exp_i(u_flat[nb[:, sites]], theta)
+        blocks.append((dirac_r, cols.link_dof[:, sites][..., None],
+                       w @ _DIRAC_LINK.transpose(0, 2, 1)))
 
-        # self-dual rows, one-form columns: d^+ b
+        # self-dual rows, one-form columns: d^+ b, with
+        # F_p(x) = (b_j(x+e_i) - b_j(x) - b_i(x+e_j) + b_i(x)) / h
         ssites = rows.sd_sites
-        for p, (i, j) in enumerate(lat.PLAQ_PAIRS):
-            l = p % 3
-            half = 0.5 / geom.h
-            r_rows = rows.sd_dof(ssites, l)
-            # F_p(x) = (b_j(x+e_i) - b_j(x) - b_i(x+e_j) + b_i(x)) / h
-            np.add.at(mat, (r_rows, cols.link_dof[j, nb[i][ssites]]), np.full(ssites.size, half))
-            np.add.at(mat, (r_rows, cols.link_dof[j, ssites]), np.full(ssites.size, -half))
-            np.add.at(mat, (r_rows, cols.link_dof[i, nb[j][ssites]]), np.full(ssites.size, -half))
-            np.add.at(mat, (r_rows, cols.link_dof[i, ssites]), np.full(ssites.size, half))
+        pi, pj = np.array(lat.PLAQ_PAIRS).T
+        link = cols.link_dof
+        plaq_cols = np.stack([
+            link[pj[:, None], nb[pi][:, ssites]],
+            link[pj][:, ssites],
+            link[pi[:, None], nb[pj][:, ssites]],
+            link[pi][:, ssites],
+        ], axis=1)  # (plaquette, term, site)
+        plaq_rows = rows.sd_dof(ssites, (np.arange(6) % 3)[:, None, None])
+        blocks.append((plaq_rows, plaq_cols, (0.5 / h) * np.array([[1.0], [-1.0], [-1.0], [1.0]])))
 
-        # self-dual rows, spinor columns: d_u Phi_4(v)
-        for a in range(4):
-            basis_field = np.broadcast_to(quat.BASIS[a], geom.dims + (4,))
-            dphi = phi4_diff(c.u, basis_field, c.group).reshape(-1, 3)[ssites]
-            for l in range(3):
-                np.add.at(
-                    mat,
-                    (rows.sd_dof(ssites, l), cols.spinor_dof(ssites, a)),
-                    dphi[:, l],
-                )
+        # self-dual rows, spinor columns: d_u Phi_4(e_a) on the trusted sites
+        dphi = phi4_diff(u_flat[ssites][:, None], quat.BASIS, c.group)  # (site, a, l)
+        blocks.append((rows.sd_dof(ssites[:, None, None], np.arange(3)),
+                       spinor_c[ssites][..., None], dphi))
+    mat = _assemble((rows.dim, cols.dim), blocks)
     return LinearMap(mat, rows, cols)
 
 
@@ -509,9 +519,9 @@ def second_derivative_rows(c: Configuration, t1: TangentConfig, t2: TangentConfi
         b2 = t2.b[..., i][..., None]
         v1_nb = lat._shift(t1.v, i, +1, geom.topology)
         v2_nb = lat._shift(t2.v, i, +1, geom.topology)
-        phase = quat.exp_i(geom.h * c.a.links[..., i])
-        term = quat.mul(quat.mul(v1_nb, phase), quat.QI) * b2
-        term = term + quat.mul(quat.mul(v2_nb, phase), quat.QI) * b1
+        theta = geom.h * c.a.links[..., i]
+        term = quat.mul(quat.mul_exp_i(v1_nb, theta), quat.QI) * b2
+        term = term + quat.mul(quat.mul_exp_i(v2_nb, theta), quat.QI) * b1
         term = term - geom.h * w * (b1 * b2)
         dirac += quat.mul(quat.BASIS[i], term)
     if c.group is GaugeGroup.TRIVIAL:

@@ -84,9 +84,6 @@ class LatticeGeom:
         grid = np.meshgrid(*axes, indexing="ij")
         return np.stack(grid, axis=-1)
 
-    def zero_scalar_curvature(self):
-        return np.zeros(self.dims)
-
     def scalar_curvature(self):
         return self.s_x if self.s_x is not None else np.zeros(self.dims)
 
@@ -204,7 +201,7 @@ def _transport_fwd(u_nb, a, axis, h):
     """Transport the neighbor value at x + e_axis back to x."""
     if a.links is None:
         return u_nb
-    return quat.mul(u_nb, quat.exp_i(h * a.links[..., axis]))
+    return quat.mul_exp_i(u_nb, h * a.links[..., axis])
 
 
 def _transport_bwd(u_nb, a, axis, h, topology):
@@ -212,7 +209,7 @@ def _transport_bwd(u_nb, a, axis, h, topology):
     if a.links is None:
         return u_nb
     link = _shift(a.links[..., axis], axis, -1, topology)
-    return quat.mul(u_nb, quat.exp_i(-h * link))
+    return quat.mul_exp_i(u_nb, -h * link)
 
 
 def forward_cov_diff(u: SpinorField, a: ConnectionField, axis):

@@ -223,21 +223,6 @@ def log_map(p: TargetPoint, q: TargetPoint) -> TangentM:
     return TangentM(rep - p.rep, p)
 
 
-def parallel_transport(v: TangentM, q: TargetPoint) -> TangentM:
-    """Transport v from its base to q (flat: component identity).
-
-    On the cone the components flip sign if the canonical representative
-    of q lies in the opposite half-space from the base representative.
-    """
-    if v.base.kind is not q.kind:
-        raise ValueError("points live on different targets")
-    vec = v.vec
-    if q.kind is TargetKind.CONE_H_MOD_Z2:
-        if quat.inner(q.rep, v.base.rep) < 0.0:
-            vec = -vec
-    return TangentM(vec.copy() if vec is v.vec else vec, q)
-
-
 def curvature_m(v: TangentM, w: TangentM, x: TangentM) -> TangentM:
     """Riemann tensor of the target: identically zero (flat open subsets)."""
     _require_same_base(v, w)

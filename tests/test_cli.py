@@ -114,6 +114,29 @@ def test_failure_path_writes_manifest(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["exit_code"] == 3
 
+    # an exception escaping the runner: the manifest keeps its traceback
+    out = tmp_path / "s3"
+    cfg = write_cfg(
+        tmp_path,
+        "tip.json",
+        {
+            "experiment": "solve",
+            "output_dir": str(out),
+            "geometry": {"dims": [2, 2, 2, 2], "h": 0.4, "topology": "torus"},
+            "target": "cone_h_mod_z2",
+            "params": {"init": {"kind": "zero"}},
+        },
+    )
+    assert cli.run("solve", cfg) == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["exit_code"] == 3
+    assert manifest["error"].startswith("ConeSingularityError")
+    tb = manifest["traceback"].splitlines()
+    assert tb[0] == "Traceback (most recent call last):"
+    frames = [line for line in tb if line.startswith('  File "')]
+    # the innermost frame is the function that raised
+    assert frames[-1].endswith("in canonical_rep")
+
 
 def test_env_override(tmp_path):
     out_env = tmp_path / "env_out"

@@ -125,9 +125,17 @@ def test_slice_annihilates_horizontal():
 # linearization of the equations
 
 
-@pytest.mark.parametrize("group", [GaugeGroup.TRIVIAL, GaugeGroup.U1])
-def test_fd_jacobian_consistency(group):
-    geom = torus()
+@pytest.mark.parametrize(
+    "group, topology",
+    [
+        pytest.param(g, t, id=str(g) if t is Topology.TORUS else "box-%s" % g)
+        for t in (Topology.TORUS, Topology.BOX)
+        for g in (GaugeGroup.TRIVIAL, GaugeGroup.U1)
+    ],
+)
+def test_fd_jacobian_consistency(group, topology):
+    # the box leaves face links out of the dof space (link_dof == -1)
+    geom = LatticeGeom((3,) * 4, 0.4, topology)
     c = gsw.random_config(geom, group, seed=8, amplitude=0.4)
     s = gsw.manufacture(c)
     e = dfm.linearize_fsw(c)

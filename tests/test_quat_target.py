@@ -219,3 +219,53 @@ def test_isometry_of_actions():
         assert abs(
             quat.inner(quat.mul(v, e), quat.mul(w, e)) - quat.inner(v, w)
         ) <= 1e-12
+
+
+def _hamilton(p, q):
+    """Reference Hamilton product from the component formula."""
+    p0, p1, p2, p3 = np.moveaxis(p, -1, 0)
+    q0, q1, q2, q3 = np.moveaxis(q, -1, 0)
+    return np.stack(
+        [
+            p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3,
+            p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2,
+            p0 * q2 - p1 * q3 + p2 * q0 + p3 * q1,
+            p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0,
+        ],
+        axis=-1,
+    )
+
+
+@pytest.mark.parametrize("shape", [(4,), (7, 4), (3, 3, 3, 3, 4)])
+def test_constant_operand_mul_matches_components(shape):
+    rng = np.random.default_rng(11)
+    field = rng.normal(size=shape)
+    for e in quat.BASIS:
+        assert np.array_equal(quat.mul(field, e), _hamilton(field, e))
+        assert np.array_equal(quat.mul(e, field), _hamilton(e, field))
+        assert np.array_equal(quat.left_matrix(e) @ field[..., None], _hamilton(e, field)[..., None])
+        assert np.array_equal(quat.right_matrix(e) @ field[..., None], _hamilton(field, e)[..., None])
+    for _ in range(5):
+        const = rng.normal(size=4)
+        for got, ref in (
+            (quat.mul(field, const), _hamilton(field, const)),
+            (quat.mul(const, field), _hamilton(const, field)),
+        ):
+            assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize(
+    "u_shape, theta_shape",
+    [((4,), ()), ((4,), (5,)), ((6, 4), ()), ((6, 4), (6,)), ((3, 3, 3, 3, 4), (3, 3, 3, 3)),
+     ((3, 3, 3, 3, 4), (3, 1, 3, 1))],
+)
+def test_mul_exp_i_matches_product(u_shape, theta_shape):
+    rng = np.random.default_rng(12)
+    u = rng.normal(size=u_shape)
+    theta = rng.uniform(-4.0, 4.0, size=theta_shape)
+    got = quat.mul_exp_i(u, theta)
+    ref = quat.mul(u, quat.exp_i(theta))
+    assert got.shape == ref.shape
+    # every component of u e^{i theta} is bounded by |u|: 4 ulp of |u|
+    ulp = np.spacing(np.broadcast_to(quat.norm(u)[..., None], ref.shape))
+    assert np.all(np.abs(got - ref) <= 4 * ulp)
