@@ -6,8 +6,9 @@ Experiments: target-check, solve, deform, kuranishi, curvature,
 frequency, sequence.  Configs are JSON with a fixed schema (unknown
 keys rejected); every run emits a manifest.json carrying the config
 hash, package version and wall time.  Exit codes: 0 success, 2 config
-validation failure (no outputs), 3 numerical failure (and, with
---strict, any rank-margin warning or failed internal check).
+validation failure, including a dense problem over the size limit (no
+outputs), 3 numerical failure (and, with --strict, any rank-margin
+warning or failed internal check).
 
 The same config and seed produce byte-identical CSV/JSON outputs; all
 floats are written with repr (shortest round-trip form).
@@ -134,6 +135,14 @@ def validate_config(cfg, experiment):
             in ("random", "constant", "zero", "fueter_z1", "pure_gauge_constant", "snapshot"),
             "bad init.kind",
         )
+    dense = experiment in ("solve", "deform", "kuranishi") or (
+        experiment == "curvature" and params.get("mode", "lattice") == "lattice")
+    if geo and dense:
+        geom, group = build_geometry(cfg), GaugeGroup(cfg.get("group", "trivial"))
+        rows = dfm.StackedSpace(dfm.EquationSpace(geom, group), dfm.GaugeScalarSpace(geom, group))
+        dim = max(rows.dim, dfm.TangentSpace(geom, group).dim)
+        _require(dim <= dfm.MAX_DENSE_DIM, f"elliptic operator dimension {dim} is over "
+                 f"the dense limit {dfm.MAX_DENSE_DIM}; use a smaller lattice")
     return cfg
 
 
@@ -222,8 +231,15 @@ def _json_default(obj):
     raise TypeError(f"not serializable: {type(obj)}")
 
 
+def _failure(err):
+    """Manifest fields for a caught exception: `Type: message` and its traceback."""
+    tb = "".join(traceback.format_exception(err))
+    return {"error": f"{type(err).__name__}: {err}", "traceback": tb}
+
+
 # ---------------------------------------------------------------------------
-# experiment runners (each returns (status, files, extra_manifest))
+# experiment runners (each returns (status, files, extra_manifest); a
+# handled failure goes in extra_manifest["failure"] as _failure(err))
 
 
 def run_target_check(cfg, out, opts):
@@ -318,13 +334,12 @@ def run_solve(cfg, out, opts):
         c.u.values = c.u.values + t.v
     tol = float(params.get("tol", 1e-10))
     files = []
+    extra = {}
     try:
         sol, diag = gsw.solve_newton(c, s, tol, int(params.get("max_iter", 20)), stencil)
-        status = 0
     except gsw.NewtonError as err:
-        diag = err.diagnostics
-        sol = None
-        status = 3
+        sol, diag = None, err.diagnostics
+        extra["failure"] = _failure(err)
     path = os.path.join(out, "solver_diagnostics.csv")
     _write_csv(path, ("iter", "residual_norm", "step_norm"), diag)
     files.append(path)
@@ -332,7 +347,8 @@ def run_solve(cfg, out, opts):
         snap = os.path.join(out, "solution_snapshot.json")
         lat.snapshot_save(snap, sol.u, sol.a)
         files.append(snap)
-    return status, files, {"final_residual": diag[-1]["residual_norm"]}
+    extra["final_residual"] = diag[-1]["residual_norm"]
+    return (3 if sol is None else 0), files, extra
 
 
 def run_deform(cfg, out, opts):
@@ -581,12 +597,12 @@ def run(experiment, config_path, strict=False, threads=1):
     t0 = time.time()
     try:
         status, files, extra = RUNNERS[experiment](cfg, out, opts)
+        manifest.update(extra.pop("failure", {}))
         manifest["extra"] = extra
     except Exception as err:  # numerical failure path: manifest still written
         status = 3
         files = []
-        manifest["error"] = f"{type(err).__name__}: {err}"
-        manifest["traceback"] = traceback.format_exc()
+        manifest.update(_failure(err))
     manifest["wall_time_s"] = time.time() - t0
     manifest["exit_code"] = status
     manifest["outputs"] = [os.path.basename(f) for f in files]

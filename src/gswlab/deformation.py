@@ -349,14 +349,6 @@ def _neighbor_index(geom: LatticeGeom):
     return np.ravel_multi_index(tuple(coords), geom.dims, mode="wrap")
 
 
-def _transported_neighbor(c: Configuration, axis):
-    """T_i u(x + e_i) as a site array (valid where the link exists)."""
-    u_nb = lat._shift(c.u.values, axis, +1, c.geom.topology)
-    if c.a.links is None:
-        return u_nb
-    return quat.mul_exp_i(u_nb, c.geom.h * c.a.links[..., axis])
-
-
 def _assemble(shape, blocks):
     """Dense matrix summed in one bincount from (rows, cols, values) blocks.
 
@@ -511,19 +503,16 @@ def second_derivative_rows(c: Configuration, t1: TangentConfig, t2: TangentConfi
     from .targets import moment_values_diff
 
     dirac = np.zeros(geom.dims + (4,))
-    for i in range(4):
-        if c.a.links is None:
-            continue
-        w = _transported_neighbor(c, i)
-        b1 = t1.b[..., i][..., None]
-        b2 = t2.b[..., i][..., None]
-        v1_nb = lat._shift(t1.v, i, +1, geom.topology)
-        v2_nb = lat._shift(t2.v, i, +1, geom.topology)
-        theta = geom.h * c.a.links[..., i]
-        term = quat.mul(quat.mul_exp_i(v1_nb, theta), quat.QI) * b2
-        term = term + quat.mul(quat.mul_exp_i(v2_nb, theta), quat.QI) * b1
-        term = term - geom.h * w * (b1 * b2)
-        dirac += quat.mul(quat.BASIS[i], term)
+    if c.a.links is not None:
+        # flat-kind fields: like linearize_fsw, no cone alignment of neighbours
+        u, v1, v2 = (lat.SpinorField(geom, f) for f in (c.u.values, t1.v, t2.v))
+        for i in range(4):
+            b1 = t1.b[..., i][..., None]
+            b2 = t2.b[..., i][..., None]
+            term = quat.mul(lat._transported(v1, c.a, i, +1), quat.QI) * b2
+            term = term + quat.mul(lat._transported(v2, c.a, i, +1), quat.QI) * b1
+            term = term - geom.h * lat._transported(u, c.a, i, +1) * (b1 * b2)
+            dirac += quat.mul(quat.BASIS[i], term)
     if c.group is GaugeGroup.TRIVIAL:
         sd = np.zeros(geom.dims + (3,))
     else:

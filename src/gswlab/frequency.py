@@ -96,19 +96,12 @@ def fueter_corpus(geom: LatticeGeom, count=20, center=None):
 # covariant calculus on tangent fields (flat chart)
 
 
-def _tangent_cov_diff(vals, a, axis, stencil, geom):
-    u = SpinorField(geom, vals)
-    if stencil is Stencil.FORWARD:
-        return lat.forward_cov_diff(u, a, axis)
-    return 0.5 * (lat.forward_cov_diff(u, a, axis) + lat.backward_cov_diff(u, a, axis))
-
-
 def _tangent_cov_diff_adjoint(vals, a, axis, stencil, geom):
     """Exact adjoint of the tangent covariant difference (torus)."""
     u = SpinorField(geom, vals)
     if stencil is Stencil.FORWARD:
         return -lat.backward_cov_diff_raw(u, a, axis)
-    return -0.5 * (lat.forward_cov_diff(u, a, axis) + lat.backward_cov_diff(u, a, axis))
+    return -lat.cov_diff_component(u, a, axis, stencil)
 
 
 def dirac_lin_adjoint(w_vals, a, stencil, geom):
@@ -123,9 +116,10 @@ def dirac_lin_adjoint(w_vals, a, stencil, geom):
 
 def cov_laplacian(vals, a, stencil, geom):
     """d^{TM,*} d_A applied to a tangent-valued site field."""
+    u = SpinorField(geom, vals)
     out = np.zeros(geom.dims + (4,))
     for i in range(4):
-        d = _tangent_cov_diff(vals, a, i, stencil, geom)
+        d = lat.cov_diff_component(u, a, i, stencil)
         out += _tangent_cov_diff_adjoint(d, a, i, stencil, geom)
     return out
 
@@ -205,25 +199,14 @@ def energy_identity(c: Configuration, s_x=None, stencil=Stencil.FORWARD):
 
 def key_identity_check(c: Configuration, stencil=Stencil.FORWARD):
     """sup |d_A u - d_A^{TM}(chi0 o u)|: exact for the identity chart field."""
-    geom = c.geom
+    # chi0 o u has the values of u (chi0 is the Euler field), as a tangent field
+    chi0 = SpinorField(c.geom, c.u.values, c.u.kind)
     worst = 0.0
     for i in range(4):
         du = lat.cov_diff_component(c.u, c.a, i, stencil)
-        chi0 = c.u.values.copy()
-        dchi = _tangent_cov_diff_cone(chi0, c, i, stencil)
+        dchi = lat.cov_diff_component(chi0, c.a, i, stencil)
         worst = max(worst, float(np.abs(du - dchi).max()))
     return worst
-
-
-def _tangent_cov_diff_cone(vals, c: Configuration, axis, stencil):
-    """Tangent covariant difference aligned with the base field's chart."""
-    geom = c.geom
-    u = SpinorField(geom, vals, c.u.kind)
-    if stencil is Stencil.FORWARD:
-        return lat.forward_cov_diff(u, c.a, axis)
-    return 0.5 * (
-        lat.forward_cov_diff(u, c.a, axis) + lat.backward_cov_diff(u, c.a, axis)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +298,7 @@ def bochner_residual(c: Configuration, stencil=Stencil.CENTERED):
     for i in range(4):
         di = lat.cov_diff_component(c.u, c.a, i, stencil)
         for j in range(4):
-            dji = _tangent_cov_diff(di, c.a, j, stencil, geom)
+            dji = lat.cov_diff_component(SpinorField(geom, di), c.a, j, stencil)
             hess += np.sum(dji * dji, axis=-1)
     return 0.5 * lap + hess
 

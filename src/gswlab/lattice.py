@@ -15,8 +15,10 @@ Conventions
 * Self-dual two-form basis: eta_l = dx^0 ^ dx^l + (1/2) eps_{lmn} dx^m ^ dx^n,
   so |eta_l|^2 = 2.  A self-dual field stores the three eta-basis
   coefficients per site.
-* Boxes use one-sided stencils at faces; reductions are plain numpy
-  sums (fixed order, deterministic).
+* Boxes use one-sided stencils at faces: the forward difference takes
+  the backward value on the far face, the backward difference takes the
+  forward value on the near face, and the centred difference is their
+  mean.  Reductions are plain numpy sums (fixed order, deterministic).
 """
 
 from dataclasses import dataclass
@@ -197,72 +199,58 @@ def _cone_align(u_nb, u_ref):
     return np.where(dot < 0.0, -u_nb, u_nb)
 
 
-def _transport_fwd(u_nb, a, axis, h):
-    """Transport the neighbor value at x + e_axis back to x."""
+def _transported(u: SpinorField, a: ConnectionField, axis, step):
+    """T u(x + step*e_axis): the neighbour value carried to x, step = +-1.
+
+    Cone targets first flip the neighbour into the half-space of u(x);
+    the U(1) phase is e^{+i h a(x)} forward and e^{-i h a(x - e)} backward.
+    """
+    topo = u.geom.topology
+    u_nb = _shift(u.values, axis, step, topo)
+    if u.kind is TargetKind.CONE_H_MOD_Z2:
+        u_nb = _cone_align(u_nb, u.values)
     if a.links is None:
         return u_nb
-    return quat.mul_exp_i(u_nb, h * a.links[..., axis])
+    link = a.links[..., axis]
+    if step < 0:
+        link = _shift(link, axis, -1, topo)
+    return quat.mul_exp_i(u_nb, step * u.geom.h * link)
 
 
-def _transport_bwd(u_nb, a, axis, h, topology):
-    """Transport the neighbor value at x - e_axis forward to x."""
-    if a.links is None:
-        return u_nb
-    link = _shift(a.links[..., axis], axis, -1, topology)
-    return quat.mul_exp_i(u_nb, -h * link)
+def _one_sided_pair(u: SpinorField, a: ConnectionField, axis):
+    """(forward, backward) differences, face-filled from each other on a box."""
+    h = u.geom.h
+    fwd = (_transported(u, a, axis, +1) - u.values) / h
+    bwd = (u.values - _transported(u, a, axis, -1)) / h
+    if u.geom.topology is Topology.BOX:
+        far = (slice(None),) * axis + (slice(-1, None),)
+        near = (slice(None),) * axis + (slice(0, 1),)
+        fwd[far] = bwd[far]
+        bwd[near] = fwd[near]
+    return fwd, bwd
 
 
 def forward_cov_diff(u: SpinorField, a: ConnectionField, axis):
-    """(T u(x+e) - u(x)) / h on sites where the forward link exists.
-
-    On a box the far-face values are filled with the backward difference
-    (one-sided stencil).
-    """
-    geom = u.geom
-    h = geom.h
-    topo = geom.topology
-    u_nb = _shift(u.values, axis, +1, topo)
-    if u.kind is TargetKind.CONE_H_MOD_Z2:
-        u_nb = _cone_align(u_nb, u.values)
-    out = (_transport_fwd(u_nb, a, axis, h) - u.values) / h
-    if topo is Topology.BOX:
-        bwd = backward_cov_diff_raw(u, a, axis)
-        idx = [slice(None)] * 4 + [slice(None)]
-        idx[axis] = slice(-1, None)
-        out[tuple(idx)] = bwd[tuple(idx)]
-    return out
+    """(T u(x+e) - u(x)) / h, backward-filled on the far face of a box."""
+    if u.geom.topology is Topology.BOX:
+        return _one_sided_pair(u, a, axis)[0]
+    return (_transported(u, a, axis, +1) - u.values) / u.geom.h
 
 
 def backward_cov_diff_raw(u: SpinorField, a: ConnectionField, axis):
     """(u(x) - T u(x-e)) / h, valid where x - e_axis exists."""
-    geom = u.geom
-    h = geom.h
-    topo = geom.topology
-    u_nb = _shift(u.values, axis, -1, topo)
-    if u.kind is TargetKind.CONE_H_MOD_Z2:
-        u_nb = _cone_align(u_nb, u.values)
-    return (u.values - _transport_bwd(u_nb, a, axis, h, topo)) / h
+    return (u.values - _transported(u, a, axis, -1)) / u.geom.h
 
 
 def backward_cov_diff(u: SpinorField, a: ConnectionField, axis):
     """Backward difference, forward-filled on the near face of a box."""
-    out = backward_cov_diff_raw(u, a, axis)
-    if u.geom.topology is Topology.BOX:
-        fwd_nb = _shift(u.values, axis, +1, u.geom.topology)
-        if u.kind is TargetKind.CONE_H_MOD_Z2:
-            fwd_nb = _cone_align(fwd_nb, u.values)
-        fwd = (_transport_fwd(fwd_nb, a, axis, u.geom.h) - u.values) / u.geom.h
-        idx = [slice(None)] * 5
-        idx[axis] = slice(0, 1)
-        out[tuple(idx)] = fwd[tuple(idx)]
-    return out
+    return _one_sided_pair(u, a, axis)[1]
 
 
 def cov_diff_component(u, a, axis, stencil: Stencil):
     if stencil is Stencil.FORWARD:
         return forward_cov_diff(u, a, axis)
-    fwd = forward_cov_diff(u, a, axis)
-    bwd = backward_cov_diff(u, a, axis)
+    fwd, bwd = _one_sided_pair(u, a, axis)
     return 0.5 * (fwd + bwd)
 
 

@@ -544,11 +544,6 @@ def vertical_bracket(c: Configuration, t1: TangentConfig, t2: TangentConfig):
     return dfm.unpack_tangent(sys_.tan_space, vec)
 
 
-def curvature_c(v, w, x):
-    """Ambient curvature term Rm_M(v, w) x: zero for the flat targets."""
-    return np.zeros_like(np.asarray(x, dtype=float))
-
-
 def oneill_sectional(c: Configuration, t1: TangentConfig, t2: TangentConfig):
     sys_ = LatticeSystem(c, Sources.zero(c.geom))
     return oneill_sectional_vec(
@@ -578,10 +573,6 @@ def gauss_sectional(c: Configuration, s: Sources, t1: TangentConfig, t2: Tangent
         dfm.pack_tangent(sys_.tan_space, t1),
         dfm.pack_tangent(sys_.tan_space, t2),
     )
-
-
-# re-exported here because the Hessian terms belong to this pipeline
-from .deformation import hessians  # noqa: E402,F401
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,21 @@ def test_unknown_key_rejected(tmp_path):
     assert cli.run("target-check", cfg) == 2
 
 
+def test_dense_limit_rejected_before_output(tmp_path):
+    """A 5^4 U(1) torus (5000 unknowns) exceeds the dense limit: exit 2, no outputs."""
+    out = tmp_path / "big"
+    payload = {
+        "experiment": "deform",
+        "output_dir": str(out),
+        "geometry": {"dims": [5, 5, 5, 5], "h": 0.4, "topology": "torus"},
+        "group": "u1",
+    }
+    assert cli.run("deform", write_cfg(tmp_path, "big.json", payload)) == 2
+    assert not out.exists()
+    payload["geometry"]["dims"] = [4, 4, 4, 4]  # 2048 x 2048: accepted
+    assert cli.validate_config(payload, "deform") is payload
+
+
 def test_target_check_runs(tmp_path):
     out = tmp_path / "out"
     cfg = write_cfg(
@@ -113,6 +128,10 @@ def test_failure_path_writes_manifest(tmp_path):
     assert cli.run("solve", cfg) == 3
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["exit_code"] == 3
+    assert manifest["error"].startswith("NewtonError: no convergence")
+    frames = [line for line in manifest["traceback"].splitlines() if line.startswith('  File "')]
+    assert frames[-1].endswith("in solve_newton")
+    assert "solver_diagnostics.csv" in manifest["outputs"]
 
     # an exception escaping the runner: the manifest keeps its traceback
     out = tmp_path / "s3"

@@ -76,10 +76,11 @@ def test_linear_field_exact_stencil():
     assert np.abs(others).max() <= 1e-12
 
 
-def test_gauge_covariance_exact():
+@pytest.mark.parametrize("topology", [Topology.TORUS, Topology.BOX])
+def test_gauge_covariance_exact(topology):
     from gswlab import gsw
 
-    geom = small_geom()
+    geom = small_geom(topology)
     rng = np.random.default_rng(3)
     c = gsw.random_config(geom, GaugeGroup.U1, seed=3)
     g = gsw.random_gauge(geom, 4)

@@ -187,12 +187,6 @@ def test_vertical_bracket_fd_oracle():
 # curvature terms
 
 
-def test_curvature_c_zero():
-    rng = np.random.default_rng(14)
-    x = rng.normal(size=(3, 3, 4))
-    assert np.abs(mg.curvature_c(x[0], x[1], x[2])).max() == 0.0
-
-
 def test_oneill_nonnegative_and_trivial():
     geom = torus()
     c = gsw.random_config(geom, GaugeGroup.U1, seed=15)
