@@ -135,10 +135,17 @@ def validate_config(cfg, experiment):
             in ("random", "constant", "zero", "fueter_z1", "pure_gauge_constant", "snapshot"),
             "bad init.kind",
         )
+    lattice = geo and (build_geometry(cfg), GaugeGroup(cfg.get("group", "trivial")))
+    if init is not None and init.get("kind") == "snapshot":
+        try:  # the run's lattice is the snapshot's, whatever geometry says
+            u, a = lat.snapshot_load(init.get("path"))
+        except (OSError, ValueError, KeyError, TypeError) as err:
+            raise ConfigError(f"unreadable snapshot {init.get('path')!r}: {err}") from err
+        lattice = (u.geom, a.group)
     dense = experiment in ("solve", "deform", "kuranishi") or (
         experiment == "curvature" and params.get("mode", "lattice") == "lattice")
-    if geo and dense:
-        geom, group = build_geometry(cfg), GaugeGroup(cfg.get("group", "trivial"))
+    if lattice and dense:
+        geom, group = lattice
         rows = dfm.StackedSpace(dfm.EquationSpace(geom, group), dfm.GaugeScalarSpace(geom, group))
         dim = max(rows.dim, dfm.TangentSpace(geom, group).dim)
         _require(dim <= dfm.MAX_DENSE_DIM, f"elliptic operator dimension {dim} is over "

@@ -14,6 +14,7 @@ flat target chart; the cone target is supported by the scalar radial
 machinery and the key chart identity.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import permutations
 
@@ -38,17 +39,21 @@ def _fueter_variable(geom: LatticeGeom, k, center):
     return out
 
 
-def _sym_product(factors):
-    """Symmetrized quaternion product of a list of (..., 4) fields."""
+def _sym_product(variables, multiset):
+    """Symmetrized quaternion product of the (..., 4) fields variables[k], k in multiset.
+
+    Each distinct ordering of the multiset is multiplied out once and
+    weighted by the number of permutations that produce it.
+    """
+    orders = Counter(permutations(multiset))
     acc = None
-    count = 0
-    for perm in permutations(range(len(factors))):
-        term = factors[perm[0]]
-        for idx in perm[1:]:
-            term = quat.mul(term, factors[idx])
+    for order, mult in orders.items():
+        term = variables[order[0]]
+        for k in order[1:]:
+            term = quat.mul(term, variables[k])
+        term = mult * term
         acc = term if acc is None else acc + term
-        count += 1
-    return acc / count
+    return acc / sum(orders.values())
 
 
 def fueter_library(geom: LatticeGeom, kind, center=None, multiset=(1, 2)):
@@ -65,8 +70,8 @@ def fueter_library(geom: LatticeGeom, kind, center=None, multiset=(1, 2)):
     if kind in ("z1", "z2", "z3"):
         vals = _fueter_variable(geom, int(kind[1]), center)
     elif kind == "sym_product":
-        factors = [_fueter_variable(geom, k, center) for k in multiset]
-        vals = _sym_product(factors)
+        variables = {k: _fueter_variable(geom, k, center) for k in set(multiset)}
+        vals = _sym_product(variables, multiset)
     else:
         raise ValueError(f"unknown Fueter sample kind {kind!r}")
     return SpinorField(geom, vals)
@@ -369,12 +374,15 @@ def radial_profile(
     big_f = np.zeros(m)
     sx_ball = np.zeros(m)
     chi_ball = np.zeros(m)
+    d = lat.site_distances(geom, center)
+    sx_chi2 = 0.25 * s_x * chi2
     for k, r in enumerate(radii):
         spec = BallSpec(center, float(r), n_polar, n_azimuth)
-        big_f[k] = lat.ball_integral(geom, energy, spec) / r**2
+        w = lat.ball_window(geom, spec, d)
+        big_f[k] = lat.site_inner(geom, energy, w) / r**2
         f_r[k] = lat.shell_integral(geom, chi2, spec)
-        sx_ball[k] = lat.ball_integral(geom, 0.25 * s_x * chi2, spec)
-        chi_ball[k] = lat.ball_integral(geom, chi2, spec)
+        sx_ball[k] = lat.site_inner(geom, sx_chi2, w)
+        chi_ball[k] = lat.site_inner(geom, chi2, w)
     undefined = f_r <= 1e-14
     freq = np.where(undefined, np.nan, radii**3 * big_f / np.where(undefined, 1.0, f_r))
     # sigma' = (1/f) int_{B_r}(s_X/4)|chi0 o u|^2; trapezoid from the grid
@@ -506,12 +514,13 @@ def critical_radius(c: Configuration, center, eps0, stencil=Stencil.CENTERED,
     energy, _ = fields if fields is not None else profile_fields(c, stencil)
     delta0 = lat.max_ball_radius(geom, center)
     r_min = r_min_factor * geom.h
-
-    def big_f(r):
-        return lat.ball_integral(geom, energy, BallSpec(center, r)) / r**2
-
     if eps0 <= 0.0:
         return 0.0, "zero"
+    d = lat.site_distances(geom, center)
+
+    def big_f(r):
+        return lat.site_inner(geom, energy, lat.ball_window(geom, BallSpec(center, r), d)) / r**2
+
     if big_f(delta0) <= eps0:
         return delta0, "full"
     if big_f(r_min) > eps0:
@@ -546,9 +555,10 @@ def regularity_probe(c: Configuration, centers, eps0=1e-2, stencil=Stencil.CENTE
         entry = {"center": tuple(center), "r_x": rx, "flag": flag, "rho0": rho, "chat": []}
         if rx > 0.0:
             radii = np.linspace(max(4 * geom.h, rx / n_radii), rx, n_radii)
+            d = lat.site_distances(geom, center)
             for r in radii:
-                big_f = lat.ball_integral(geom, energy, BallSpec(center, float(r))) / r**2
-                d = lat.site_distances(geom, center)
+                w = lat.ball_window(geom, BallSpec(center, float(r)), d)
+                big_f = lat.site_inner(geom, energy, w) / r**2
                 sup = float(energy[d <= r / 4].max()) if np.any(d <= r / 4) else 0.0
                 entry["chat"].append(
                     {"r": float(r), "chat": sup / (big_f / r**2 + r**2)}

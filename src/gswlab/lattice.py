@@ -23,6 +23,7 @@ Conventions
 
 from dataclasses import dataclass
 from enum import Enum
+import functools
 import json
 
 import numpy as np
@@ -447,7 +448,7 @@ def _check_ball(geom: LatticeGeom, spec: BallSpec):
 
 def site_distances(geom: LatticeGeom, center):
     """Distance from each site to a physical center (min-image on torus)."""
-    d2 = np.zeros(geom.dims)
+    d2 = 0.0  # broadcast per axis: only the last sum is full-size
     for i in range(4):
         shape = [1, 1, 1, 1]
         shape[i] = geom.dims[i]
@@ -466,33 +467,28 @@ def ball_integral(geom: LatticeGeom, f, spec: BallSpec):
     Lattice sum with a linear partial-cell window of width h at the
     boundary sphere; exact volume error is O((h/r)^2) for smooth fields.
     """
-    _check_ball(geom, spec)
     d = site_distances(geom, spec.center)
-    w = np.clip((spec.radius - d) / geom.h + 0.5, 0.0, 1.0)
-    return float(np.sum(f * w) * geom.h**4)
+    return site_inner(geom, f, ball_window(geom, spec, d))
 
 
-def _gauss_legendre(n, a, b):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
+def ball_window(geom: LatticeGeom, spec: BallSpec, d):
+    """Partial-cell weights of B_r(x) from the distances d = site_distances(geom, x);
+    every ball sum at one radius can share them."""
+    _check_ball(geom, spec)
+    return np.clip((spec.radius - d) / geom.h + 0.5, 0.0, 1.0)
 
 
-def sphere_nodes(spec: BallSpec):
-    """Product quadrature nodes and weights on the 3-sphere of radius r.
+@functools.cache
+def _unit_sphere(n_polar, n_azimuth):
+    """Read-only nodes (N, 4) and weights (N,) on the unit 3-sphere."""
+    x, wx = np.polynomial.legendre.leggauss(n_polar)
+    theta, w_theta = 0.5 * np.pi * x + 0.5 * np.pi, 0.5 * np.pi * wx  # on [0, pi]
+    phi = np.arange(n_azimuth) * (2.0 * np.pi / n_azimuth)
+    w_phi = 2.0 * np.pi / n_azimuth
 
-    Hyperspherical angles: two polar angles by Gauss-Legendre, azimuth
-    uniform; weights normalized so that the constant 1 integrates to
-    2 pi^2 r^3.
-    """
-    chi, w_chi = _gauss_legendre(spec.n_polar, 0.0, np.pi)
-    th, w_th = _gauss_legendre(spec.n_polar, 0.0, np.pi)
-    phi = np.arange(spec.n_azimuth) * (2.0 * np.pi / spec.n_azimuth)
-    w_phi = 2.0 * np.pi / spec.n_azimuth
-
-    Chi, Th, Phi = np.meshgrid(chi, th, phi, indexing="ij")
-    Wc, Wt = np.meshgrid(w_chi, w_th, indexing="ij")
+    Chi, Th, Phi = np.meshgrid(theta, theta, phi, indexing="ij")
+    Wc, Wt = np.meshgrid(w_theta, w_theta, indexing="ij")
     weights = (Wc * Wt)[..., None] * w_phi * np.sin(Chi) ** 2 * np.sin(Th)
-    r = spec.radius
     pts = np.stack(
         [
             np.cos(Chi),
@@ -501,9 +497,22 @@ def sphere_nodes(spec: BallSpec):
             np.sin(Chi) * np.sin(Th) * np.sin(Phi),
         ],
         axis=-1,
-    )
-    pts = r * pts.reshape(-1, 4) + np.asarray(spec.center)
-    return pts, (weights * r**3).reshape(-1)
+    ).reshape(-1, 4)
+    weights = weights.reshape(-1)
+    pts.flags.writeable = weights.flags.writeable = False
+    return pts, weights
+
+
+def sphere_nodes(spec: BallSpec):
+    """Product quadrature nodes and weights on the 3-sphere of radius r.
+
+    Hyperspherical angles: two polar angles by Gauss-Legendre, azimuth
+    uniform; weights normalized so that the constant 1 integrates to
+    2 pi^2 r^3.  The unit grid is cached; the returned arrays are fresh.
+    """
+    pts, weights = _unit_sphere(spec.n_polar, spec.n_azimuth)
+    r = spec.radius
+    return r * pts + np.asarray(spec.center), weights * r**3
 
 
 def interpolate(geom: LatticeGeom, f, points):
@@ -546,30 +555,21 @@ def interpolate_quadratic(geom: LatticeGeom, f, points):
                 raise ValueError("interpolation point outside the box")
         base = np.clip(base, 0, np.asarray(geom.dims) - 3)
     x = pts - base
-    wts = []
+    # the 81 corners along a leading axis (axis 3 slowest); weights multiply in axis
+    # order and the sum runs in corner order, as a corner-by-corner loop would
+    w = np.ones((1, n))
+    flat = np.zeros((1, n), dtype=np.intp)
     for i in range(4):
         xi = x[:, i]
-        wts.append(
-            np.stack(
-                [0.5 * (xi - 1) * (xi - 2), xi * (2 - xi), 0.5 * xi * (xi - 1)],
-                axis=-1,
-            )
-        )
-    vals = np.zeros(n)
-    for corner in range(81):
-        c = corner
-        w = np.ones(n)
-        idx = []
-        for i in range(4):
-            off = c % 3
-            c //= 3
-            ci = base[:, i] + off
-            if geom.topology is Topology.TORUS:
-                ci = np.mod(ci, geom.dims[i])
-            w = w * wts[i][:, off]
-            idx.append(ci)
-        vals += w * f[tuple(idx)]
-    return vals
+        wi = np.stack([0.5 * (xi - 1) * (xi - 2), xi * (2 - xi), 0.5 * xi * (xi - 1)])
+        ci = base[:, i] + np.arange(3)[:, None]
+        if geom.topology is Topology.TORUS:
+            ci = np.mod(ci, geom.dims[i])
+        w = (w[None] * wi[:, None]).reshape(-1, n)
+        flat = (flat[None] * geom.dims[i] + ci[:, None]).reshape(-1, n)
+    vals = np.ravel(f)[flat]
+    vals *= w
+    return np.sum(vals, axis=0)
 
 
 def shell_integral(geom: LatticeGeom, f, spec: BallSpec):

@@ -1,7 +1,11 @@
 import json
 import os
 
-from gswlab import cli
+import numpy as np
+
+from gswlab import cli, lattice as lat
+from gswlab.lattice import ConnectionField, LatticeGeom, SpinorField
+from gswlab.targets import GaugeGroup
 
 
 def write_cfg(tmp_path, name, payload):
@@ -50,6 +54,32 @@ def test_dense_limit_rejected_before_output(tmp_path):
     assert cli.run("deform", write_cfg(tmp_path, "big.json", payload)) == 2
     assert not out.exists()
     payload["geometry"]["dims"] = [4, 4, 4, 4]  # 2048 x 2048: accepted
+    assert cli.validate_config(payload, "deform") is payload
+
+
+def test_snapshot_lattice_checked_before_output(tmp_path):
+    """With init.kind snapshot the dense limit applies to the snapshot's lattice."""
+    big = LatticeGeom((5,) * 4, 0.4)
+    snap = tmp_path / "big_snap.json"
+    lat.snapshot_save(snap, SpinorField(big, np.zeros(big.dims + (4,))),
+                      ConnectionField(big, GaugeGroup.U1))
+    out = tmp_path / "out"
+    payload = {
+        "experiment": "deform",
+        "output_dir": str(out),
+        "geometry": {"dims": [2, 2, 2, 2], "h": 0.5, "topology": "torus"},
+        "group": "u1",
+        "params": {"init": {"kind": "snapshot", "path": str(snap)}},
+    }
+    assert cli.run("deform", write_cfg(tmp_path, "snap.json", payload)) == 2
+    payload["params"]["init"]["path"] = str(tmp_path / "no_such_snapshot.json")
+    assert cli.run("deform", write_cfg(tmp_path, "snap.json", payload)) == 2
+    assert not out.exists()
+    small = LatticeGeom((2,) * 4, 0.5)
+    lat.snapshot_save(snap, SpinorField(small, np.zeros(small.dims + (4,))),
+                      ConnectionField(small, GaugeGroup.U1))
+    payload["params"]["init"]["path"] = str(snap)
+    payload["geometry"]["dims"] = [5, 5, 5, 5]  # over the limit, but not the run's lattice
     assert cli.validate_config(payload, "deform") is payload
 
 

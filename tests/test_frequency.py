@@ -206,6 +206,23 @@ def test_profile_z1_closed_forms():
     assert np.abs(prof.sigma).max() == 0.0  # flat scalar-curvature slot
 
 
+@pytest.mark.parametrize("topology", [Topology.TORUS, Topology.BOX])
+def test_profile_matches_lattice_quadrature(topology):
+    """The profile's shared window and distance field change no bit of the sums."""
+    geom = LatticeGeom((13,) * 4, 1 / 12, topology)
+    rng = np.random.default_rng(8)
+    c = Configuration(ConnectionField(geom), SpinorField(geom, rng.normal(size=geom.dims + (4,))))
+    center = (0.5, 0.47, 0.52, 0.5)
+    radii = np.array([2.5, 4.5]) * geom.h
+    prof = fq.radial_profile(c, center, radii, n_polar=8, n_azimuth=12)
+    energy, chi2 = fq.profile_fields(c)
+    for k, r in enumerate(radii):
+        spec = lat.BallSpec(center, r, 8, 12)
+        assert np.array_equal(prof.f_scaled_energy[k], lat.ball_integral(geom, energy, spec) / r**2)
+        assert np.array_equal(prof.f_boundary[k], lat.shell_integral(geom, chi2, spec))
+        assert np.array_equal(prof.chi_ball[k], lat.ball_integral(geom, chi2, spec))
+
+
 def test_profile_constant_field():
     geom = LatticeGeom((17,) * 4, 1 / 16, Topology.BOX)
     vals = np.zeros(geom.dims + (4,))

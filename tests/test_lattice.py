@@ -239,6 +239,87 @@ def test_ball_derivative_matches_shell():
         assert abs((b1 - b0) / h - sh) <= 0.02 * abs(sh)
 
 
+def _interpolate_quadratic_loop(geom, f, points):
+    """Reference: the 81 corners one at a time, summed in corner order."""
+    pts = np.asarray(points, dtype=float) / geom.h
+    base = np.rint(pts).astype(int) - 1
+    if geom.topology is Topology.BOX:
+        base = np.clip(base, 0, np.asarray(geom.dims) - 3)
+    x = pts - base
+    wts = [np.stack([0.5 * (xi - 1) * (xi - 2), xi * (2 - xi), 0.5 * xi * (xi - 1)], axis=-1)
+           for xi in x.T]
+    vals = np.zeros(len(pts))
+    for corner in range(81):
+        w, idx = np.ones(len(pts)), []
+        for i in range(4):
+            off = corner // 3**i % 3
+            w = w * wts[i][:, off]
+            idx.append(np.mod(base[:, i] + off, geom.dims[i]))
+        vals += w * f[tuple(idx)]
+    return vals
+
+
+def _face_and_corner_points(geom, rng, n=200):
+    hi = np.asarray(geom.widths())
+    pts = rng.uniform(0.0, 1.0, size=(n, 4)) * hi
+    pts[:20, 0] = 0.0
+    pts[20:40, 3] = hi[3]
+    pts[40:48] = hi * rng.integers(0, 2, size=(8, 4))  # corners
+    return pts
+
+
+@pytest.mark.parametrize("topology", [Topology.TORUS, Topology.BOX])
+def test_interpolate_quadratic_matches_corner_loop(topology):
+    geom = LatticeGeom((6, 7, 5, 8), 0.2, topology)
+    rng = np.random.default_rng(11)
+    f = rng.normal(size=geom.dims)
+    pts = _face_and_corner_points(geom, rng)
+    if topology is Topology.TORUS:
+        pts = pts - 0.3  # negative coordinates wrap
+    assert np.array_equal(lat.interpolate_quadratic(geom, f, pts),
+                          _interpolate_quadratic_loop(geom, f, pts))
+
+
+def test_interpolate_quadratic_reproduces_tensor_quadratics():
+    geom = LatticeGeom((6, 7, 5, 8), 0.2, Topology.BOX)
+    rng = np.random.default_rng(3)
+    coef = rng.normal(size=(2, 4, 3))
+
+    def poly(x):
+        # sum of two tensor products of per-axis quadratics
+        return sum(np.prod([c[i, 0] + c[i, 1] * x[..., i] + c[i, 2] * x[..., i] ** 2
+                            for i in range(4)], axis=0) for c in coef)
+
+    pts = _face_and_corner_points(geom, rng)
+    vals = lat.interpolate_quadratic(geom, poly(geom.coords()), pts)
+    assert np.abs(vals - poly(pts)).max() <= 1e-12 * np.abs(poly(pts)).max()
+
+
+def test_interpolate_quadratic_torus_periods_and_box_outside():
+    geom = LatticeGeom((6, 7, 5, 8), 0.2, Topology.TORUS)
+    rng = np.random.default_rng(4)
+    f = rng.normal(size=geom.dims)
+    pts = rng.uniform(0.0, 1.0, size=(100, 4)) * np.asarray(geom.widths())
+    ref = lat.interpolate_quadratic(geom, f, pts)
+    for k in (-2, -1, 1, 3):
+        moved = pts + k * np.asarray(geom.widths()) * rng.integers(0, 2, size=(100, 4))
+        assert np.abs(lat.interpolate_quadratic(geom, f, moved) - ref).max() <= 1e-12
+    box = LatticeGeom((6, 7, 5, 8), 0.2, Topology.BOX)
+    for bad in ([-0.01, 0.5, 0.5, 0.5], [0.5, 0.5, 0.81, 0.5]):
+        with pytest.raises(ValueError, match="outside the box"):
+            lat.interpolate_quadratic(box, np.ones(box.dims), np.asarray([bad]))
+
+
+def test_sphere_nodes_fresh_per_call():
+    spec = BallSpec((0.5,) * 4, 0.3, 6, 10)
+    pts, wts = lat.sphere_nodes(spec)
+    ref_pts, ref_wts = pts.copy(), wts.copy()
+    pts[:] = 0.0
+    wts[:] = 0.0
+    pts2, wts2 = lat.sphere_nodes(spec)
+    assert np.array_equal(pts2, ref_pts) and np.array_equal(wts2, ref_wts)
+
+
 def test_radius_guard():
     geom = LatticeGeom((8,) * 4, 0.125, Topology.TORUS)
     with pytest.raises(ValueError):
