@@ -10,8 +10,10 @@ validation failure, including a dense problem over the size limit (no
 outputs), 3 numerical failure (and, with --strict, any rank-margin
 warning or failed internal check).
 
-The same config and seed produce byte-identical CSV/JSON outputs; all
-floats are written with repr (shortest round-trip form).
+The same config, seed and BLAS thread count produce byte-identical
+CSV/JSON outputs (different OpenBLAS thread counts can change the last
+bit of a dense solve); all floats are written with repr (shortest
+round-trip form).
 """
 
 import argparse
@@ -146,8 +148,8 @@ def validate_config(cfg, experiment):
         experiment == "curvature" and params.get("mode", "lattice") == "lattice")
     if lattice and dense:
         geom, group = lattice
-        rows = dfm.StackedSpace(dfm.EquationSpace(geom, group), dfm.GaugeScalarSpace(geom, group))
-        dim = max(rows.dim, dfm.TangentSpace(geom, group).dim)
+        rows = dfm.EquationSpace(geom, group).dim + dfm.GaugeScalarSpace(geom, group).dim
+        dim = max(rows, dfm.TangentSpace(geom, group).dim)
         _require(dim <= dfm.MAX_DENSE_DIM, f"elliptic operator dimension {dim} is over "
                  f"the dense limit {dfm.MAX_DENSE_DIM}; use a smaller lattice")
     return cfg

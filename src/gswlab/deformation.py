@@ -184,18 +184,6 @@ class GaugeScalarSpace(BlockSpace):
         return vec.reshape(self.geom.dims).copy()
 
 
-class StackedSpace(BlockSpace):
-    """Rows of the full elliptic operator: equations over the gauge slice."""
-
-    def __init__(self, eq: EquationSpace, gauge: GaugeScalarSpace):
-        self.eq = eq
-        self.gauge = gauge
-        super().__init__(list(eq.blocks) + list(gauge.blocks))
-
-    def pack(self, dirac_field, sd_vals, xi):
-        return np.concatenate([self.eq.pack(dirac_field, sd_vals), self.gauge.pack(xi)])
-
-
 # ---------------------------------------------------------------------------
 # linear maps
 
@@ -234,12 +222,6 @@ class LinearMap:
         if other.row_space.dim != self.col_space.dim:
             raise ValueError("incompatible composition")
         return LinearMap(self.matrix @ other.matrix, self.row_space, other.col_space)
-
-    @staticmethod
-    def vstack(maps, row_space):
-        col = maps[0].col_space
-        mat = np.vstack([m.matrix for m in maps])
-        return LinearMap(mat, row_space, col)
 
     # -- weighted SVD machinery ---------------------------------------------
     def _weighted(self):
@@ -479,12 +461,15 @@ def linearize_fsw(c: Configuration, stencil=Stencil.FORWARD) -> LinearMap:
     return LinearMap(mat, rows, cols)
 
 
+def stacked_op(eq: LinearMap, gauge: LinearMap) -> LinearMap:
+    """[E; D*]: equations E stacked over the slice operator of the gauge map D."""
+    rows = BlockSpace(list(eq.row_space.blocks) + list(gauge.col_space.blocks))
+    return LinearMap(np.vstack([eq.matrix, gauge.adjoint().matrix]), rows, eq.col_space)
+
+
 def elliptic_op(c: Configuration, stencil=Stencil.FORWARD) -> LinearMap:
     """The linearized equations stacked over the gauge slice condition."""
-    e = linearize_fsw(c, stencil)
-    d_star = lin_gauge_adjoint(c)
-    rows = StackedSpace(e.row_space, d_star.row_space)
-    return LinearMap.vstack([e, d_star], rows)
+    return stacked_op(linearize_fsw(c, stencil), lin_gauge(c))
 
 
 def residual_rowvec(c: Configuration, s: Sources, space: EquationSpace, stencil=Stencil.FORWARD):
@@ -520,24 +505,6 @@ def second_derivative_rows(c: Configuration, t1: TangentConfig, t2: TangentConfi
             moment_values_diff(t1.v, t2.v, c.group)
         )
     return space.pack(dirac, sd)
-
-
-def hessians(c: Configuration, s: Sources, v1, v2):
-    """(Hess D_A(v1, v2), Hess Phi_4(v1, v2)) for spinor directions.
-
-    The Dirac operator is affine in u on flat targets, so the first
-    entry vanishes identically; the second is the constant symmetric
-    bilinear form of the quadratic moment map.
-    """
-    from .targets import moment_values_diff
-
-    geom = c.geom
-    hd = np.zeros(geom.dims + (4,))
-    if c.group is GaugeGroup.TRIVIAL:
-        hp = np.zeros(geom.dims + (3,))
-    else:
-        hp = 0.5 * moment_values_diff(np.asarray(v1, float), np.asarray(v2, float), c.group)
-    return hd, lat.SelfDualForm(geom, hp)
 
 
 # ---------------------------------------------------------------------------
@@ -618,6 +585,79 @@ def _orthonormal_complement(basis, inside, weights):
     return (q[:, cols]) / np.sqrt(weights)[:, None]
 
 
+def _complete_plane_basis(space: BlockSpace, v, w, rest):
+    """Weighted-orthonormal basis starting with (v, w), completed by rest."""
+    cols = [v, w]
+    wts = space.weights
+    for k in range(rest.shape[1]):
+        x = rest[:, k]
+        for c in cols:
+            x = x - c * float(np.sum(c * x * wts))
+        nrm = np.sqrt(float(np.sum(x * x * wts)))
+        if nrm > 1e-8:
+            cols.append(x / nrm)
+    return np.stack(cols, axis=1)
+
+
+class ChartFrame:
+    """Linear data of the solution-set chart over ker [E; D*] at a point.
+
+    `kernel` is a weighted-orthonormal basis of ker [E; D*], led by the
+    plane (v, w) when `lead` is given; `coker` spans coker E; `w_basis`
+    completes the kernel inside the gauge slice ker D*.  The chord
+    matrix is E on `w_basis`, projected off the cokernel.
+    """
+
+    def __init__(self, eq: LinearMap, gauge: LinearMap, lead=None):
+        self.eq = eq
+        kernel = stacked_op(eq, gauge).kernel_basis()
+        if lead is not None:
+            led = _complete_plane_basis(eq.col_space, *lead, kernel)
+            if led.shape[1] != kernel.shape[1]:
+                raise ValueError("plane vectors must lie in the solution-set tangent space")
+            kernel = led
+        self.kernel = kernel
+        self.coker = eq.cokernel_basis()
+        self.w_basis = _orthonormal_complement(
+            kernel, gauge.adjoint().kernel_basis(), eq.col_space.weights
+        )
+        red = eq.matrix @ self.w_basis
+        red = red - self.coker @ (
+            self.coker.T @ (red * eq.row_space.weights[:, None])
+        )
+        self._chord = LinearMap(
+            red, eq.row_space, BlockSpace([("w", self.w_basis.shape[1], 1.0)])
+        )
+
+    def coker_coeffs(self, r):
+        """Cokernel coefficients of equation rows r."""
+        return self.coker.T @ (r * self.eq.row_space.weights)
+
+    def newton(self, rows_at, base, tol, max_iter):
+        """Chord Newton for base + w_basis @ y with rows_at = 0 off the cokernel.
+
+        Returns (vec, rows_at(vec), info); info holds the iterations, the
+        convergence flag and the norm of the projected rows at the last
+        test.  Without convergence vec carries the last step.
+        """
+        norm = self.eq.row_space.norm
+        y = np.zeros(self.w_basis.shape[1])
+        info = {"iters": 0, "converged": False, "proj_residual": np.inf}
+        for it in range(1, max_iter + 1):
+            vec = base + self.w_basis @ y
+            r = rows_at(vec)
+            pr = r - self.coker @ self.coker_coeffs(r)
+            info["iters"] = it
+            info["proj_residual"] = norm(pr)
+            if info["proj_residual"] <= tol:
+                info["converged"] = True
+                return vec, r, info
+            step, _ = self._chord.lstsq(-pr)
+            y = y + step
+        vec = base + self.w_basis @ y
+        return vec, rows_at(vec), info
+
+
 class KuranishiChart:
     """Local chart of the solution set over ker(elliptic operator).
 
@@ -633,78 +673,32 @@ class KuranishiChart:
         self.stencil = stencil
         self.tol = tol
         self.max_iter = max_iter
-        self.space = TangentSpace(c.geom, c.group)
         self.eq = linearize_fsw(c, stencil)
-        self.slice_op = lin_gauge_adjoint(c)
-        self.h1_basis = elliptic_op(c, stencil).kernel_basis()
-        self.coker_basis = self.eq.cokernel_basis()
-        slice_basis = self.slice_op.kernel_basis()
-        self.w_basis = _orthonormal_complement(
-            self.h1_basis, slice_basis, self.space.weights
-        )
-        # chord-Newton matrix: equations restricted to the complement
-        red = self.eq.matrix @ self.w_basis
-        red = red - self.coker_basis @ (
-            self.coker_basis.T @ (red * self.eq.row_space.weights[:, None])
-        )
-        self._red = LinearMap(
-            red,
-            self.eq.row_space,
-            BlockSpace([("w", self.w_basis.shape[1], 1.0)]),
-        )
+        self.space = self.eq.col_space
+        self.frame = ChartFrame(self.eq, lin_gauge(c))
 
     @property
     def h1_dim(self):
-        return self.h1_basis.shape[1]
+        return self.frame.kernel.shape[1]
 
     @property
     def h2_dim(self):
-        return self.coker_basis.shape[1]
+        return self.frame.coker.shape[1]
 
-    def _config_at(self, tangent_vec):
+    def _rows_at(self, tangent_vec):
         b, v = self.space.unpack(tangent_vec)
         c2 = self.c.copy()
         if c2.group is not GaugeGroup.TRIVIAL:
             c2.a.links = c2.a.links + b
         c2.u.values = c2.u.values + v
-        return c2
-
-    def _residual_vec(self, cfg):
-        return residual_rowvec(cfg, self.s, self.eq.row_space, self.stencil)
-
-    def _project_off_coker(self, r):
-        if self.h2_dim == 0:
-            return r
-        coeff = self.coker_basis.T @ (r * self.eq.row_space.weights)
-        return r - self.coker_basis @ coeff
+        return residual_rowvec(c2, self.s, self.eq.row_space, self.stencil)
 
     def solve(self, xi):
         """Return (phi_vec, kappa_coeffs, info) for chart coordinates xi."""
-        xi = np.asarray(xi, dtype=float)
-        base = self.h1_basis @ xi
-        y = np.zeros(self.w_basis.shape[1])
-        info = {"iters": 0, "converged": False, "proj_residual": np.inf}
-        for it in range(1, self.max_iter + 1):
-            vec = base + self.w_basis @ y
-            r = self._residual_vec(self._config_at(vec))
-            pr = self._project_off_coker(r)
-            norm = self.eq.row_space.norm(pr)
-            info["iters"] = it
-            info["proj_residual"] = norm
-            if norm <= self.tol:
-                info["converged"] = True
-                break
-            step, _ = self._red.lstsq(-pr)
-            y = y + step
-        vec = base + self.w_basis @ y
-        r = self._residual_vec(self._config_at(vec))
-        kappa = (
-            self.coker_basis.T @ (r * self.eq.row_space.weights)
-            if self.h2_dim
-            else np.zeros(0)
-        )
+        base = self.frame.kernel @ np.asarray(xi, dtype=float)
+        vec, r, info = self.frame.newton(self._rows_at, base, self.tol, self.max_iter)
         info["full_residual"] = self.eq.row_space.norm(r)
-        return vec, kappa, info
+        return vec, self.frame.coker_coeffs(r), info
 
     def kappa_norm(self, xi):
         _, kappa, info = self.solve(xi)

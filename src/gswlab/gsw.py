@@ -248,10 +248,12 @@ def solve_newton(
         return c, diagnostics
 
     for it in range(1, max_iter + 1):
-        op = dfm.elliptic_op(c, stencil)
+        e, d = dfm.linearize_fsw(c, stencil), dfm.lin_gauge(c)
+        op = dfm.stacked_op(e, d)
         dof = op.col_space
-        dirac_row, sd_row = residual(c, sources, stencil)
-        rhs = -op.row_space.pack(dirac_row, sd_row.values, np.zeros(c.geom.dims))
+        rhs = -np.concatenate([
+            dfm.residual_rowvec(c, sources, e.row_space, stencil), np.zeros(d.col_space.dim)
+        ])
         step, rank = op.lstsq(rhs)
         b_step, v_step = dof.unpack(step)
         if c.group is not GaugeGroup.TRIVIAL:

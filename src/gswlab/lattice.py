@@ -521,6 +521,12 @@ def interpolate(geom: LatticeGeom, f, points):
     n = pts.shape[0]
     vals = np.zeros(n)
     base = np.floor(pts).astype(int)
+    if geom.topology is Topology.BOX:
+        for i in range(4):
+            if np.any(pts[:, i] < -1e-9) or np.any(pts[:, i] > geom.dims[i] - 1 + 1e-9):
+                raise ValueError("interpolation point outside the box")
+        # a point on the far face uses the last cell, with weight 1 on its far corner
+        base = np.clip(base, 0, np.asarray(geom.dims) - 2)
     frac = pts - base
     for corner in range(16):
         w = np.ones(n)
@@ -531,9 +537,6 @@ def interpolate(geom: LatticeGeom, f, points):
             w = w * (frac[:, i] if bit else (1.0 - frac[:, i]))
             if geom.topology is Topology.TORUS:
                 ci = np.mod(ci, geom.dims[i])
-            else:
-                if np.any(ci < 0) or np.any(ci > geom.dims[i] - 1):
-                    raise ValueError("interpolation point outside the box")
             idx.append(ci)
         vals += w * f[tuple(idx)]
     return vals

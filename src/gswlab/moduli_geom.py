@@ -17,8 +17,7 @@ serves the lattice system and the built-in finite-dimensional fixtures
 curvatures are known in closed form).
 
 All ambient metrics here are constant (flat configuration chart), so
-the ambient curvature term in O'Neill vanishes; `curvature_ambient`
-keeps the term explicit.
+the ambient curvature term K_C in O'Neill's formula is zero.
 """
 
 import csv
@@ -248,11 +247,6 @@ def vertical_bracket_vec(system: QuotientSystem, cvec, t1, t2):
     return d.apply(g0.solve(omega))
 
 
-def curvature_ambient(system: QuotientSystem, cvec, v, w):
-    """<Rm^C(v, w) w, v>: zero, the ambient metric is constant/flat."""
-    return 0.0
-
-
 def _plane_normalize(space: BlockSpace, v, w, warn=True):
     gvv = space.inner(v, v)
     gww = space.inner(w, w)
@@ -270,7 +264,7 @@ def oneill_sectional_vec(system: QuotientSystem, cvec, v, w):
     det = _plane_normalize(system.tan_space, v, w)
     vb = vertical_bracket_vec(system, cvec, v, w)
     bracket_sq = system.tan_space.inner(vb, vb)
-    k_c = curvature_ambient(system, cvec, v, w)
+    k_c = 0.0  # <Rm^C(v, w) w, v> vanishes: the ambient metric is constant
     return {
         "K_C": k_c,
         "bracket_norm_sq": bracket_sq,
@@ -402,20 +396,6 @@ def fd_oracle_curvature(metric_fn, dim, eps=1e-3, sweep=True):
     return richardson
 
 
-def _complete_plane_basis(space: BlockSpace, v, w, rest):
-    """Weighted-orthonormal basis starting with (v, w), completed by rest."""
-    cols = [v, w]
-    wts = space.weights
-    for k in range(rest.shape[1]):
-        x = rest[:, k]
-        for c in cols:
-            x = x - c * float(np.sum(c * x * wts))
-        nrm = np.sqrt(float(np.sum(x * x * wts)))
-        if nrm > 1e-8:
-            cols.append(x / nrm)
-    return np.stack(cols, axis=1)
-
-
 def slice_chart_metric(system: QuotientSystem, cvec, v, w):
     """(metric_fn, dim) for the quotient pulled back to the gauge slice.
 
@@ -423,11 +403,8 @@ def slice_chart_metric(system: QuotientSystem, cvec, v, w):
     the inner product of horizontally-projected basis vectors at the
     moved configuration.  Basis vector 0 is v, vector 1 is w.
     """
-    d0 = system.gauge_map(cvec)
-    slice_basis = d0.adjoint().kernel_basis() if d0.col_space.dim else np.eye(
-        system.tan_space.dim
-    )
-    basis = _complete_plane_basis(system.tan_space, v, w, slice_basis)
+    slice_basis = system.gauge_map(cvec).adjoint().kernel_basis()
+    basis = dfm._complete_plane_basis(system.tan_space, v, w, slice_basis)
     wts = system.tan_space.weights
 
     def metric_fn(xi):
@@ -447,49 +424,19 @@ def solution_chart_metric(system, cvec, v, w, newton_tol=1e-12, max_iter=80):
     the gauge slice, orthogonal to the kernel.  The chart differential
     is obtained from the linearized equations at the solved point, and
     the metric is the quotient (horizontally projected) inner product.
+    A plane outside ker(elliptic operator) raises ValueError; metric_fn
+    raises RuntimeError unless the chart Newton converges with the full
+    equation rows within newton_tol.
     """
-    eqm = system.equation_map(cvec)
-    d0 = system.gauge_map(cvec)
-    stack_rows = BlockSpace(
-        list(eqm.row_space.blocks) + list(d0.col_space.blocks)
-    )
-    full = LinearMap(
-        np.vstack([eqm.matrix, d0.adjoint().matrix]), stack_rows, system.tan_space
-    )
-    h1 = full.kernel_basis()
-    basis = _complete_plane_basis(system.tan_space, v, w, h1)
-    if basis.shape[1] != h1.shape[1]:
-        raise ValueError("plane vectors must lie in the solution-set tangent space")
-    slice_basis = (
-        d0.adjoint().kernel_basis()
-        if d0.col_space.dim
-        else np.eye(system.tan_space.dim)
-    )
-    w_basis = dfm._orthonormal_complement(
-        basis, slice_basis, system.tan_space.weights
-    )
-    red0 = LinearMap(
-        eqm.matrix @ w_basis,
-        eqm.row_space,
-        BlockSpace([("w", w_basis.shape[1], 1.0)]),
-    )
+    frame = dfm.ChartFrame(system.equation_map(cvec), system.gauge_map(cvec), lead=(v, w))
+    basis, w_basis = frame.kernel, frame.w_basis
     wts = system.tan_space.weights
 
-    def solve_point(xi):
-        base = cvec + basis @ np.asarray(xi, dtype=float)
-        y = np.zeros(w_basis.shape[1])
-        for _ in range(max_iter):
-            r = system.equation_rows(base + w_basis @ y)
-            if eqm.row_space.norm(r) <= newton_tol:
-                break
-            step, _ = red0.lstsq(-r)
-            y = y + step
-        else:
-            raise RuntimeError("solution chart Newton did not converge")
-        return base + w_basis @ y
-
     def metric_fn(xi):
-        cv = solve_point(xi)
+        base = cvec + basis @ np.asarray(xi, dtype=float)
+        cv, r, info = frame.newton(system.equation_rows, base, newton_tol, max_iter)
+        if not info["converged"] or frame.eq.row_space.norm(r) > newton_tol:
+            raise RuntimeError("solution chart Newton did not converge")
         e_here = system.equation_map(cv)
         red = e_here.matrix @ w_basis
         rhs = -(e_here.matrix @ basis)
@@ -581,11 +528,7 @@ def gauss_sectional(c: Configuration, s: Sources, t1: TangentConfig, t2: Tangent
 
 def sample_solution_plane(system: QuotientSystem, cvec, seed, n_planes=1):
     """Orthonormal plane pairs tangent to the solution set at cvec."""
-    eqm = system.equation_map(cvec)
-    d0 = system.gauge_map(cvec)
-    rows = BlockSpace(list(eqm.row_space.blocks) + list(d0.col_space.blocks))
-    full = LinearMap(np.vstack([eqm.matrix, d0.adjoint().matrix]), rows, system.tan_space)
-    h1 = full.kernel_basis()
+    h1 = dfm.stacked_op(system.equation_map(cvec), system.gauge_map(cvec)).kernel_basis()
     if h1.shape[1] < 2:
         raise ValueError("solution-set tangent space has dimension < 2")
     rng = np.random.default_rng(seed)

@@ -221,10 +221,3 @@ def log_map(p: TargetPoint, q: TargetPoint) -> TangentM:
             raise ConeSingularityError("segment passes through the cone tip")
         return TangentM(v, p)
     return TangentM(rep - p.rep, p)
-
-
-def curvature_m(v: TangentM, w: TangentM, x: TangentM) -> TangentM:
-    """Riemann tensor of the target: identically zero (flat open subsets)."""
-    _require_same_base(v, w)
-    _require_same_base(v, x)
-    return TangentM(np.zeros(4), v.base)

@@ -353,30 +353,28 @@ def test_export_triplets_roundtrip(tmp_path):
 
 
 def test_hessians_symmetry_and_fd():
+    # second_derivative_rows against the mixed central second difference of
+    # the residual rows, along directions with link and spinor parts
     geom = torus()
     c = gsw.random_config(geom, GaugeGroup.U1, seed=20, amplitude=0.4)
     s = gsw.manufacture(c)
-    rng = np.random.default_rng(21)
-    v = rng.normal(size=geom.dims + (4,))
-    w = rng.normal(size=geom.dims + (4,))
-    hd_vw, hp_vw = dfm.hessians(c, s, v, w)
-    hd_wv, hp_wv = dfm.hessians(c, s, w, v)
-    assert np.abs(hd_vw).max() == 0.0  # Dirac affine in u
-    assert np.abs(hp_vw.values - hp_wv.values).max() <= 1e-12
-    # second difference of the curvature row matches Hess Phi_4
-    eps = 1e-4
     space = dfm.EquationSpace(geom, c.group)
+    t1, t2 = dfm.random_tangent(c, 21), dfm.random_tangent(c, 22)
+    b12 = dfm.second_derivative_rows(c, t1, t2, space)
+    b21 = dfm.second_derivative_rows(c, t2, t1, space)
+    assert np.abs(b12 - b21).max() <= 1e-12 * np.abs(b12).max()
+    eps = 1e-4
 
-    def sd_row(du):
+    def rows(a1, a2):
         c2 = c.copy()
-        c2.u.values = c2.u.values + du
-        _, sd = gsw.residual(c2, s)
-        return sd.values
+        c2.a.links = c2.a.links + a1 * t1.b + a2 * t2.b
+        c2.u.values = c2.u.values + a1 * t1.v + a2 * t2.v
+        return dfm.residual_rowvec(c2, s, space)
 
     mixed = (
-        sd_row(eps * v + eps * w)
-        - sd_row(eps * v - eps * w)
-        - sd_row(-eps * v + eps * w)
-        + sd_row(-eps * v - eps * w)
+        rows(eps, eps) - rows(eps, -eps) - rows(-eps, eps) + rows(-eps, -eps)
     ) / (4 * eps**2)
-    assert np.abs(mixed - hp_vw.values).max() <= 1e-6
+    for name in ("dirac", "selfdual"):
+        blk = space.block(name)
+        assert np.abs(b12[blk]).max() >= 1.0
+        assert np.abs(mixed[blk] - b12[blk]).max() <= 1e-6

@@ -310,6 +310,17 @@ def test_interpolate_quadratic_torus_periods_and_box_outside():
             lat.interpolate_quadratic(box, np.ones(box.dims), np.asarray([bad]))
 
 
+def test_interpolate_far_face_and_corners_hit_site_values():
+    geom = LatticeGeom((5,) * 4, 0.25, Topology.BOX)
+    f = np.random.default_rng(12).normal(size=geom.dims)
+    corners = np.array([[(k >> i) & 1 for i in range(4)] for k in range(16)], dtype=float)
+    pts = np.vstack([[[1.0, 0.5, 0.5, 0.5], [0.5, 0.25, 1.0, 0.0]], corners])
+    sites = tuple(np.rint(pts / geom.h).astype(int).T)
+    assert np.array_equal(lat.interpolate(geom, f, pts), f[sites])
+    with pytest.raises(ValueError, match="outside the box"):
+        lat.interpolate(geom, f, np.array([[1.01, 0.5, 0.5, 0.5]]))
+
+
 def test_sphere_nodes_fresh_per_call():
     spec = BallSpec((0.5,) * 4, 0.3, 6, 10)
     pts, wts = lat.sphere_nodes(spec)

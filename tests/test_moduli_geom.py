@@ -89,6 +89,22 @@ def test_fixture_dual_path():
     assert abs(k_m - 4.0) <= 1e-6
 
 
+def test_solution_chart_rejects_vertical_plane():
+    sys_ = mg.HopfFixtureSystem()
+    # i is the U(1) orbit direction at 1, outside the level set's horizontal plane
+    with pytest.raises(ValueError, match="solution-set tangent space"):
+        mg.solution_chart_metric(sys_, sys_.center(), quat.QI.copy(), quat.QJ.copy())
+
+
+def test_solution_chart_newton_failure_raises():
+    sys_ = mg.HopfFixtureSystem()
+    mf, dim = mg.solution_chart_metric(sys_, sys_.center(), quat.QJ.copy(), quat.QK.copy(),
+                                       max_iter=1)
+    assert mf(np.zeros(dim)).shape == (2, 2)  # on the level set: no step needed
+    with pytest.raises(RuntimeError, match="did not converge"):
+        mf(np.array([0.1, 0.0]))
+
+
 # ---------------------------------------------------------------------------
 # projector identities
 
@@ -215,14 +231,7 @@ def test_second_fundamental_form_properties():
     pi_wv = mg.second_fundamental_vec(sys_, c0, w, v)
     assert sys_.tan_space.norm(pi_vw - pi_wv) <= 1e-9
     # orthogonal to the solution-set tangent space
-    eqm = sys_.equation_map(c0)
-    d0 = sys_.gauge_map(c0)
-    full = dfm.LinearMap(
-        np.vstack([eqm.matrix, d0.adjoint().matrix]),
-        dfm.BlockSpace(list(eqm.row_space.blocks) + list(d0.col_space.blocks)),
-        sys_.tan_space,
-    )
-    ker = full.kernel_basis()
+    ker = dfm.stacked_op(sys_.equation_map(c0), sys_.gauge_map(c0)).kernel_basis()
     overlaps = ker.T @ (pi_vw * sys_.tan_space.weights)
     assert np.abs(overlaps).max() <= 1e-9
 

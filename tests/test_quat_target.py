@@ -198,14 +198,6 @@ def test_cone_canonicalization_and_singularity():
     assert np.allclose(tg.log_map(base, out).vec, v.vec)
 
 
-def test_curvature_m_zero():
-    rng = np.random.default_rng(6)
-    p = TargetPoint(rng.normal(size=4) + np.array([2.0, 0, 0, 0]))
-    v, w, x = (TangentM(rng.normal(size=4), p) for _ in range(3))
-    assert np.allclose(tg.curvature_m(v, w, x).vec, 0.0)
-    assert np.allclose(tg.curvature_m(w, v, x).vec, -tg.curvature_m(v, w, x).vec)
-
-
 def test_isometry_of_actions():
     rng = np.random.default_rng(7)
     for _ in range(20):
