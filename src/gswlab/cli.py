@@ -148,8 +148,8 @@ def validate_config(cfg, experiment):
         experiment == "curvature" and params.get("mode", "lattice") == "lattice")
     if lattice and dense:
         geom, group = lattice
-        rows = dfm.EquationSpace(geom, group).dim + dfm.GaugeScalarSpace(geom, group).dim
-        dim = max(rows, dfm.TangentSpace(geom, group).dim)
+        lay = dfm.layout(geom, group)
+        dim = max(lay.equations.dim + lay.gauge.dim, lay.tangent.dim)
         _require(dim <= dfm.MAX_DENSE_DIM, f"elliptic operator dimension {dim} is over "
                  f"the dense limit {dfm.MAX_DENSE_DIM}; use a smaller lattice")
     return cfg

@@ -12,8 +12,16 @@ Equation rows are restricted to the trusted stencil support
 is what makes under-determined smooth solution families possible.
 All assemblies use the forward/backward stencil pairing so that the
 matrix adjoints are the discrete adjoints exactly.
+
+One `DofLayout` per (dims, h, topology, group), from the bounded cache
+behind `layout`, holds the dof spaces and the neighbour index.  The
+equation rows (`residual_rowvec`) are evaluated on the trusted sites
+only, by gathers through that layout, and the Jacobian blocks of
+`linearize_fsw` are built from the same gathers.  `gsw.residual`, which
+evaluates every site, is the full-field reference they agree with.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -21,14 +29,17 @@ import numpy as np
 
 from . import lattice as lat
 from . import quaternion as quat
-from .gsw import Configuration, Sources, phi4_diff, residual, residual_norm, row_masks
+from .gsw import Configuration, Sources, phi4_diff, residual_norm, row_masks
+from .gsw import residual  # noqa: F401  (the full-field reference of residual_rowvec)
 from .lattice import LatticeGeom, Stencil
-from .targets import GaugeGroup
+from .targets import GaugeGroup, TargetKind, moment_values
 
 RANK_REL_CUTOFF = 1e-10
 RANK_MARGIN = 10.0
 MAX_DENSE_DIM = 4096
 
+#: plaquette axes (i, j) in lat.PLAQ_PAIRS order
+_PLAQ_I, _PLAQ_J = np.array(lat.PLAQ_PAIRS).T
 #: _DIRAC_LINK[i] is the matrix of w -> e_i (w i), the Dirac-row link block
 _DIRAC_LINK = quat.left_matrix(quat.BASIS) @ quat.right_matrix(quat.QI)
 
@@ -75,28 +86,20 @@ class TangentSpace(BlockSpace):
         self.geom = geom
         self.group = group
         h4 = geom.h**4
-        self.link_masks = []
-        self.link_counts = []
-        if group is GaugeGroup.TRIVIAL:
-            n_links = 0
-        else:
-            for i in range(4):
-                m = lat.forward_link_exists(geom, i)
-                self.link_masks.append(m.reshape(-1))
-                self.link_counts.append(int(m.sum()))
-            n_links = sum(self.link_counts)
         n_sites = geom.n_sites
+        # (axis, flat site) of every link dof, axis-major: the pack/unpack gather
+        if group is GaugeGroup.TRIVIAL:
+            self.link_axes = self.link_sites = np.zeros(0, dtype=int)
+        else:
+            exists = np.stack([lat.forward_link_exists(geom, i).reshape(-1) for i in range(4)])
+            self.link_axes, self.link_sites = np.nonzero(exists)
+        n_links = self.link_sites.size
         super().__init__([("oneform", n_links, h4), ("spinor", 4 * n_sites, h4)])
         self.n_links = n_links
         self.n_sites = n_sites
         # flat site index -> dof index of link (site, dir), -1 if absent
         self.link_dof = -np.ones((4, n_sites), dtype=int)
-        off = 0
-        if group is not GaugeGroup.TRIVIAL:
-            for i in range(4):
-                sel = np.flatnonzero(self.link_masks[i])
-                self.link_dof[i, sel] = off + np.arange(sel.size)
-                off += sel.size
+        self.link_dof[self.link_axes, self.link_sites] = np.arange(n_links)
 
     def spinor_dof(self, site_flat, comp):
         return self.n_links + 4 * site_flat + comp
@@ -105,12 +108,7 @@ class TangentSpace(BlockSpace):
         """Pack full-shape (links, site) arrays into a dof vector."""
         vec = np.zeros(self.dim)
         if self.group is not GaugeGroup.TRIVIAL and b_links is not None:
-            flat = b_links.reshape(-1, 4)
-            off = 0
-            for i in range(4):
-                sel = np.flatnonzero(self.link_masks[i])
-                vec[off : off + sel.size] = flat[sel, i]
-                off += sel.size
+            vec[: self.n_links] = b_links.reshape(-1, 4)[self.link_sites, self.link_axes]
         vec[self.n_links :] = np.asarray(v_sites, dtype=float).reshape(-1)
         return vec
 
@@ -119,12 +117,8 @@ class TangentSpace(BlockSpace):
         v = vec[self.n_links :].reshape(self.geom.dims + (4,)).copy()
         if self.group is GaugeGroup.TRIVIAL:
             return None, v
-        b = np.zeros((self.geom.n_sites, 4))
-        off = 0
-        for i in range(4):
-            sel = np.flatnonzero(self.link_masks[i])
-            b[sel, i] = vec[off : off + sel.size]
-            off += sel.size
+        b = np.zeros((self.n_sites, 4))
+        b[self.link_sites, self.link_axes] = vec[: self.n_links]
         return b.reshape(self.geom.dims + (4,)), v
 
 
@@ -173,15 +167,40 @@ class GaugeScalarSpace(BlockSpace):
         n = 0 if group is GaugeGroup.TRIVIAL else geom.n_sites
         super().__init__([("gauge", n, geom.h**4)])
 
-    def pack(self, xi):
-        if self.dim == 0:
-            return np.zeros(0)
-        return np.asarray(xi, dtype=float).reshape(-1).copy()
 
-    def unpack(self, vec):
-        if self.dim == 0:
-            return np.zeros(self.geom.dims)
-        return vec.reshape(self.geom.dims).copy()
+class DofLayout:
+    """Stencil description of one lattice, shared by every operator on it.
+
+    `tangent`, `equations` and `gauge` are the dof spaces; `nb[i, x]` is
+    the flat index of x + e_i (wrapping; the trusted equation rows and
+    the existing links never reach a wrapped box neighbour).  The
+    residual rows and the Jacobian blocks gather through the same `nb`.
+    """
+
+    def __init__(self, geom: LatticeGeom, group: GaugeGroup):
+        self.tangent = TangentSpace(geom, group)
+        self.equations = EquationSpace(geom, group)
+        self.gauge = GaugeScalarSpace(geom, group)
+        coords = np.indices(geom.dims).reshape(4, 1, -1) + np.eye(4, dtype=int)[:, :, None]
+        self.nb = np.ravel_multi_index(tuple(coords), geom.dims, mode="wrap")
+        tan, eq = self.tangent, self.equations  # shared through the cache: read-only
+        for arr in (self.nb, tan.link_dof, tan.link_axes, tan.link_sites, tan.weights,
+                    eq.dirac_sites, eq.sd_sites, eq.weights, self.gauge.weights):
+            arr.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=8)
+def _layout(dims, h, topology, group):
+    return DofLayout(LatticeGeom(dims, h, topology), group)
+
+
+def layout(geom: LatticeGeom, group: GaugeGroup) -> DofLayout:
+    """The cached layout of (geom, group), keyed on (dims, h, topology, group).
+
+    The key leaves out `geom.s_x`, which no dof space reads (and which
+    makes a geom unhashable); the spaces' `geom` is the bare lattice.
+    """
+    return _layout(geom.dims, geom.h, geom.topology, group)
 
 
 # ---------------------------------------------------------------------------
@@ -325,12 +344,6 @@ def random_tangent(c: Configuration, seed, amplitude=1.0) -> TangentConfig:
 # operator assembly
 
 
-def _neighbor_index(geom: LatticeGeom):
-    """(4, n_sites) flat index of x + e_axis per axis (wrapping; callers mask boxes)."""
-    coords = np.indices(geom.dims).reshape(4, 1, -1) + np.eye(4, dtype=int)[:, :, None]
-    return np.ravel_multi_index(tuple(coords), geom.dims, mode="wrap")
-
-
 def _assemble(shape, blocks):
     """Dense matrix summed in one bincount from (rows, cols, values) blocks.
 
@@ -349,16 +362,16 @@ def _assemble(shape, blocks):
 def lin_gauge(c: Configuration) -> LinearMap:
     """Linearized gauge action: xi -> (d xi, -K_xi|_u)."""
     geom = c.geom
-    cols = GaugeScalarSpace(geom, c.group)
-    rows = TangentSpace(geom, c.group)
+    lay = layout(geom, c.group)
+    cols, rows = lay.gauge, lay.tangent
     if c.group is GaugeGroup.TRIVIAL:
         return LinearMap(np.zeros((rows.dim, cols.dim)), rows, cols)
-    live = rows.link_dof >= 0
+    links = np.arange(rows.n_links)
     sites = np.arange(geom.n_sites)[:, None]
     ku = quat.mul(c.u.values, quat.QI).reshape(-1, 4)  # K_1|_u = u i
     mat = _assemble((rows.dim, cols.dim), [
-        (rows.link_dof[live], _neighbor_index(geom)[live], 1.0 / geom.h),
-        (rows.link_dof[live], np.nonzero(live)[1], -1.0 / geom.h),
+        (links, lay.nb[rows.link_axes, rows.link_sites], 1.0 / geom.h),
+        (links, rows.link_sites, -1.0 / geom.h),
         (rows.spinor_dof(sites, np.arange(4)), sites, -ku),
     ])
     return LinearMap(mat, rows, cols)
@@ -378,19 +391,16 @@ def lin_gauge_adjoint_formula(c: Configuration, zeta) -> LinearMap:
     from .targets import moment_values_diff
 
     geom = c.geom
-    rows = GaugeScalarSpace(geom, c.group)
-    cols = TangentSpace(geom, c.group)
+    lay = layout(geom, c.group)
+    rows, cols = lay.gauge, lay.tangent
     mat = np.zeros((rows.dim, cols.dim))
     if c.group is GaugeGroup.TRIVIAL:
         return LinearMap(mat, rows, cols)
     n = geom.n_sites
-    nb = _neighbor_index(geom)
     # d* on the one-form block
-    for i in range(4):
-        sites = np.flatnonzero(cols.link_masks[i])
-        dofs = cols.link_dof[i, sites]
-        mat[sites, dofs] += -1.0 / geom.h
-        mat[nb[i][sites], dofs] += 1.0 / geom.h
+    links = np.arange(cols.n_links)
+    mat[cols.link_sites, links] += -1.0 / geom.h
+    mat[lay.nb[cols.link_axes, cols.link_sites], links] += 1.0 / geom.h
     # pointwise term: for each spinor basis direction e_a evaluate
     # d_u mu_zeta (zeta e_a) sitewise
     zim = np.asarray(zeta, dtype=float)[1:]
@@ -413,9 +423,8 @@ def linearize_fsw(c: Configuration, stencil=Stencil.FORWARD) -> LinearMap:
         raise NotImplementedError("deformation operators use the forward stencil")
     geom = c.geom
     h = geom.h
-    cols = TangentSpace(geom, c.group)
-    rows = EquationSpace(geom, c.group)
-    nb = _neighbor_index(geom)
+    lay = layout(geom, c.group)
+    cols, rows, nb = lay.tangent, lay.equations, lay.nb
     sites = rows.dirac_sites
     dirac_r = rows.dirac_dof(sites[:, None], np.arange(4))  # (site, r)
     spinor_c = cols.spinor_dof(np.arange(geom.n_sites)[:, None], np.arange(4))
@@ -442,7 +451,7 @@ def linearize_fsw(c: Configuration, stencil=Stencil.FORWARD) -> LinearMap:
         # self-dual rows, one-form columns: d^+ b, with
         # F_p(x) = (b_j(x+e_i) - b_j(x) - b_i(x+e_j) + b_i(x)) / h
         ssites = rows.sd_sites
-        pi, pj = np.array(lat.PLAQ_PAIRS).T
+        pi, pj = _PLAQ_I, _PLAQ_J
         link = cols.link_dof
         plaq_cols = np.stack([
             link[pj[:, None], nb[pi][:, ssites]],
@@ -473,8 +482,38 @@ def elliptic_op(c: Configuration, stencil=Stencil.FORWARD) -> LinearMap:
 
 
 def residual_rowvec(c: Configuration, s: Sources, space: EquationSpace, stencil=Stencil.FORWARD):
-    dirac_row, sd_row = residual(c, s, stencil)
-    return space.pack(dirac_row, sd_row.values)
+    """Residual on the trusted rows of `space`, gathered through the layout's `nb`.
+
+    Dirac rows are sum_i e_i (T_i u(x+e_i) - u(x)) / h - psi, with the
+    neighbour first flipped into the half-space of u(x) on cone targets;
+    self-dual rows are the plaquette differences' self-dual part plus
+    Phi_4(u) minus eta.  Agrees with space.pack of the full-field
+    reference `gsw.residual`.
+    """
+    if stencil is not Stencil.FORWARD:
+        raise NotImplementedError("deformation operators use the forward stencil")
+    h = c.geom.h
+    nb = layout(c.geom, c.group).nb
+    sites = space.dirac_sites
+    u = c.u.values.reshape(-1, 4)
+    here = u[sites]
+    there = u[nb[:, sites]]  # (axis, site, 4)
+    if c.u.kind is TargetKind.CONE_H_MOD_Z2:
+        there = lat._cone_align(there, here)
+    if c.a.links is not None:
+        there = quat.mul_exp_i(there, h * c.a.links.reshape(-1, 4)[sites].T)
+    terms = ((there - here) / h) @ quat.MUL_TABLE  # e_i (d_A u)_i, exact signed permutations
+    dirac = terms[0] + terms[1] + terms[2] + terms[3] - s.psi.reshape(-1, 4)[sites]
+    ss = space.sd_sites
+    if not ss.size:
+        return dirac.reshape(-1)
+    # F_p = (b_j(x+e_i) - b_j(x)) / h - (b_i(x+e_j) - b_i(x)) / h for plaquette p = (i, j)
+    b = c.a.links.reshape(-1, 4)
+    pi, pj = _PLAQ_I[:, None], _PLAQ_J[:, None]
+    f = (b[nb[pi, ss], pj] - b[ss, pj]) / h - (b[nb[pj, ss], pi] - b[ss, pi]) / h
+    sd = 0.5 * (f[:3] + f[3:]).T + 0.5 * moment_values(u[ss], c.group)
+    sd -= s.eta.values.reshape(-1, 3)[ss]
+    return np.concatenate([dirac.reshape(-1), sd.reshape(-1)])
 
 
 def second_derivative_rows(c: Configuration, t1: TangentConfig, t2: TangentConfig, space: EquationSpace):
@@ -637,20 +676,26 @@ class ChartFrame:
         """Chord Newton for base + w_basis @ y with rows_at = 0 off the cokernel.
 
         Returns (vec, rows_at(vec), info); info holds the iterations, the
-        convergence flag and the norm of the projected rows at the last
-        test.  Without convergence vec carries the last step.
+        convergence flag, the divergence flag and the norm of the projected
+        rows at the last test.  The loop stops as diverged, returning that
+        iterate, once the projected rows are non-finite or larger than at
+        the previous iteration.  Without convergence or divergence vec
+        carries the last step.
         """
         norm = self.eq.row_space.norm
         y = np.zeros(self.w_basis.shape[1])
-        info = {"iters": 0, "converged": False, "proj_residual": np.inf}
+        info = {"iters": 0, "converged": False, "diverged": False, "proj_residual": np.inf}
         for it in range(1, max_iter + 1):
             vec = base + self.w_basis @ y
             r = rows_at(vec)
             pr = r - self.coker @ self.coker_coeffs(r)
-            info["iters"] = it
+            last, info["iters"] = info["proj_residual"], it
             info["proj_residual"] = norm(pr)
             if info["proj_residual"] <= tol:
                 info["converged"] = True
+                return vec, r, info
+            if not np.isfinite(info["proj_residual"]) or info["proj_residual"] > last:
+                info["diverged"] = True
                 return vec, r, info
             step, _ = self._chord.lstsq(-pr)
             y = y + step

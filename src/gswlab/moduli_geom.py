@@ -32,7 +32,6 @@ from .deformation import (
     BlockSpace,
     LinearMap,
     TangentConfig,
-    TangentSpace,
 )
 from .gsw import Configuration, Sources
 from .lattice import Stencil
@@ -124,9 +123,8 @@ class LatticeSystem(QuotientSystem):
         self.c0 = c
         self.s = s
         self.stencil = stencil
-        self.tan_space = TangentSpace(c.geom, c.group)
-        self.gauge_space = dfm.GaugeScalarSpace(c.geom, c.group)
-        self.eq_space = dfm.EquationSpace(c.geom, c.group)
+        lay = dfm.layout(c.geom, c.group)
+        self.tan_space, self.gauge_space, self.eq_space = lay.tangent, lay.gauge, lay.equations
 
     def center(self):
         links = self.c0.a.links
@@ -455,7 +453,7 @@ def solution_chart_metric(system, cvec, v, w, newton_tol=1e-12, max_iter=80):
 
 def l2_inner(c: Configuration, t1: TangentConfig, t2: TangentConfig):
     """h^4-weighted metric on configuration tangents (links + spinors)."""
-    space = TangentSpace(c.geom, c.group)
+    space = dfm.layout(c.geom, c.group).tangent
     return space.inner(dfm.pack_tangent(space, t1), dfm.pack_tangent(space, t2))
 
 
@@ -477,49 +475,6 @@ def omega_form(c: Configuration, v, w):
     if c.group is GaugeGroup.TRIVIAL:
         return np.zeros(c.geom.dims)
     return np.sum(quat.mul(np.asarray(w, float), quat.QI) * np.asarray(v, float), axis=-1)
-
-
-def vertical_bracket(c: Configuration, t1: TangentConfig, t2: TangentConfig):
-    """Vertical part of the bracket of horizontal extensions (Green form)."""
-    sys_ = LatticeSystem(c, Sources.zero(c.geom))
-    vec = vertical_bracket_vec(
-        sys_,
-        sys_.center(),
-        dfm.pack_tangent(sys_.tan_space, t1),
-        dfm.pack_tangent(sys_.tan_space, t2),
-    )
-    return dfm.unpack_tangent(sys_.tan_space, vec)
-
-
-def oneill_sectional(c: Configuration, t1: TangentConfig, t2: TangentConfig):
-    sys_ = LatticeSystem(c, Sources.zero(c.geom))
-    return oneill_sectional_vec(
-        sys_,
-        sys_.center(),
-        dfm.pack_tangent(sys_.tan_space, t1),
-        dfm.pack_tangent(sys_.tan_space, t2),
-    )
-
-
-def second_fundamental_form(c: Configuration, s: Sources, t1: TangentConfig, t2: TangentConfig):
-    sys_ = LatticeSystem(c, s)
-    vec = second_fundamental_vec(
-        sys_,
-        sys_.center(),
-        dfm.pack_tangent(sys_.tan_space, t1),
-        dfm.pack_tangent(sys_.tan_space, t2),
-    )
-    return dfm.unpack_tangent(sys_.tan_space, vec)
-
-
-def gauss_sectional(c: Configuration, s: Sources, t1: TangentConfig, t2: TangentConfig):
-    sys_ = LatticeSystem(c, s)
-    return gauss_sectional_vec(
-        sys_,
-        sys_.center(),
-        dfm.pack_tangent(sys_.tan_space, t1),
-        dfm.pack_tangent(sys_.tan_space, t2),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import gswlab.quaternion as quat
 from gswlab import deformation as dfm, gsw
+from gswlab import lattice as lat
 from gswlab.gsw import Configuration, Sources
-from gswlab.lattice import ConnectionField, LatticeGeom, SpinorField, Topology
-from gswlab.targets import GaugeGroup
+from gswlab.lattice import ConnectionField, LatticeGeom, SelfDualForm, SpinorField, Topology
+from gswlab.targets import GaugeGroup, TargetKind
 
 
 def torus(n=3, h=0.4):
@@ -378,3 +381,75 @@ def test_hessians_symmetry_and_fd():
         blk = space.block(name)
         assert np.abs(b12[blk]).max() >= 1.0
         assert np.abs(mixed[blk] - b12[blk]).max() <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# trusted-site residual rows and the cached layout
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2, 2), (3, 3, 3, 3), (3, 4, 2, 5), (5, 5, 5, 5)])
+@pytest.mark.parametrize("topology", list(Topology))
+@pytest.mark.parametrize("group", list(GaugeGroup))
+@pytest.mark.parametrize("kind", list(TargetKind))
+def test_residual_rowvec_matches_full_field_residual(dims, topology, group, kind):
+    # the trusted-site gathers agree bit for bit with the full-field reference;
+    # cone spinors near the tip flip some neighbours into the half-space of u(x)
+    geom = LatticeGeom(dims, 1.0 / dims[0], topology)
+    offset = 0.3 if kind is TargetKind.CONE_H_MOD_Z2 else 1.0
+    c = gsw.random_config(geom, group, kind, seed=3, amplitude=0.3, offset=offset)
+    rng = np.random.default_rng(4)
+    s = Sources(rng.normal(size=dims + (4,)), SelfDualForm(geom, rng.normal(size=dims + (3,))))
+    space = dfm.layout(geom, group).equations
+    dirac_row, sd_row = gsw.residual(c, s)
+    assert np.array_equal(dfm.residual_rowvec(c, s, space), space.pack(dirac_row, sd_row.values))
+    if kind is TargetKind.CONE_H_MOD_Z2 and dims != (2, 2, 2, 2):
+        u = c.u.values.reshape(-1, 4)
+        nb = dfm.layout(geom, group).nb[:, space.dirac_sites]
+        assert np.any(np.sum(u[nb] * u[space.dirac_sites], axis=-1) < 0.0)
+
+
+def test_layout_cache_keys_on_the_bare_lattice():
+    plain = LatticeGeom((3,) * 4, 1.0 / 3, Topology.BOX)
+    curved = LatticeGeom((3,) * 4, 1.0 / 3, Topology.BOX, s_x=np.ones((3,) * 4))
+    with pytest.raises(TypeError):
+        hash(curved)
+    assert dfm.layout(curved, GaugeGroup.U1) is dfm.layout(plain, GaugeGroup.U1)
+    assert dfm.layout(plain, GaugeGroup.U1) is not dfm.layout(plain, GaugeGroup.TRIVIAL)
+    c = gsw.random_config(curved, GaugeGroup.U1, seed=5, amplitude=0.3)
+    e1, e2 = dfm.linearize_fsw(c), dfm.linearize_fsw(c)
+    assert e1.row_space is e2.row_space and e1.col_space is e2.col_space
+    assert dfm.lin_gauge(c).row_space is e1.col_space
+    flat = gsw.random_config(plain, GaugeGroup.U1, seed=5, amplitude=0.3)
+    assert np.array_equal(e1.matrix, dfm.linearize_fsw(flat).matrix)
+    with pytest.raises(ValueError):
+        e1.row_space.weights[0] = 0.0  # shared through the cache, so read-only
+
+
+def test_pack_unpack_roundtrip_with_missing_far_face_links():
+    geom = LatticeGeom((3, 4, 2, 3), 0.5, Topology.BOX)
+    space = dfm.layout(geom, GaugeGroup.U1).tangent
+    rng = np.random.default_rng(6)
+    b, v = rng.normal(size=geom.dims + (4,)), rng.normal(size=geom.dims + (4,))
+    vec = space.pack(b, v)
+    # link dofs run axis by axis over the sites whose forward link exists
+    exists = [lat.forward_link_exists(geom, i) for i in range(4)]
+    assert np.array_equal(vec[: space.n_links], np.concatenate([b[..., i][exists[i]] for i in range(4)]))
+    b2, v2 = space.unpack(vec)
+    assert np.array_equal(v2, v)
+    assert np.array_equal(b2, b * np.stack(exists, axis=-1))
+    assert np.array_equal(space.pack(b2, v2), vec)
+
+
+def test_chart_newton_stops_when_the_projected_rows_grow():
+    # a 0.01-noise spinor off a manufactured U(1) box solution: the chord
+    # iteration grows from the first step, so it stops there, finite and flagged
+    geom = LatticeGeom((3,) * 4, 1.0 / 3, Topology.BOX)
+    c = gsw.random_config(geom, GaugeGroup.U1, seed=0, amplitude=0.3)
+    s = gsw.manufacture(c)
+    c.u.values = c.u.values + 0.01 * np.random.default_rng(0).normal(size=c.u.values.shape)
+    chart = dfm.KuranishiChart(c, s, max_iter=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vec, kappa, info = chart.solve(np.zeros(chart.h1_dim))
+    assert info["diverged"] and not info["converged"] and info["iters"] < 10
+    assert np.all(np.isfinite(vec)) and np.all(np.isfinite(kappa))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,22 @@ def test_solution_chart_newton_failure_raises():
     assert mf(np.zeros(dim)).shape == (2, 2)  # on the level set: no step needed
     with pytest.raises(RuntimeError, match="did not converge"):
         mf(np.array([0.1, 0.0]))
+
+
+def test_solution_chart_divergence_raises_without_warnings():
+    # the chart point of a 0.01-noise spinor off a manufactured solution: the
+    # chord Newton grows, stops at once and reports it, with no overflow on the way
+    geom = LatticeGeom((3,) * 4, 1.0 / 3, Topology.BOX)
+    c = gsw.random_config(geom, GaugeGroup.U1, seed=0, amplitude=0.3)
+    s = gsw.manufacture(c)
+    c.u.values = c.u.values + 0.01 * np.random.default_rng(0).normal(size=c.u.values.shape)
+    sys_ = mg.LatticeSystem(c, s)
+    v, w = mg.sample_solution_plane(sys_, sys_.center(), seed=0)[0]
+    mf, dim = mg.solution_chart_metric(sys_, sys_.center(), v, w)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match="did not converge"):
+            mf(np.zeros(dim))
 
 
 # ---------------------------------------------------------------------------
