@@ -5,10 +5,14 @@ Usage: gswlab <experiment> --config cfg.json [--strict] [--threads N]
 Experiments: target-check, solve, deform, kuranishi, curvature,
 frequency, sequence.  Configs are JSON with a fixed schema (unknown
 keys rejected); every run emits a manifest.json carrying the config
-hash, package version and wall time.  Exit codes: 0 success, 2 config
-validation failure, including a dense problem over the size limit (no
-outputs), 3 numerical failure (and, with --strict, any rank-margin
-warning or failed internal check).
+hash, package version and wall time.  The dense experiments (solve,
+deform, kuranishi, lattice curvature) use the forward stencil, whose
+matrix transposes are the exact discrete adjoints, so `solve` takes no
+`stencil`; `frequency` takes `stencil` "centered" (default) or
+"forward".  Exit codes: 0 success, 2 config validation failure,
+including a dense problem over the size limit (no outputs), 3 numerical
+failure (and, with --strict, any rank-margin warning or failed internal
+check).
 
 The same config, seed and BLAS thread count produce byte-identical
 CSV/JSON outputs (different OpenBLAS thread counts can change the last
@@ -98,7 +102,7 @@ def validate_config(cfg, experiment):
     _require(isinstance(params, dict), "params must be an object")
     allowed = {
         "target-check": {"samples", "fd_step", "fd_tol", "alg_tol"},
-        "solve": {"init", "perturb_amplitude", "tol", "max_iter", "stencil"},
+        "solve": {"init", "perturb_amplitude", "tol", "max_iter"},
         "deform": {"init", "complex_check", "export_matrix"},
         "kuranishi": {"init", "radius", "tol", "n_samples"},
         "curvature": {"mode", "init", "n_samples", "oracle", "oracle_eps"},
@@ -125,6 +129,8 @@ def validate_config(cfg, experiment):
         },
     }[experiment]
     _check_keys(params, allowed, "params")
+    if experiment == "frequency":
+        _require(params.get("stencil", "centered") in ("forward", "centered"), "bad params.stencil")
     init = params.get("init")
     if init is not None:
         _check_keys(
@@ -332,9 +338,8 @@ def run_target_check(cfg, out, opts):
 
 def run_solve(cfg, out, opts):
     params = cfg.get("params", {})
-    stencil = Stencil(params.get("stencil", "forward"))
     c = build_configuration(cfg)
-    s = gsw.manufacture(c, stencil)
+    s = gsw.manufacture(c)
     pert = float(params.get("perturb_amplitude", 1e-3))
     if pert:
         t = dfm.random_tangent(c, cfg.get("seed", 0) + 17, pert)
@@ -345,7 +350,7 @@ def run_solve(cfg, out, opts):
     files = []
     extra = {}
     try:
-        sol, diag = gsw.solve_newton(c, s, tol, int(params.get("max_iter", 20)), stencil)
+        sol, diag = gsw.solve_newton(c, s, tol, int(params.get("max_iter", 20)))
     except gsw.NewtonError as err:
         sol, diag = None, err.diagnostics
         extra["failure"] = _failure(err)
@@ -484,16 +489,11 @@ def run_frequency(cfg, out, opts):
         mono = fq.monotonicity_scan(prof, float(params.get("monotonicity_c0", 0.0)))
         return idx, rows, mono, checks
 
-    n_workers = max(1, opts.threads)
-    items = list(enumerate(centers))
-    if n_workers == 1:
-        results = [one_center(it) for it in items]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(one_center, items))
+    with ThreadPoolExecutor(max_workers=max(1, opts.threads)) as pool:
+        results = list(pool.map(one_center, enumerate(centers)))
     summary = {}
     all_ok = True
-    for idx, rows, mono, checks in sorted(results, key=lambda r: r[0]):
+    for idx, rows, mono, checks in results:
         path = os.path.join(out, f"profile_{idx:03d}.csv")
         _write_csv(
             path,

@@ -31,7 +31,7 @@ from . import lattice as lat
 from . import quaternion as quat
 from .gsw import Configuration, Sources, phi4_diff, residual_norm, row_masks
 from .gsw import residual  # noqa: F401  (the full-field reference of residual_rowvec)
-from .lattice import LatticeGeom, Stencil
+from .lattice import LatticeGeom
 from .targets import GaugeGroup, TargetKind, moment_values
 
 RANK_REL_CUTOFF = 1e-10
@@ -289,16 +289,12 @@ class LinearMap:
         return u[:, r:] / sr[:, None]
 
     def pinv_apply(self, y):
+        """Weighted least-squares solution of minimal norm."""
         u, s, vt, sr, sc = self._weighted()
         r, _ = self.rank()
         y_hat = sr * y
         coeff = (u[:, :r].T @ y_hat) / s[:r]
         return (vt[:r].T @ coeff) / sc
-
-    def lstsq(self, rhs):
-        """Weighted least-squares solve; returns (solution, rank)."""
-        r, _ = self.rank()
-        return self.pinv_apply(rhs), r
 
     def operator_norm(self):
         s = self.singular_values()
@@ -412,15 +408,13 @@ def lin_gauge_adjoint_formula(c: Configuration, zeta) -> LinearMap:
     return LinearMap(mat, rows, cols)
 
 
-def linearize_fsw(c: Configuration, stencil=Stencil.FORWARD) -> LinearMap:
+def linearize_fsw(c: Configuration) -> LinearMap:
     """Exact Jacobian of the residual map on the trusted equation rows.
 
     Every block is built as (row, col, value) triplets over the trusted
     sites, whose stencils only reach existing links, and the matrix is
     summed from them in one scatter.
     """
-    if stencil is not Stencil.FORWARD:
-        raise NotImplementedError("deformation operators use the forward stencil")
     geom = c.geom
     h = geom.h
     lay = layout(geom, c.group)
@@ -476,12 +470,12 @@ def stacked_op(eq: LinearMap, gauge: LinearMap) -> LinearMap:
     return LinearMap(np.vstack([eq.matrix, gauge.adjoint().matrix]), rows, eq.col_space)
 
 
-def elliptic_op(c: Configuration, stencil=Stencil.FORWARD) -> LinearMap:
+def elliptic_op(c: Configuration) -> LinearMap:
     """The linearized equations stacked over the gauge slice condition."""
-    return stacked_op(linearize_fsw(c, stencil), lin_gauge(c))
+    return stacked_op(linearize_fsw(c), lin_gauge(c))
 
 
-def residual_rowvec(c: Configuration, s: Sources, space: EquationSpace, stencil=Stencil.FORWARD):
+def residual_rowvec(c: Configuration, s: Sources, space: EquationSpace):
     """Residual on the trusted rows of `space`, gathered through the layout's `nb`.
 
     Dirac rows are sum_i e_i (T_i u(x+e_i) - u(x)) / h - psi, with the
@@ -490,8 +484,6 @@ def residual_rowvec(c: Configuration, s: Sources, space: EquationSpace, stencil=
     Phi_4(u) minus eta.  Agrees with space.pack of the full-field
     reference `gsw.residual`.
     """
-    if stencil is not Stencil.FORWARD:
-        raise NotImplementedError("deformation operators use the forward stencil")
     h = c.geom.h
     nb = layout(c.geom, c.group).nb
     sites = space.dirac_sites
@@ -570,7 +562,7 @@ class CohomologyReport:
         }
 
 
-def cohomology(c: Configuration, stencil=Stencil.FORWARD) -> CohomologyReport:
+def cohomology(c: Configuration) -> CohomologyReport:
     """Dimensions of the deformation cohomology at c.
 
     h0 = dim ker(gauge linearization), h1 = dim ker(elliptic operator),
@@ -584,7 +576,7 @@ def cohomology(c: Configuration, stencil=Stencil.FORWARD) -> CohomologyReport:
         d = lin_gauge(c)
         rank_d, margins["lin_gauge"] = d.rank()
         h0 = d.col_space.dim - rank_d
-        op = elliptic_op(c, stencil)
+        op = elliptic_op(c)
         rank_op, margins["elliptic_op"] = op.rank()
         h1 = op.col_space.dim - rank_op
         coker_op = op.row_space.dim - rank_op
@@ -594,20 +586,20 @@ def cohomology(c: Configuration, stencil=Stencil.FORWARD) -> CohomologyReport:
     return CohomologyReport(h0, h1, h2, index, margins, warns)
 
 
-def complex_check(c: Configuration, s: Sources, stencil=Stencil.FORWARD):
+def complex_check(c: Configuration, s: Sources):
     """Operator norm of (linearized equations) o (gauge linearization).
 
     Vanishes at solutions whose sources are gauge invariant (psi = 0);
     a Dirac-row source breaks strict equivariance and shows up here at
     the scale of |psi|.  Warns when c is not on-shell.
     """
-    res = residual_norm(c, s, stencil)
+    res = residual_norm(c, s)
     if res > 1e-8:
         warnings.warn(
             "complex_check evaluated off-shell (residual %.3e); the identity "
             "only holds at solutions" % res
         )
-    comp = linearize_fsw(c, stencil).compose(lin_gauge(c))
+    comp = linearize_fsw(c).compose(lin_gauge(c))
     return comp.operator_norm()
 
 
@@ -697,8 +689,7 @@ class ChartFrame:
             if not np.isfinite(info["proj_residual"]) or info["proj_residual"] > last:
                 info["diverged"] = True
                 return vec, r, info
-            step, _ = self._chord.lstsq(-pr)
-            y = y + step
+            y = y + self._chord.pinv_apply(-pr)
         vec = base + self.w_basis @ y
         return vec, rows_at(vec), info
 
@@ -711,14 +702,12 @@ class KuranishiChart:
     component of the full residual at phi(xi).
     """
 
-    def __init__(self, c: Configuration, s: Sources, stencil=Stencil.FORWARD,
-                 tol=1e-11, max_iter=60):
+    def __init__(self, c: Configuration, s: Sources, tol=1e-11, max_iter=60):
         self.c = c
         self.s = s
-        self.stencil = stencil
         self.tol = tol
         self.max_iter = max_iter
-        self.eq = linearize_fsw(c, stencil)
+        self.eq = linearize_fsw(c)
         self.space = self.eq.col_space
         self.frame = ChartFrame(self.eq, lin_gauge(c))
 
@@ -736,7 +725,7 @@ class KuranishiChart:
         if c2.group is not GaugeGroup.TRIVIAL:
             c2.a.links = c2.a.links + b
         c2.u.values = c2.u.values + v
-        return residual_rowvec(c2, self.s, self.eq.row_space, self.stencil)
+        return residual_rowvec(c2, self.s, self.eq.row_space)
 
     def solve(self, xi):
         """Return (phi_vec, kappa_coeffs, info) for chart coordinates xi."""
@@ -777,16 +766,16 @@ def kuranishi(
     tol=1e-11,
     n_samples=20,
     seed=0,
-    stencil=Stencil.FORWARD,
 ) -> KuranishiReport:
     """Sample the local chart on a ball in ker(elliptic operator).
 
     Classification: regular iff h2 = 0; smooth iff additionally the
     stabilizer Lie algebra is trivial (h0 = 0).  Per-sample records
-    carry the kappa norm, Newton iterations and convergence flags.
+    carry the kappa norm, Newton iterations and the convergence and
+    divergence flags.
     """
-    rep = cohomology(c, stencil)
-    chart = KuranishiChart(c, s, stencil, tol=tol)
+    rep = cohomology(c)
+    chart = KuranishiChart(c, s, tol=tol)
     kappa0, info0 = chart.kappa_norm(np.zeros(chart.h1_dim))
     rng = np.random.default_rng(seed)
     samples = []
@@ -802,6 +791,7 @@ def kuranishi(
                 "kappa_norm": knorm,
                 "iters": info["iters"],
                 "converged": bool(info["converged"]),
+                "diverged": bool(info["diverged"]),
                 "proj_residual": info["proj_residual"],
             }
         )
@@ -818,14 +808,14 @@ def kuranishi(
 # matrix export
 
 
-def export_triplets(path, lm: LinearMap, tol=0.0):
-    """Write a LinearMap in the documented sparse triplet text format.
+def export_triplets(path, lm: LinearMap):
+    """Write a LinearMap's nonzero entries in the documented sparse triplet text format.
 
     Line 1: `rows cols nnz`; then one `row col value` triple per line
     (0-based indices, repr floats), sorted by row then column.
     """
     mat = lm.matrix
-    rr, cc = np.nonzero(np.abs(mat) > tol)
+    rr, cc = np.nonzero(mat)
     order = np.lexsort((cc, rr))
     with open(path, "w") as fh:
         fh.write("%d %d %d\n" % (mat.shape[0], mat.shape[1], rr.size))

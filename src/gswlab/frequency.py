@@ -3,8 +3,9 @@
 Radial machinery around a center x: the scaled energy
 F_x(r) = r^-2 int_{B_r} |d_A u|^2, the boundary density
 f_x(r) = int_{dB_r} |chi0 o u|^2, the frequency N = r^3 F / f, the
-metric-correction integral sigma (wired to the scalar-curvature slot,
-identically zero on the flat base) and kappa = sqrt(e^{-2 sigma} r^-3 f).
+metric-correction integral sigma and kappa = sqrt(e^{-2 sigma} r^-3 f).
+Every scalar-curvature term s_X reads the geometry's slot
+(`LatticeGeom.s_x`, identically zero on the flat base).
 
 Identity residuals (Weitzenboeck, Bochner, stress divergence) are
 formed with the same stencils as the operators they test and converge
@@ -24,6 +25,9 @@ from . import lattice as lat
 from . import quaternion as quat
 from .gsw import Configuration
 from .lattice import BallSpec, LatticeGeom, SpinorField, Stencil
+
+#: relative slack of each monotonicity check
+MONOTONICITY_SLACK = 0.02
 
 
 # ---------------------------------------------------------------------------
@@ -77,18 +81,18 @@ def fueter_library(geom: LatticeGeom, kind, center=None, multiset=(1, 2)):
     return SpinorField(geom, vals)
 
 
-def fueter_corpus(geom: LatticeGeom, count=20, center=None):
-    """A corpus of Fueter fields: variables, right-multiples, products."""
+def fueter_corpus(geom: LatticeGeom, count=20):
+    """A corpus of Fueter fields centred in the box: variables, right-multiples, products."""
     fields = []
     for k in ("z1", "z2", "z3"):
-        fields.append(fueter_library(geom, k, center))
+        fields.append(fueter_library(geom, k))
     consts = [quat.ONE + 0.3 * quat.QJ, quat.QI + 0.5 * quat.QK, 0.7 * quat.QK]
     for k in ("z1", "z2", "z3"):
-        base = fueter_library(geom, k, center)
+        base = fueter_library(geom, k)
         for p in consts[:2]:
             fields.append(SpinorField(geom, quat.mul(base.values, p)))
     for ms in ((1, 1), (2, 2), (3, 3), (1, 2), (1, 3), (2, 3)):
-        fields.append(fueter_library(geom, "sym_product", center, ms))
+        fields.append(fueter_library(geom, "sym_product", multiset=ms))
     k = 0
     while len(fields) < count:
         base = fields[3 + (k % 6)]
@@ -173,7 +177,7 @@ def curvature_yterm(u_vals, a: lat.ConnectionField, stencil=Stencil.FORWARD):
     return out
 
 
-def weitzenbock_residual(c: Configuration, s_x=None, stencil=Stencil.CENTERED):
+def weitzenbock_residual(c: Configuration, stencil=Stencil.CENTERED):
     """Pointwise norm of the Dirac Weitzenboeck identity defect.
 
     residual = D^{lin,u*} D_A u - d^{TM,*} d_A u - (s_X/4) chi0 o u
@@ -181,24 +185,20 @@ def weitzenbock_residual(c: Configuration, s_x=None, stencil=Stencil.CENTERED):
     stencils on smooth data.
     """
     geom = c.geom
-    if s_x is None:
-        s_x = geom.scalar_curvature()
     du = lat.dirac(c.u, c.a, stencil)
     lhs = dirac_lin_adjoint(du, c.a, stencil, geom)
     rhs = cov_laplacian(c.u.values, c.a, stencil, geom)
-    rhs = rhs + 0.25 * s_x[..., None] * c.u.values
+    rhs = rhs + 0.25 * geom.scalar_curvature()[..., None] * c.u.values
     rhs = rhs + curvature_yterm(c.u.values, c.a, stencil)
     return np.sqrt(np.sum((lhs - rhs) ** 2, axis=-1))
 
 
-def energy_identity(c: Configuration, s_x=None, stencil=Stencil.FORWARD):
+def energy_identity(c: Configuration, stencil=Stencil.FORWARD):
     """(int |d_A u|^2, -int (s_X/4) |chi0 o u|^2); equal on closed on-shell data."""
     geom = c.geom
-    if s_x is None:
-        s_x = geom.scalar_curvature()
     lhs = lat.site_inner(geom, lat.grad_energy_density(c.u, c.a, stencil), np.ones(geom.dims))
     chi2 = np.sum(c.u.values**2, axis=-1)
-    rhs = -lat.site_inner(geom, 0.25 * s_x * chi2, np.ones(geom.dims))
+    rhs = -lat.site_inner(geom, 0.25 * geom.scalar_curvature() * chi2, np.ones(geom.dims))
     return lhs, rhs
 
 
@@ -236,7 +236,7 @@ def stress_tensor(c: Configuration, stencil=Stencil.CENTERED):
     return t
 
 
-def stress_div_residual(c: Configuration, s_x=None, stencil=Stencil.CENTERED):
+def stress_div_residual(c: Configuration, stencil=Stencil.CENTERED):
     """div T minus its curvature and scalar-curvature sources, per site.
 
     For the trivial group on a flat base the sources vanish and the
@@ -244,8 +244,6 @@ def stress_div_residual(c: Configuration, s_x=None, stencil=Stencil.CENTERED):
     harmonic data).
     """
     geom = c.geom
-    if s_x is None:
-        s_x = geom.scalar_curvature()
     t = stress_tensor(c, stencil)
     comps = [lat.cov_diff_component(c.u, c.a, i, stencil) for i in range(4)]
     div = np.zeros(geom.dims + (4,))
@@ -265,6 +263,7 @@ def stress_div_residual(c: Configuration, s_x=None, stencil=Stencil.CENTERED):
             for j in range(4):
                 kf = quat.mul(c.u.values, quat.QI) * fmat[..., j, i][..., None]
                 source[..., i] += np.sum(kf * comps[j], axis=-1)
+    s_x = geom.scalar_curvature()
     for i in range(4):
         source[..., i] += 0.25 * s_x * np.sum(c.u.values * comps[i], axis=-1)
     return div - source
@@ -353,7 +352,6 @@ def radial_profile(
     center,
     radii,
     stencil=Stencil.CENTERED,
-    s_x=None,
     fields=None,
     n_polar=24,
     n_azimuth=48,
@@ -365,8 +363,6 @@ def radial_profile(
         raise ValueError("radius grid spacing must be at least 2h")
     if radii[-1] > geom.delta0() + 1e-12:
         raise ValueError("radius grid exceeds delta0")
-    if s_x is None:
-        s_x = geom.scalar_curvature()
     energy, chi2 = fields if fields is not None else profile_fields(c, stencil)
 
     m = radii.size
@@ -375,7 +371,7 @@ def radial_profile(
     sx_ball = np.zeros(m)
     chi_ball = np.zeros(m)
     d = lat.site_distances(geom, center)
-    sx_chi2 = 0.25 * s_x * chi2
+    sx_chi2 = 0.25 * geom.scalar_curvature() * chi2
     for k, r in enumerate(radii):
         spec = BallSpec(center, float(r), n_polar, n_azimuth)
         w = lat.ball_window(geom, spec, d)
@@ -458,13 +454,13 @@ def ode_checks(profile: RadialProfile):
     }
 
 
-def monotonicity_scan(profile: RadialProfile, c0=0.0, slack=0.02):
+def monotonicity_scan(profile: RadialProfile, c0=0.0):
     """Monotonicity of e^{c0 r} F + c0 r^3 and e^{c0 r^2} f / r^3.
 
     Also checks the ball-boundary inequality
     int_{B_r}|chi0 o u|^2 <= e^{c0 r^2} r f(r) / 4 up to the slack.
-    Each check passes when successive decrements stay within the slack
-    relative to the local scale.
+    Each check passes when successive decrements stay within
+    MONOTONICITY_SLACK (2%) relative to the local scale.
     """
     r = profile.radii
     g1 = np.exp(c0 * r) * profile.f_scaled_energy + c0 * r**3
@@ -473,12 +469,12 @@ def monotonicity_scan(profile: RadialProfile, c0=0.0, slack=0.02):
     for name, g in (("F_monotone", g1), ("f_over_r3_monotone", g2)):
         diffs = np.diff(g)
         scale = np.maximum(np.abs(g[1:]), np.abs(g[:-1]))
-        ok = np.all(diffs >= -slack * np.maximum(scale, 1e-300))
+        ok = np.all(diffs >= -MONOTONICITY_SLACK * np.maximum(scale, 1e-300))
         worst = float((diffs / np.maximum(scale, 1e-300)).min()) if diffs.size else 0.0
         out[name] = {"passed": bool(ok), "worst_decrement": worst}
     lhs = profile.chi_ball
     rhs = np.exp(c0 * r**2) * r * profile.f_boundary / 4.0
-    ok = np.all(lhs <= rhs * (1.0 + slack) + 1e-300)
+    ok = np.all(lhs <= rhs * (1.0 + MONOTONICITY_SLACK) + 1e-300)
     out["ball_shell_inequality"] = {
         "passed": bool(ok),
         "max_ratio": float(np.max(lhs / np.maximum(rhs, 1e-300))),
@@ -491,7 +487,7 @@ def monotonicity_scan(profile: RadialProfile, c0=0.0, slack=0.02):
     diffs = np.diff(n[sel])
     out["frequency_monotone_recorded"] = {
         "nondecreasing_within_slack": bool(
-            np.all(diffs >= -slack * np.maximum(np.abs(n[sel][1:]), 1e-300))
+            np.all(diffs >= -MONOTONICITY_SLACK * np.maximum(np.abs(n[sel][1:]), 1e-300))
         ),
         "worst_decrement": float(diffs.min()) if diffs.size else 0.0,
     }
@@ -502,18 +498,17 @@ def monotonicity_scan(profile: RadialProfile, c0=0.0, slack=0.02):
 # critical radius and the epsilon-regularity probe
 
 
-def critical_radius(c: Configuration, center, eps0, stencil=Stencil.CENTERED,
-                    fields=None, r_min_factor=4.0, bisect_steps=40):
-    """sup { r <= delta0 : F_x(r) <= eps0 } by bisection.
+def critical_radius(c: Configuration, center, eps0, stencil=Stencil.CENTERED, fields=None):
+    """sup { r <= delta0 : F_x(r) <= eps0 } by 40 bisection steps.
 
     Returns (radius, flag); flag 'zero' marks the degenerate outcome
-    where even the smallest resolvable ball exceeds the threshold (in
-    particular for eps0 = 0).
+    where even the smallest resolvable ball (radius 4h) exceeds the
+    threshold (in particular for eps0 = 0).
     """
     geom = c.geom
     energy, _ = fields if fields is not None else profile_fields(c, stencil)
     delta0 = lat.max_ball_radius(geom, center)
-    r_min = r_min_factor * geom.h
+    r_min = 4.0 * geom.h
     if eps0 <= 0.0:
         return 0.0, "zero"
     d = lat.site_distances(geom, center)
@@ -526,7 +521,7 @@ def critical_radius(c: Configuration, center, eps0, stencil=Stencil.CENTERED,
     if big_f(r_min) > eps0:
         return 0.0, "zero"
     lo, hi = r_min, delta0
-    for _ in range(bisect_steps):
+    for _ in range(40):
         mid = 0.5 * (lo + hi)
         if big_f(mid) <= eps0:
             lo = mid
@@ -535,11 +530,10 @@ def critical_radius(c: Configuration, center, eps0, stencil=Stencil.CENTERED,
     return lo, "interior"
 
 
-def regularity_probe(c: Configuration, centers, eps0=1e-2, stencil=Stencil.CENTERED,
-                     n_radii=4):
+def regularity_probe(c: Configuration, centers, eps0=1e-2, stencil=Stencil.CENTERED):
     """Critical radii, measured Heinz constants and the density scatter.
 
-    For each center: r(x), rho0 o u(x), and for a few radii r <= r(x)
+    For each center: r(x), rho0 o u(x), and for four radii r <= r(x)
     the measured constant
         c_hat = sup_{B_{r/4}} |d_A u|^2 / (r^-2 F_x(r) + r^2),
     reported (never asserted; the continuum constant is not
@@ -554,7 +548,7 @@ def regularity_probe(c: Configuration, centers, eps0=1e-2, stencil=Stencil.CENTE
         rho = 0.5 * float(lat.interpolate(geom, chi2, np.asarray([center]))[0])
         entry = {"center": tuple(center), "r_x": rx, "flag": flag, "rho0": rho, "chat": []}
         if rx > 0.0:
-            radii = np.linspace(max(4 * geom.h, rx / n_radii), rx, n_radii)
+            radii = np.linspace(max(4 * geom.h, rx / 4), rx, 4)
             d = lat.site_distances(geom, center)
             for r in radii:
                 w = lat.ball_window(geom, BallSpec(center, float(r)), d)
@@ -591,12 +585,10 @@ class SequenceSpec:
     lambda0: float = None
     growth: float = 2.0
     base_offset: tuple = (1.0, 0.0, 0.0, 0.0)
-    base_z1_amp: float = 0.0
     dip_residue: float = 0.25
     c0_bound: float = 10.0
     c1: float = 4.0
     tail_window: int = 3
-    normalize_to: float = None
     fields: list = None
 
     def __post_init__(self):
@@ -619,8 +611,6 @@ def sequence_fields(spec: SequenceSpec):
     if spec.kind == "custom":
         return list(spec.fields)
     base = np.zeros(geom.dims + (4,)) + np.asarray(spec.base_offset, dtype=float)
-    if spec.base_z1_amp:
-        base = base + spec.base_z1_amp * _fueter_variable(geom, 1, spec.center)
     cycle = [quat.ONE, quat.QI, -quat.ONE, -quat.QI]
     out = []
     for n in range(spec.n_terms):
@@ -633,10 +623,6 @@ def sequence_fields(spec: SequenceSpec):
             vals = base * (0.5**n)
         else:
             raise ValueError(f"unknown sequence kind {spec.kind!r}")
-        if spec.normalize_to is not None:
-            rho_int = 0.5 * float(np.sum(vals**2)) * geom.h**4
-            if rho_int > 0:
-                vals = vals * np.sqrt(spec.normalize_to / rho_int)
         out.append(SpinorField(geom, vals))
     return out
 

@@ -183,13 +183,13 @@ def forward_link_exists(geom: LatticeGeom, axis):
     return mask
 
 
-def interior_site_mask(geom: LatticeGeom, margin=1):
-    """Sites whose full forward stencil (margin cells) stays in the box."""
+def interior_site_mask(geom: LatticeGeom):
+    """Sites whose full forward stencil (one cell) stays in the box."""
     mask = np.ones(geom.dims, dtype=bool)
     if geom.topology is Topology.BOX:
         for axis in range(4):
             idx = [slice(None)] * 4
-            idx[axis] = slice(geom.dims[axis] - margin, None)
+            idx[axis] = slice(-1, None)
             mask[tuple(idx)] = False
     return mask
 
@@ -361,11 +361,6 @@ def selfdual_embed(s: SelfDualForm) -> TwoForm:
     return TwoForm(s.geom, v)
 
 
-def d_plus(geom: LatticeGeom, b) -> SelfDualForm:
-    """Self-dual part of the exterior derivative of a link one-form."""
-    return selfdual(plaquette_d(geom, b))
-
-
 def d_cube(f: TwoForm):
     """Exterior derivative of a plaquette field on cubes (Bianchi check)."""
     geom = f.geom
@@ -403,11 +398,6 @@ def link_inner(geom: LatticeGeom, b, c):
         for i in range(4):
             w[..., i] *= forward_link_exists(geom, i)
     return float(np.sum(w) * geom.h**4)
-
-
-def selfdual_inner(geom: LatticeGeom, s, t):
-    """Inner product of self-dual forms; |eta_l|^2 = 2 per component."""
-    return float(2.0 * np.sum(s * t) * geom.h**4)
 
 
 # ---------------------------------------------------------------------------

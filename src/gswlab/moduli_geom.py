@@ -34,7 +34,6 @@ from .deformation import (
     TangentConfig,
 )
 from .gsw import Configuration, Sources
-from .lattice import Stencil
 from .targets import GaugeGroup, TargetKind
 
 
@@ -117,12 +116,11 @@ class QuotientSystem:
 class LatticeSystem(QuotientSystem):
     """Adapter putting a lattice configuration behind QuotientSystem."""
 
-    def __init__(self, c: Configuration, s: Sources, stencil=Stencil.FORWARD):
+    def __init__(self, c: Configuration, s: Sources):
         if c.u.kind is not TargetKind.FLAT_H:
             raise ValueError("curvature machinery requires the flat target chart")
         self.c0 = c
         self.s = s
-        self.stencil = stencil
         lay = dfm.layout(c.geom, c.group)
         self.tan_space, self.gauge_space, self.eq_space = lay.tangent, lay.gauge, lay.equations
 
@@ -150,10 +148,10 @@ class LatticeSystem(QuotientSystem):
 
     def equation_rows(self, cvec):
         cfg = self.config_at(cvec)
-        return dfm.residual_rowvec(cfg, self.s, self.eq_space, self.stencil)
+        return dfm.residual_rowvec(cfg, self.s, self.eq_space)
 
     def equation_map(self, cvec):
-        return dfm.linearize_fsw(self.config_at(cvec), self.stencil)
+        return dfm.linearize_fsw(self.config_at(cvec))
 
     def equation_second(self, cvec, t1, t2):
         cfg = self.config_at(cvec)
@@ -245,14 +243,14 @@ def vertical_bracket_vec(system: QuotientSystem, cvec, t1, t2):
     return d.apply(g0.solve(omega))
 
 
-def _plane_normalize(space: BlockSpace, v, w, warn=True):
+def _plane_normalize(space: BlockSpace, v, w):
     gvv = space.inner(v, v)
     gww = space.inner(w, w)
     gvw = space.inner(v, w)
     det = gvv * gww - gvw**2
     if det <= 0:
         raise ValueError("degenerate tangent plane")
-    if warn and (abs(gvv - 1) > 1e-9 or abs(gww - 1) > 1e-9 or abs(gvw) > 1e-9):
+    if abs(gvv - 1) > 1e-9 or abs(gww - 1) > 1e-9 or abs(gvw) > 1e-9:
         warnings.warn("plane not orthonormal; normalizing by the Gram determinant")
     return det
 
@@ -317,15 +315,15 @@ def gauss_sectional_vec(system: QuotientSystem, cvec, v, w):
 # finite-difference oracle
 
 
-def fd_oracle_curvature(metric_fn, dim, eps=1e-3, sweep=True):
+def fd_oracle_curvature(metric_fn, dim, eps=1e-3):
     """Sectional curvature of the chart plane (coords 0, 1) by brute force.
 
     Central differences of the chart metric coefficients give the
     second-order Taylor data; Christoffel symbols of the first kind are
     assembled and contracted.  No Green operators, no submersion
-    formulas.  With sweep=True the step is halved once and the two
-    estimates Richardson-combined; a large mismatch raises, flagging
-    cancellation (step too small) or a too-coarse step.
+    formulas.  The step is halved once and the two estimates
+    Richardson-combined; a large mismatch raises, flagging cancellation
+    (step too small) or a too-coarse step.
     """
 
     def estimate(e):
@@ -380,8 +378,6 @@ def fd_oracle_curvature(metric_fn, dim, eps=1e-3, sweep=True):
         return num / det
 
     k1 = estimate(eps)
-    if not sweep:
-        return k1
     k2 = estimate(eps / 2)
     richardson = (4 * k2 - k1) / 3.0
     spread = abs(k1 - k2)

@@ -136,6 +136,30 @@ def test_solve_and_determinism(tmp_path):
     assert (out / "solution_snapshot.json").read_bytes() == snap1
 
 
+def test_solve_rejects_a_stencil_before_output(tmp_path):
+    """The dense experiments only use the forward stencil: naming one is exit 2."""
+    out = tmp_path / "s_st"
+    with open(_solve_cfg(tmp_path, out)) as fh:
+        payload = json.load(fh)
+    payload["params"]["stencil"] = "centered"
+    assert cli.run("solve", write_cfg(tmp_path, "solve_st.json", payload)) == 2
+    assert not out.exists()
+
+
+def test_frequency_rejects_an_unknown_stencil_before_output(tmp_path):
+    out = tmp_path / "f_st"
+    payload = {
+        "experiment": "frequency",
+        "output_dir": str(out),
+        "geometry": {"dims": [17, 17, 17, 17], "h": 0.0625, "topology": "box"},
+        "params": {"field": "z1", "r_cells": [4, 6, 8], "stencil": "backward"},
+    }
+    assert cli.run("frequency", write_cfg(tmp_path, "freq_st.json", payload)) == 2
+    assert not out.exists()
+    payload["params"]["stencil"] = "forward"
+    assert cli.validate_config(payload, "frequency") is payload
+
+
 def test_failure_path_writes_manifest(tmp_path):
     out = tmp_path / "s2"
     cfg = write_cfg(
@@ -247,6 +271,33 @@ def test_frequency_cli(tmp_path):
     assert lines[0] == "r,F,f,N,sigma,kappa,f_prime_check,eq14_check"
     n_col = [float(l.split(",")[3]) for l in lines[1:]]
     assert all(abs(x - 1.0) <= 0.05 for x in n_col)
+
+
+def test_frequency_threads_change_no_output(tmp_path):
+    """Two centres with the probe: one thread and two write the same bytes."""
+    payload = {
+        "experiment": "frequency",
+        "seed": 0,
+        "geometry": {"dims": [17, 17, 17, 17], "h": 0.0625, "topology": "box"},
+        "params": {
+            "field": "z1",
+            "r_cells": [3, 5, 7],
+            "centers": [[0.5, 0.5, 0.5, 0.5], [0.45, 0.55, 0.5, 0.52]],
+            "probe": True,
+        },
+    }
+    outputs = []
+    for threads in (1, 2):
+        out = tmp_path / f"t{threads}"
+        payload["output_dir"] = str(out)
+        cfg = write_cfg(tmp_path, f"freq_t{threads}.json", payload)
+        assert cli.run("frequency", cfg, threads=threads) == 0
+        names = json.loads((out / "manifest.json").read_text())["outputs"]
+        outputs.append({name: (out / name).read_bytes() for name in names})
+    assert sorted(outputs[0]) == [
+        "frequency_summary.json", "profile_000.csv", "profile_001.csv", "regularity_probe.json"
+    ]
+    assert outputs[0] == outputs[1]
 
 
 def test_sequence_cli_and_main(tmp_path):

@@ -453,3 +453,15 @@ def test_chart_newton_stops_when_the_projected_rows_grow():
         vec, kappa, info = chart.solve(np.zeros(chart.h1_dim))
     assert info["diverged"] and not info["converged"] and info["iters"] < 10
     assert np.all(np.isfinite(vec)) and np.all(np.isfinite(kappa))
+
+
+def test_kuranishi_samples_carry_the_divergence_flag():
+    # the same 0.01-noise box: every sample's chord Newton stops as diverged
+    geom = LatticeGeom((3,) * 4, 1.0 / 3, Topology.BOX)
+    c = gsw.random_config(geom, GaugeGroup.U1, seed=0, amplitude=0.3)
+    s = gsw.manufacture(c)
+    c.u.values = c.u.values + 0.01 * np.random.default_rng(0).normal(size=c.u.values.shape)
+    rep = dfm.kuranishi(c, s, n_samples=3)
+    assert [r["diverged"] for r in rep.samples] == [True] * 3
+    assert not any(r["converged"] for r in rep.samples)
+    assert all(type(r["diverged"]) is bool for r in rep.samples)
