@@ -131,6 +131,11 @@ def validate_config(cfg, experiment):
     _check_keys(params, allowed, "params")
     if experiment == "frequency":
         _require(params.get("stencil", "centered") in ("forward", "centered"), "bad params.stencil")
+        try:  # the balls are known before any work
+            if geo:
+                _frequency_grid(params, build_geometry(cfg))
+        except (TypeError, ValueError, IndexError) as err:
+            raise ConfigError(f"bad frequency grid: {err}") from err
     init = params.get("init")
     if init is not None:
         _check_keys(
@@ -159,6 +164,18 @@ def validate_config(cfg, experiment):
         _require(dim <= dfm.MAX_DENSE_DIM, f"elliptic operator dimension {dim} is over "
                  f"the dense limit {dfm.MAX_DENSE_DIM}; use a smaller lattice")
     return cfg
+
+
+def _frequency_grid(params, geom):
+    """(radii, centers) of a frequency run; every ball lies within delta0 and the box."""
+    radii = np.array(params.get("r_cells", range(8, 25, 2)), dtype=float) * geom.h
+    centers = params.get("centers")
+    centers = [[0.5 * w for w in geom.widths()]] if centers is None else centers
+    r = float(np.max(radii))
+    _require(r <= geom.delta0() + 1e-12, f"radius {r:g} passes delta0 {geom.delta0():g}")
+    for x in centers:
+        _require(r <= lat.max_ball_radius(geom, x) + 1e-12, f"ball B({x}, {r:g}) leaves the box")
+    return radii, centers
 
 
 def build_geometry(cfg):
@@ -457,11 +474,7 @@ def run_frequency(cfg, out, opts):
     u = fq.fueter_library(geom, kind, multiset=tuple(params.get("multiset", (1, 2))))
     c = gsw.Configuration(lat.ConnectionField(geom), u)
     fields = fq.profile_fields(c, stencil)
-    r_cells = params.get("r_cells", [8, 10, 12, 14, 16, 18, 20, 22, 24])
-    radii = np.array(r_cells, dtype=float) * geom.h
-    centers = params.get("centers")
-    if centers is None:
-        centers = [list(0.5 * w for w in geom.widths())]
+    radii, centers = _frequency_grid(params, geom)
     files = []
 
     def one_center(item):
@@ -509,7 +522,7 @@ def run_frequency(cfg, out, opts):
         all_ok = all_ok and mono["passed"]
     if params.get("probe", False):
         probe = fq.regularity_probe(
-            c, centers, float(params.get("probe_eps0", 1e-2)), stencil
+            c, centers, float(params.get("probe_eps0", 1e-2)), stencil, fields
         )
         ppath = os.path.join(out, "regularity_probe.json")
         _write_json(ppath, probe)

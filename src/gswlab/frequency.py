@@ -190,14 +190,14 @@ def weitzenbock_residual(c: Configuration, stencil=Stencil.CENTERED):
     rhs = cov_laplacian(c.u.values, c.a, stencil, geom)
     rhs = rhs + 0.25 * geom.scalar_curvature()[..., None] * c.u.values
     rhs = rhs + curvature_yterm(c.u.values, c.a, stencil)
-    return np.sqrt(np.sum((lhs - rhs) ** 2, axis=-1))
+    return quat.norm(lhs - rhs)
 
 
 def energy_identity(c: Configuration, stencil=Stencil.FORWARD):
     """(int |d_A u|^2, -int (s_X/4) |chi0 o u|^2); equal on closed on-shell data."""
     geom = c.geom
     lhs = lat.site_inner(geom, lat.grad_energy_density(c.u, c.a, stencil), np.ones(geom.dims))
-    chi2 = np.sum(c.u.values**2, axis=-1)
+    chi2 = quat.norm2(c.u.values)
     rhs = -lat.site_inner(geom, 0.25 * geom.scalar_curvature() * chi2, np.ones(geom.dims))
     return lhs, rhs
 
@@ -225,10 +225,10 @@ def stress_tensor(c: Configuration, stencil=Stencil.CENTERED):
     t = np.zeros(geom.dims + (4, 4))
     energy = np.zeros(geom.dims)
     for i in range(4):
-        energy += np.sum(comps[i] * comps[i], axis=-1)
+        energy += quat.norm2(comps[i])
     for i in range(4):
         for j in range(i, 4):
-            tij = np.sum(comps[i] * comps[j], axis=-1)
+            tij = quat.inner(comps[i], comps[j])
             t[..., i, j] = tij
             t[..., j, i] = tij
     for i in range(4):
@@ -262,10 +262,10 @@ def stress_div_residual(c: Configuration, stencil=Stencil.CENTERED):
         for i in range(4):
             for j in range(4):
                 kf = quat.mul(c.u.values, quat.QI) * fmat[..., j, i][..., None]
-                source[..., i] += np.sum(kf * comps[j], axis=-1)
+                source[..., i] += quat.inner(kf, comps[j])
     s_x = geom.scalar_curvature()
     for i in range(4):
-        source[..., i] += 0.25 * s_x * np.sum(c.u.values * comps[i], axis=-1)
+        source[..., i] += 0.25 * s_x * quat.inner(c.u.values, comps[i])
     return div - source
 
 
@@ -280,8 +280,9 @@ def _twoform_matrix(fvals):
 
 
 def _scalar_centered_diff(geom, f, axis):
+    """Mean of the forward and backward differences, one-sided on box faces."""
     fwd = (lat._shift(f, axis, +1, geom.topology) - f) / geom.h
-    bwd = (f - lat._shift(f, axis, -1, geom.topology)) / geom.h
+    fwd, bwd = lat._face_filled_pair(fwd, axis, geom.topology)
     return 0.5 * (fwd + bwd)
 
 
@@ -303,7 +304,7 @@ def bochner_residual(c: Configuration, stencil=Stencil.CENTERED):
         di = lat.cov_diff_component(c.u, c.a, i, stencil)
         for j in range(4):
             dji = lat.cov_diff_component(SpinorField(geom, di), c.a, j, stencil)
-            hess += np.sum(dji * dji, axis=-1)
+            hess += quat.norm2(dji)
     return 0.5 * lap + hess
 
 
@@ -342,9 +343,7 @@ class RadialProfile:
 
 def profile_fields(c: Configuration, stencil=Stencil.CENTERED):
     """(|d_A u|^2, |chi0 o u|^2) site fields, computed once per config."""
-    energy = lat.grad_energy_density(c.u, c.a, stencil)
-    chi2 = np.sum(c.u.values**2, axis=-1)
-    return energy, chi2
+    return lat.grad_energy_density(c.u, c.a, stencil), quat.norm2(c.u.values)
 
 
 def radial_profile(
@@ -530,7 +529,7 @@ def critical_radius(c: Configuration, center, eps0, stencil=Stencil.CENTERED, fi
     return lo, "interior"
 
 
-def regularity_probe(c: Configuration, centers, eps0=1e-2, stencil=Stencil.CENTERED):
+def regularity_probe(c: Configuration, centers, eps0=1e-2, stencil=Stencil.CENTERED, fields=None):
     """Critical radii, measured Heinz constants and the density scatter.
 
     For each center: r(x), rho0 o u(x), and for four radii r <= r(x)
@@ -540,7 +539,7 @@ def regularity_probe(c: Configuration, centers, eps0=1e-2, stencil=Stencil.CENTE
     constructive).
     """
     geom = c.geom
-    fields = profile_fields(c, stencil)
+    fields = fields if fields is not None else profile_fields(c, stencil)
     energy, chi2 = fields
     report = []
     for center in centers:
@@ -648,7 +647,7 @@ def sequence_harness(spec: SequenceSpec):
     geom = spec.geom
     fields = sequence_fields(spec)
     n = len(fields)
-    rho = [0.5 * np.sum(f.values**2, axis=-1) for f in fields]
+    rho = [0.5 * quat.norm2(f.values) for f in fields]
     integrals = [float(np.sum(r)) * geom.h**4 for r in rho]
     tail = rho[max(0, n - spec.tail_window):]
     rho_proxy = np.max(np.stack(tail), axis=0)
@@ -663,7 +662,7 @@ def sequence_harness(spec: SequenceSpec):
     h4 = geom.h**4
     for k in range(n - 1):
         diff = fields[k + 1].values - fields[k].values
-        dnorm = np.sqrt(np.sum(diff**2, axis=-1))
+        dnorm = quat.norm(diff)
         sup_x = float(dnorm[region].max()) if not empty else np.nan
         sup_c = float(dnorm[center_idx])
         drho = np.abs(rho[k + 1] - rho[k])

@@ -19,6 +19,8 @@ Conventions
   the backward value on the far face, the backward difference takes the
   forward value on the near face, and the centred difference is their
   mean.  Reductions are plain numpy sums (fixed order, deterministic).
+* With the identity transport (trivial group, flat target) the backward
+  difference is, bit for bit, the forward one rolled a site on.
 """
 
 from dataclasses import dataclass
@@ -185,19 +187,12 @@ def forward_link_exists(geom: LatticeGeom, axis):
 
 def interior_site_mask(geom: LatticeGeom):
     """Sites whose full forward stencil (one cell) stays in the box."""
-    mask = np.ones(geom.dims, dtype=bool)
-    if geom.topology is Topology.BOX:
-        for axis in range(4):
-            idx = [slice(None)] * 4
-            idx[axis] = slice(-1, None)
-            mask[tuple(idx)] = False
-    return mask
+    return np.logical_and.reduce([forward_link_exists(geom, i) for i in range(4)])
 
 
 def _cone_align(u_nb, u_ref):
     """Flip neighbor representatives into the half-space of u_ref."""
-    dot = np.sum(u_nb * u_ref, axis=-1, keepdims=True)
-    return np.where(dot < 0.0, -u_nb, u_nb)
+    return np.where(quat.inner(u_nb, u_ref)[..., None] < 0.0, -u_nb, u_nb)
 
 
 def _transported(u: SpinorField, a: ConnectionField, axis, step):
@@ -218,17 +213,27 @@ def _transported(u: SpinorField, a: ConnectionField, axis, step):
     return quat.mul_exp_i(u_nb, step * u.geom.h * link)
 
 
-def _one_sided_pair(u: SpinorField, a: ConnectionField, axis):
-    """(forward, backward) differences, face-filled from each other on a box."""
-    h = u.geom.h
-    fwd = (_transported(u, a, axis, +1) - u.values) / h
-    bwd = (u.values - _transported(u, a, axis, -1)) / h
-    if u.geom.topology is Topology.BOX:
+def _face_filled_pair(fwd, axis, topology, bwd=None):
+    """(forward, backward) from raw differences, face-filled from each other on a
+    box; without bwd the transport is the identity.  Fills fwd in place."""
+    if bwd is None:
+        bwd = np.roll(fwd, 1, axis=axis)
+    if topology is Topology.BOX:
         far = (slice(None),) * axis + (slice(-1, None),)
         near = (slice(None),) * axis + (slice(0, 1),)
         fwd[far] = bwd[far]
         bwd[near] = fwd[near]
     return fwd, bwd
+
+
+def _one_sided_pair(u: SpinorField, a: ConnectionField, axis):
+    """(forward, backward) differences, face-filled from each other on a box."""
+    fwd = _transported(u, a, axis, +1)
+    fwd -= u.values
+    fwd /= u.geom.h
+    identity = a.links is None and u.kind is not TargetKind.CONE_H_MOD_Z2
+    bwd = None if identity else (u.values - _transported(u, a, axis, -1)) / u.geom.h
+    return _face_filled_pair(fwd, axis, u.geom.topology, bwd)
 
 
 def forward_cov_diff(u: SpinorField, a: ConnectionField, axis):
@@ -252,7 +257,9 @@ def cov_diff_component(u, a, axis, stencil: Stencil):
     if stencil is Stencil.FORWARD:
         return forward_cov_diff(u, a, axis)
     fwd, bwd = _one_sided_pair(u, a, axis)
-    return 0.5 * (fwd + bwd)
+    fwd += bwd
+    fwd *= 0.5
+    return fwd
 
 
 def covariant_diff(u: SpinorField, a: ConnectionField, stencil=Stencil.FORWARD):
@@ -285,8 +292,7 @@ def grad_energy_density(u: SpinorField, a: ConnectionField, stencil=Stencil.FORW
     """|d_A u|^2 sitewise, accumulated one direction at a time."""
     out = np.zeros(u.geom.dims)
     for i in range(4):
-        comp = cov_diff_component(u, a, i, stencil)
-        out += np.sum(comp * comp, axis=-1)
+        out += quat.norm2(cov_diff_component(u, a, i, stencil))
     return out
 
 

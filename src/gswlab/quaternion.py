@@ -92,8 +92,7 @@ def conj(q):
 
 
 def norm2(q):
-    q = np.asarray(q, dtype=float)
-    return np.sum(q * q, axis=-1)
+    return inner(q, q)
 
 
 def norm(q):
@@ -101,10 +100,13 @@ def norm(q):
 
 
 def inner(p, q):
-    """Euclidean inner product on H = R^4 (the flat hyperKaehler metric)."""
+    """Flat inner product on H = R^4: np.sum(p * q, -1) bit for bit, without its temporary."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    return np.sum(p * q, axis=-1)
+    out = p[..., 0] * q[..., 0]
+    for k in range(1, 4):
+        out += p[..., k] * q[..., k]
+    return out
 
 
 def exp_i(theta):

@@ -3,7 +3,7 @@ import os
 
 import numpy as np
 
-from gswlab import cli, lattice as lat
+from gswlab import cli, frequency as fq, lattice as lat
 from gswlab.lattice import ConnectionField, LatticeGeom, SpinorField
 from gswlab.targets import GaugeGroup
 
@@ -298,6 +298,58 @@ def test_frequency_threads_change_no_output(tmp_path):
         "frequency_summary.json", "profile_000.csv", "profile_001.csv", "regularity_probe.json"
     ]
     assert outputs[0] == outputs[1]
+
+
+def _probe_cfg(tmp_path, name, **params):
+    payload = {
+        "experiment": "frequency",
+        "seed": 0,
+        "output_dir": str(tmp_path / name),
+        "geometry": {"dims": [17, 17, 17, 17], "h": 0.0625, "topology": "box"},
+        "params": {"field": "z1", "r_cells": [3, 5, 7], "probe": True, **params},
+    }
+    return tmp_path / name, write_cfg(tmp_path, name + ".json", payload)
+
+
+def test_frequency_probe_reuses_profile_fields(tmp_path, monkeypatch):
+    """A probe run computes the site fields once, and writes what a recomputing run writes."""
+    calls = []
+    profile_fields = fq.profile_fields
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return profile_fields(*args, **kwargs)
+
+    monkeypatch.setattr(fq, "profile_fields", counted)
+    out, cfg = _probe_cfg(tmp_path, "once")
+    assert cli.run("frequency", cfg) == 0
+    assert len(calls) == 1
+
+    probe = fq.regularity_probe
+    def recomputing(c, centers, eps0, stencil, fields):
+        return probe(c, centers, eps0, stencil)
+
+    monkeypatch.setattr(fq, "regularity_probe", recomputing)
+    ref, cfg = _probe_cfg(tmp_path, "twice")
+    assert cli.run("frequency", cfg) == 0
+    assert len(calls) == 3
+    names = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert "regularity_probe.json" in names
+    assert all((out / n).read_bytes() == (ref / n).read_bytes() for n in names)
+
+
+def test_frequency_radius_grid_checked_before_output(tmp_path):
+    """Radii past delta0, or a ball leaving the box at a centre, are exit 2 with no output."""
+    out, cfg = _probe_cfg(tmp_path, "past_delta0", r_cells=[4, 6, 10])
+    assert cli.run("frequency", cfg) == 2
+    assert not out.exists()
+    centers = [[0.5, 0.5, 0.5, 0.5], [0.3, 0.5, 0.5, 0.5]]
+    out, cfg = _probe_cfg(tmp_path, "leaves_box", centers=centers)
+    assert cli.run("frequency", cfg) == 2
+    assert not out.exists()
+    out, cfg = _probe_cfg(tmp_path, "bad_centre", centers=[[0.5, 0.5]])
+    assert cli.run("frequency", cfg) == 2
+    assert not out.exists()
 
 
 def test_sequence_cli_and_main(tmp_path):

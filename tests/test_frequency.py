@@ -167,6 +167,36 @@ def test_stress_divergence_order():
     assert min(orders) >= 1.9
 
 
+@pytest.mark.parametrize("axis", range(4))
+def test_scalar_centered_diff_exact_on_linear_field(axis):
+    """One-sided at box faces, the mean inside: a linear field is exact at every site."""
+    geom = LatticeGeom((5, 4, 6, 5), 0.25, Topology.BOX)
+    f = 3.0 * geom.coords()[..., axis] - 1.0
+    for k in range(4):
+        want = 3.0 if k == axis else 0.0
+        assert np.abs(fq._scalar_centered_diff(geom, f, k) - want).max() <= 1e-12
+
+
+def test_stress_div_interior_unchanged_by_face_rule(monkeypatch):
+    """Only box-face values move: the margin-0.25 interior (3 cells) matches the
+    clamped-shift formula bit for bit."""
+    geom = LatticeGeom((13,) * 4, 1.0 / 12, Topology.BOX)
+    u = fq.fueter_library(geom, "sym_product", center=(0.48, 0.5, 0.53, 0.5), multiset=(1, 1, 2, 2))
+    c = Configuration(ConnectionField(geom), u)
+    new = fq.stress_div_residual(c, stencil=Stencil.CENTERED)
+
+    def clamped(geom, f, axis):
+        fwd = (lat._shift(f, axis, +1, geom.topology) - f) / geom.h
+        bwd = (f - lat._shift(f, axis, -1, geom.topology)) / geom.h
+        return 0.5 * (fwd + bwd)
+
+    monkeypatch.setattr(fq, "_scalar_centered_diff", clamped)
+    old = fq.stress_div_residual(c, stencil=Stencil.CENTERED)
+    inner = (slice(3, -3),) * 4
+    assert np.array_equal(new[inner], old[inner])
+    assert not np.array_equal(new, old)
+
+
 def test_bochner_order_and_offshell():
     sups = []
     for n in (8, 16, 32):

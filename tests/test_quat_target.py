@@ -261,3 +261,14 @@ def test_mul_exp_i_matches_product(u_shape, theta_shape):
     # every component of u e^{i theta} is bounded by |u|: 4 ulp of |u|
     ulp = np.spacing(np.broadcast_to(quat.norm(u)[..., None], ref.shape))
     assert np.all(np.abs(got - ref) <= 4 * ulp)
+
+
+@pytest.mark.parametrize("shape", [(4,), (9, 4), (3, 4, 2, 5, 4), (5, 5, 5, 5, 4)])
+def test_inner_and_norm2_match_trailing_sum(shape):
+    """The componentwise accumulation is bit for bit the trailing-axis sum."""
+    rng = np.random.default_rng(13)
+    p, q = rng.normal(size=shape), rng.normal(size=shape)
+    assert np.array_equal(quat.inner(p, q), np.sum(p * q, axis=-1))
+    assert np.array_equal(quat.norm2(p), np.sum(p * p, axis=-1))
+    const = q.reshape(-1, 4)[0]  # one quaternion against the whole field
+    assert np.array_equal(quat.inner(p, const), np.sum(p * const, axis=-1))
