@@ -174,7 +174,10 @@ class DofLayout:
     `tangent`, `equations` and `gauge` are the dof spaces; `nb[i, x]` is
     the flat index of x + e_i (wrapping; the trusted equation rows and
     the existing links never reach a wrapped box neighbour).  The
-    residual rows and the Jacobian blocks gather through the same `nb`.
+    residual rows and the Jacobian blocks gather through the same `nb`;
+    the row and column indices of the Jacobian triplets, which depend on
+    the layout alone, are built here once, shaped as `linearize_fsw`
+    broadcasts them.
     """
 
     def __init__(self, geom: LatticeGeom, group: GaugeGroup):
@@ -183,10 +186,26 @@ class DofLayout:
         self.gauge = GaugeScalarSpace(geom, group)
         coords = np.indices(geom.dims).reshape(4, 1, -1) + np.eye(4, dtype=int)[:, :, None]
         self.nb = np.ravel_multi_index(tuple(coords), geom.dims, mode="wrap")
-        tan, eq = self.tangent, self.equations  # shared through the cache: read-only
-        for arr in (self.nb, tan.link_dof, tan.link_axes, tan.link_sites, tan.weights,
-                    eq.dirac_sites, eq.sd_sites, eq.weights, self.gauge.weights):
-            arr.flags.writeable = False
+        tan, eq, nb = self.tangent, self.equations, self.nb
+        sites, ss = eq.dirac_sites, eq.sd_sites
+        #: spinor_c[x, c] is the column of spinor component c at site x
+        self.spinor_c = tan.spinor_dof(np.arange(geom.n_sites)[:, None], np.arange(4))
+        # Dirac rows (site, r) against neighbour (axis, site, c), own-site and link columns
+        self.dirac_r = eq.dirac_dof(sites[:, None], np.arange(4))
+        self.dirac_nb_c = self.spinor_c[nb[:, sites]][..., None]
+        self.dirac_here_c = self.spinor_c[sites][..., None]
+        self.dirac_link_c = tan.link_dof[:, sites][..., None]
+        # self-dual rows: plaquette (p, term, site) link columns, spinor (site, a, l)
+        pi, pj, link = _PLAQ_I, _PLAQ_J, tan.link_dof
+        self.plaq_c = np.stack([link[pj[:, None], nb[pi][:, ss]], link[pj][:, ss],
+                                link[pi[:, None], nb[pj][:, ss]], link[pi][:, ss]], axis=1)
+        self.plaq_r = eq.sd_dof(ss, (np.arange(6) % 3)[:, None, None])
+        self.sd_r = eq.sd_dof(ss[:, None, None], np.arange(3))
+        self.sd_spinor_c = self.spinor_c[ss][..., None]
+        for arrays in (vars(self), vars(tan), vars(eq), vars(self.gauge)):
+            for arr in arrays.values():  # shared through the cache: read-only
+                if isinstance(arr, np.ndarray):
+                    arr.flags.writeable = False
 
 
 @functools.lru_cache(maxsize=8)
@@ -289,11 +308,12 @@ class LinearMap:
         return u[:, r:] / sr[:, None]
 
     def pinv_apply(self, y):
-        """Weighted least-squares solution of minimal norm."""
+        """Weighted least-squares solution of minimal norm; y is a vector or a column stack."""
         u, s, vt, sr, sc = self._weighted()
         r, _ = self.rank()
-        y_hat = sr * y
-        coeff = (u[:, :r].T @ y_hat) / s[:r]
+        if np.ndim(y) == 2:
+            s, sr, sc = s[:, None], sr[:, None], sc[:, None]
+        coeff = (u[:, :r].T @ (sr * y)) / s[:r]
         return (vt[:r].T @ coeff) / sc
 
     def operator_norm(self):
@@ -363,12 +383,11 @@ def lin_gauge(c: Configuration) -> LinearMap:
     if c.group is GaugeGroup.TRIVIAL:
         return LinearMap(np.zeros((rows.dim, cols.dim)), rows, cols)
     links = np.arange(rows.n_links)
-    sites = np.arange(geom.n_sites)[:, None]
     ku = quat.mul(c.u.values, quat.QI).reshape(-1, 4)  # K_1|_u = u i
     mat = _assemble((rows.dim, cols.dim), [
         (links, lay.nb[rows.link_axes, rows.link_sites], 1.0 / geom.h),
         (links, rows.link_sites, -1.0 / geom.h),
-        (rows.spinor_dof(sites, np.arange(4)), sites, -ku),
+        (lay.spinor_c, np.arange(geom.n_sites)[:, None], -ku),
     ])
     return LinearMap(mat, rows, cols)
 
@@ -413,15 +432,12 @@ def linearize_fsw(c: Configuration) -> LinearMap:
 
     Every block is built as (row, col, value) triplets over the trusted
     sites, whose stencils only reach existing links, and the matrix is
-    summed from them in one scatter.
+    summed from them in one scatter; the indices come from the layout.
     """
-    geom = c.geom
-    h = geom.h
-    lay = layout(geom, c.group)
+    h = c.geom.h
+    lay = layout(c.geom, c.group)
     cols, rows, nb = lay.tangent, lay.equations, lay.nb
     sites = rows.dirac_sites
-    dirac_r = rows.dirac_dof(sites[:, None], np.arange(4))  # (site, r)
-    spinor_c = cols.spinor_dof(np.arange(geom.n_sites)[:, None], np.arange(4))
 
     # Dirac rows, spinor columns: sum_i e_i (v(x+e_i) T_i - v(x)) / h, with
     # neighbor blocks blk[i, n, c, r] = (e_i e_c e^{i h a_i(x_n)})_r / h
@@ -431,35 +447,23 @@ def linearize_fsw(c: Configuration) -> LinearMap:
         theta = h * c.a.links.reshape(-1, 4)[sites].T  # (i, n)
         blk = quat.mul_exp_i(quat.MUL_TABLE[:, None], theta[..., None]) / h
     blocks = [
-        (dirac_r[:, None, :], spinor_c[nb[:, sites]][..., None], blk),
-        (dirac_r[:, None, :], spinor_c[sites][..., None], -quat.MUL_TABLE.sum(axis=0) / h),
+        (lay.dirac_r[:, None, :], lay.dirac_nb_c, blk),
+        (lay.dirac_r[:, None, :], lay.dirac_here_c, -quat.MUL_TABLE.sum(axis=0) / h),
     ]
 
     if c.group is not GaugeGroup.TRIVIAL:
         # Dirac rows, one-form columns: e_i (T_i u(x+e_i)) i per link
         u_flat = c.u.values.reshape(-1, 4)
         w = quat.mul_exp_i(u_flat[nb[:, sites]], theta)
-        blocks.append((dirac_r, cols.link_dof[:, sites][..., None],
-                       w @ _DIRAC_LINK.transpose(0, 2, 1)))
+        blocks.append((lay.dirac_r, lay.dirac_link_c, w @ _DIRAC_LINK.transpose(0, 2, 1)))
 
         # self-dual rows, one-form columns: d^+ b, with
         # F_p(x) = (b_j(x+e_i) - b_j(x) - b_i(x+e_j) + b_i(x)) / h
-        ssites = rows.sd_sites
-        pi, pj = _PLAQ_I, _PLAQ_J
-        link = cols.link_dof
-        plaq_cols = np.stack([
-            link[pj[:, None], nb[pi][:, ssites]],
-            link[pj][:, ssites],
-            link[pi[:, None], nb[pj][:, ssites]],
-            link[pi][:, ssites],
-        ], axis=1)  # (plaquette, term, site)
-        plaq_rows = rows.sd_dof(ssites, (np.arange(6) % 3)[:, None, None])
-        blocks.append((plaq_rows, plaq_cols, (0.5 / h) * np.array([[1.0], [-1.0], [-1.0], [1.0]])))
+        blocks.append((lay.plaq_r, lay.plaq_c, (0.5 / h) * np.array([[1.0], [-1.0], [-1.0], [1.0]])))
 
         # self-dual rows, spinor columns: d_u Phi_4(e_a) on the trusted sites
-        dphi = phi4_diff(u_flat[ssites][:, None], quat.BASIS, c.group)  # (site, a, l)
-        blocks.append((rows.sd_dof(ssites[:, None, None], np.arange(3)),
-                       spinor_c[ssites][..., None], dphi))
+        dphi = phi4_diff(u_flat[rows.sd_sites][:, None], quat.BASIS, c.group)  # (site, a, l)
+        blocks.append((lay.sd_r, lay.sd_spinor_c, dphi))
     mat = _assemble((rows.dim, cols.dim), blocks)
     return LinearMap(mat, rows, cols)
 
@@ -619,12 +623,11 @@ def _orthonormal_complement(basis, inside, weights):
 def _complete_plane_basis(space: BlockSpace, v, w, rest):
     """Weighted-orthonormal basis starting with (v, w), completed by rest."""
     cols = [v, w]
-    wts = space.weights
     for k in range(rest.shape[1]):
         x = rest[:, k]
         for c in cols:
-            x = x - c * float(np.sum(c * x * wts))
-        nrm = np.sqrt(float(np.sum(x * x * wts)))
+            x = x - c * space.inner(c, x)
+        nrm = space.norm(x)
         if nrm > 1e-8:
             cols.append(x / nrm)
     return np.stack(cols, axis=1)

@@ -279,15 +279,22 @@ def _twoform_matrix(fvals):
     return m
 
 
+def _scalar_pair(geom, f, axis):
+    """(forward, backward) differences of a site scalar, face-filled from each
+    other on a box: the backward one is the forward one rolled a site on."""
+    fwd = (lat._shift(f, axis, +1, geom.topology) - f) / geom.h
+    return lat._face_filled_pair(fwd, axis, geom.topology)
+
+
 def _scalar_centered_diff(geom, f, axis):
     """Mean of the forward and backward differences, one-sided on box faces."""
-    fwd = (lat._shift(f, axis, +1, geom.topology) - f) / geom.h
-    fwd, bwd = lat._face_filled_pair(fwd, axis, geom.topology)
+    fwd, bwd = _scalar_pair(geom, f, axis)
     return 0.5 * (fwd + bwd)
 
 
 def _scalar_backward_diff(geom, f, axis):
-    return (f - lat._shift(f, axis, -1, geom.topology)) / geom.h
+    """(f(x) - f(x - e)) / h, the forward difference on the near face of a box."""
+    return _scalar_pair(geom, f, axis)[1]
 
 
 def bochner_residual(c: Configuration, stencil=Stencil.CENTERED):

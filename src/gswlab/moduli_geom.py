@@ -4,12 +4,13 @@ Two independent routes to sectional curvature are implemented and
 cross-checked:
 
 * the submersion/embedding pipeline: O'Neill's formula for the quotient
-  (vertical brackets through the Green operator of the gauge Laplacian)
-  and the Gauss equation for the solution set (second fundamental form
-  through the Green operator of the linearized equations);
+  (vertical brackets through the pseudo-inverse (D*)^+ = D (D* D)^+ of
+  the gauge slice operator) and the Gauss equation for the solution set
+  (second fundamental form through the pseudo-inverse E^+ = E* (E E*)^+
+  of the linearized equations), each one `LinearMap.pinv_apply`;
 * a brute-force finite-difference oracle that Taylor-expands chart
   metric coefficients and assembles Christoffel symbols, knowing
-  nothing about Green operators.
+  nothing about Green operators or pseudo-inverses.
 
 Both run over a small `QuotientSystem` interface, so the same code
 serves the lattice system and the built-in finite-dimensional fixtures
@@ -44,36 +45,21 @@ from .targets import GaugeGroup, TargetKind
 class GreenSolver:
     """Pseudo-inverse of L L* (side='rows') or L* L (side='cols').
 
-    Solves act on the indicated space, vanish on the kernel of the
-    normal operator, and invert it on its range (to the rank cutoff of
-    the underlying weighted SVD).
+    The pipeline reduces every Green solve to `LinearMap.pinv_apply`
+    (E*(E E*)^+ = E^+, D (D* D)^+ = (D*)^+); this class stays only as the
+    name the benchmark's span tracer wraps, and composes the same
+    pseudo-inverses: (L* L)^+ = L^+ (L*)^+ and (L L*)^+ = (L*)^+ L^+.
     """
 
     def __init__(self, lm: LinearMap, side="rows"):
-        self.lm = lm
-        self.side = side
-        u, s, vt, sr, sc = lm._weighted()
-        r, margins = lm.rank()
-        self.rank = r
-        self.margins = margins
-        self._inv_s2 = 1.0 / s[:r] ** 2
-        if side == "rows":
-            self._basis = u[:, :r]
-            self._scale = sr
-        elif side == "cols":
-            self._basis = vt[:r].T
-            self._scale = sc
-        else:
+        if side not in ("rows", "cols"):
             raise ValueError("side must be 'rows' or 'cols'")
+        adj = lm.adjoint()
+        self._first, self._second = (lm, adj) if side == "rows" else (adj, lm)
 
     def solve(self, y):
         """Apply the Green operator; y is a vector or a column stack."""
-        y = np.asarray(y, dtype=float)
-        one_d = y.ndim == 1
-        yc = y[:, None] if one_d else y
-        coeff = self._basis.T @ (self._scale[:, None] * yc)
-        out = (self._basis @ (coeff * self._inv_s2[:, None])) / self._scale[:, None]
-        return out[:, 0] if one_d else out
+        return self._second.pinv_apply(self._first.pinv_apply(y))
 
 
 # ---------------------------------------------------------------------------
@@ -210,14 +196,7 @@ def horizontal_projector(system: QuotientSystem, cvec):
     d = system.gauge_map(cvec)
     if d.col_space.dim == 0:
         return lambda t: np.array(t, dtype=float, copy=True)
-    g0 = GreenSolver(d, side="cols")
-
-    def project(t):
-        """Project a tangent vector or a column stack of tangents."""
-        t = np.asarray(t, dtype=float)
-        return t - d.matrix @ g0.solve(d.adjoint_apply(t))
-
-    return project
+    return lambda t: t - d.apply(d.pinv_apply(t))  # a vector or a column stack: t - D D^+ t
 
 
 def a_term(system: QuotientSystem, cvec, xvec, yvec):
@@ -231,16 +210,16 @@ def a_term(system: QuotientSystem, cvec, xvec, yvec):
 def vertical_bracket_vec(system: QuotientSystem, cvec, t1, t2):
     """Vertical part of the bracket of horizontal extensions of t1, t2.
 
-    Computed as D G0 [(d_{t2} D)* t1 - (d_{t1} D)* t2], which is the
-    Green-operator form of twice the submersion A-tensor; manifestly
-    antisymmetric, vanishing for the trivial group.
+    Computed as (D*)^+ [(d_{t2} D)* t1 - (d_{t1} D)* t2], which is
+    D (D* D)^+ applied to that gauge-algebra element: twice the
+    submersion A-tensor; manifestly antisymmetric, vanishing for the
+    trivial group.
     """
     d = system.gauge_map(cvec)
     if d.col_space.dim == 0:
         return np.zeros(system.tan_space.dim)
-    g0 = GreenSolver(d, side="cols")
     omega = a_term(system, cvec, t2, t1) - a_term(system, cvec, t1, t2)
-    return d.apply(g0.solve(omega))
+    return d.adjoint().pinv_apply(omega)
 
 
 def _plane_normalize(space: BlockSpace, v, w):
@@ -268,21 +247,14 @@ def oneill_sectional_vec(system: QuotientSystem, cvec, v, w):
     }
 
 
-def second_fundamental_vec(system: QuotientSystem, cvec, v, w, eq=None, green=None):
+def second_fundamental_vec(system: QuotientSystem, cvec, v, w):
     """Second fundamental form of the solution set inside the quotient.
 
-    Pi(v, w) = -E* G B(v, w) with E the linearized equations, G the
-    Green operator of E E*, and B the exact mixed second derivative of
-    the equation map.
+    Pi(v, w) = -E^+ B(v, w) = -E* (E E*)^+ B(v, w) with E the
+    linearized equations and B the exact mixed second derivative of the
+    equation map; without equation rows it is zero.
     """
-    if eq is None:
-        eq = system.equation_map(cvec)
-    if eq.row_space.dim == 0:
-        return np.zeros(system.tan_space.dim)
-    if green is None:
-        green = GreenSolver(eq, side="rows")
-    b = system.equation_second(cvec, v, w)
-    return -eq.adjoint_apply(green.solve(b))
+    return -system.equation_map(cvec).pinv_apply(system.equation_second(cvec, v, w))
 
 
 def gauss_sectional_vec(system: QuotientSystem, cvec, v, w):
@@ -295,20 +267,12 @@ def gauss_sectional_vec(system: QuotientSystem, cvec, v, w):
     """
     det = _plane_normalize(system.tan_space, v, w)
     base = oneill_sectional_vec(system, cvec, v, w)
-    eq = system.equation_map(cvec)
-    if eq.row_space.dim == 0:
-        pi_vv = pi_ww = pi_vw = np.zeros(system.tan_space.dim)
-    else:
-        green = GreenSolver(eq, side="rows")
-        pi_vv = second_fundamental_vec(system, cvec, v, v, eq, green)
-        pi_ww = second_fundamental_vec(system, cvec, w, w, eq, green)
-        pi_vw = second_fundamental_vec(system, cvec, v, w, eq, green)
+    pairs = ((v, v), (w, w), (v, w))
+    b = np.stack([system.equation_second(cvec, x, y) for x, y in pairs], axis=1)
+    pi_vv, pi_ww, pi_vw = (-system.equation_map(cvec).pinv_apply(b)).T
     inner = system.tan_space.inner
     gauss = inner(pi_vv, pi_ww) - inner(pi_vw, pi_vw)
-    out = dict(base)
-    out["gauss_terms"] = gauss / det
-    out["K_M"] = base["K_B"] + gauss / det
-    return out
+    return dict(base, gauss_terms=gauss / det, K_M=base["K_B"] + gauss / det)
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +418,7 @@ def l2_inner(c: Configuration, t1: TangentConfig, t2: TangentConfig):
 
 
 def horizontal_project(c: Configuration, t: TangentConfig) -> TangentConfig:
-    """Project onto ker(D*): t - D G0 D* t."""
+    """Project onto ker(D*): t - D D^+ t."""
     sys_ = LatticeSystem(c, Sources.zero(c.geom))
     proj = horizontal_projector(sys_, sys_.center())
     vec = proj(dfm.pack_tangent(sys_.tan_space, t))
@@ -484,14 +448,10 @@ def sample_solution_plane(system: QuotientSystem, cvec, seed, n_planes=1):
         raise ValueError("solution-set tangent space has dimension < 2")
     rng = np.random.default_rng(seed)
     planes = []
-    wts = system.tan_space.weights
     for _ in range(n_planes):
         x = h1 @ rng.normal(size=h1.shape[1])
         y = h1 @ rng.normal(size=h1.shape[1])
-        x = x / np.sqrt(float(np.sum(x * x * wts)))
-        y = y - x * float(np.sum(x * y * wts))
-        y = y / np.sqrt(float(np.sum(y * y * wts)))
-        planes.append((x, y))
+        planes.append(_orthonormal_pair(system.tan_space, x, y))
     return planes
 
 
@@ -499,13 +459,16 @@ def sample_horizontal_plane(system: QuotientSystem, cvec, seed):
     """An orthonormal horizontal plane at cvec."""
     rng = np.random.default_rng(seed)
     proj = horizontal_projector(system, cvec)
-    wts = system.tan_space.weights
     x = proj(rng.normal(size=system.tan_space.dim))
     y = proj(rng.normal(size=system.tan_space.dim))
-    x = x / np.sqrt(float(np.sum(x * x * wts)))
-    y = y - x * float(np.sum(x * y * wts))
-    y = y / np.sqrt(float(np.sum(y * y * wts)))
-    return x, y
+    return _orthonormal_pair(system.tan_space, x, y)
+
+
+def _orthonormal_pair(space: BlockSpace, x, y):
+    """Gram-Schmidt of (x, y) in the space's weighted metric."""
+    x = x / space.norm(x)
+    y = y - x * space.inner(x, y)
+    return x, y / space.norm(y)
 
 
 CSV_FIELDS = (

@@ -92,6 +92,25 @@ def test_lin_gauge_reducible_kernel():
     assert d.col_space.dim - rank == 1  # constant phases
 
 
+def test_pinv_apply_column_stack():
+    """A column stack is solved column by column, as by a weighted np.linalg.pinv."""
+    c, _ = box_fueter_config(n=3)
+    eq = dfm.linearize_fsw(c)  # under-determined on a box: a kernel
+    ys = np.random.default_rng(51).normal(size=(eq.row_space.dim, 3))
+    sr, sc = np.sqrt(eq.row_space.weights), np.sqrt(eq.col_space.weights)
+    cutoff = max(eq.matrix.shape) * dfm.RANK_REL_CUTOFF
+    ref = (np.linalg.pinv(sr[:, None] * eq.matrix / sc, rcond=cutoff) @ (sr[:, None] * ys)) / sc[:, None]
+    out = eq.pinv_apply(ys)
+    tol = 1e-12 * np.abs(ref).max()
+    assert out.shape == (eq.col_space.dim, ys.shape[1])
+    assert np.abs(out - ref).max() <= tol
+    for k in range(ys.shape[1]):
+        assert np.abs(out[:, k] - eq.pinv_apply(ys[:, k])).max() <= tol
+    empty = dfm.LinearMap(np.zeros((0, 4)), dfm.BlockSpace([("e", 0, 1.0)]), dfm.BlockSpace([("t", 4, 2.0)]))
+    assert np.array_equal(empty.pinv_apply(np.zeros((0, 3))), np.zeros((4, 3)))
+    assert np.array_equal(empty.pinv_apply(np.zeros(0)), np.zeros(4))
+
+
 def test_trivial_group_empty_map():
     geom = torus()
     c = gsw.random_config(geom, GaugeGroup.TRIVIAL, seed=4)
@@ -423,6 +442,8 @@ def test_layout_cache_keys_on_the_bare_lattice():
     assert np.array_equal(e1.matrix, dfm.linearize_fsw(flat).matrix)
     with pytest.raises(ValueError):
         e1.row_space.weights[0] = 0.0  # shared through the cache, so read-only
+    with pytest.raises(ValueError):
+        dfm.layout(plain, GaugeGroup.U1).plaq_c[0, 0, 0] = 0  # so are the triplet indices
 
 
 def test_pack_unpack_roundtrip_with_missing_far_face_links():

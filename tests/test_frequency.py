@@ -169,12 +169,14 @@ def test_stress_divergence_order():
 
 @pytest.mark.parametrize("axis", range(4))
 def test_scalar_centered_diff_exact_on_linear_field(axis):
-    """One-sided at box faces, the mean inside: a linear field is exact at every site."""
+    """One-sided at box faces, the mean (or the backward difference) inside: a
+    linear field is exact at every site, near and far faces included."""
     geom = LatticeGeom((5, 4, 6, 5), 0.25, Topology.BOX)
     f = 3.0 * geom.coords()[..., axis] - 1.0
-    for k in range(4):
-        want = 3.0 if k == axis else 0.0
-        assert np.abs(fq._scalar_centered_diff(geom, f, k) - want).max() <= 1e-12
+    for diff in (fq._scalar_centered_diff, fq._scalar_backward_diff):
+        for k in range(4):
+            want = 3.0 if k == axis else 0.0
+            assert np.abs(diff(geom, f, k) - want).max() <= 1e-12
 
 
 def test_stress_div_interior_unchanged_by_face_rule(monkeypatch):
@@ -194,6 +196,16 @@ def test_stress_div_interior_unchanged_by_face_rule(monkeypatch):
     old = fq.stress_div_residual(c, stencil=Stencil.CENTERED)
     inner = (slice(3, -3),) * 4
     assert np.array_equal(new[inner], old[inner])
+    assert not np.array_equal(new, old)
+
+    # the forward stencil's backward divergence: only the near faces move
+    new = fq.stress_div_residual(c, stencil=Stencil.FORWARD)
+    monkeypatch.setattr(
+        fq, "_scalar_backward_diff",
+        lambda geom, f, axis: (f - lat._shift(f, axis, -1, geom.topology)) / geom.h,
+    )
+    old = fq.stress_div_residual(c, stencil=Stencil.FORWARD)
+    assert np.array_equal(new[(slice(1, None),) * 4], old[(slice(1, None),) * 4])
     assert not np.array_equal(new, old)
 
 

@@ -326,6 +326,54 @@ def test_green_solver_invariants():
     assert np.abs(normal(green.solve(y)) - y).max() <= 1e-9 * max(np.abs(y).max(), 1.0)
 
 
+def _green_reference(lm, side):
+    """(L L*)^+ (rows) or (L* L)^+ (cols) from np.linalg.pinv of the weighted normal matrix."""
+    sr, sc = np.sqrt(lm.row_space.weights), np.sqrt(lm.col_space.weights)
+    m_hat = sr[:, None] * lm.matrix / sc
+    normal, scale = (m_hat @ m_hat.T, sr) if side == "rows" else (m_hat.T @ m_hat, sc)
+    return np.linalg.pinv(normal, rcond=1e-10, hermitian=True) * scale / scale[:, None]
+
+
+@pytest.mark.parametrize("case", ["u1_torus_3", "box_2"])
+def test_pseudo_inverse_pipeline_matches_green_formulas(case):
+    """t - D D^+ t, (D*)^+ omega and -E^+ B against t - D G0 D* t, D G0 omega and
+    -E* G B, with G0, G built from np.linalg.pinv of the weighted normal matrices."""
+    if case == "u1_torus_3":
+        geom = torus(3, 0.4)
+        sys_ = mg.LatticeSystem(gsw.random_config(geom, GaugeGroup.U1, seed=52), Sources.zero(geom))
+    else:
+        sys_ = mg.LatticeSystem(*box_fueter_config(2))
+    c0 = sys_.center()
+    rng = np.random.default_rng(53)
+    t, v, w = rng.normal(size=(3, sys_.tan_space.dim))
+    d, eq = sys_.gauge_map(c0), sys_.equation_map(c0)
+    g0, g = _green_reference(d, "cols"), _green_reference(eq, "rows")
+
+    def close(got, want):
+        assert np.abs(got - want).max() <= 1e-10 * max(np.abs(want).max(), 1.0)
+
+    close(mg.horizontal_projector(sys_, c0)(t), t - d.apply(g0 @ d.adjoint_apply(t)))
+    omega = mg.a_term(sys_, c0, w, v) - mg.a_term(sys_, c0, v, w)
+    close(mg.vertical_bracket_vec(sys_, c0, v, w), d.apply(g0 @ omega))
+    b = sys_.equation_second(c0, v, w)
+    close(mg.second_fundamental_vec(sys_, c0, v, w), -eq.adjoint_apply(g @ b))
+    # the thin GreenSolver composes L^+ and (L*)^+ into the same Green operators
+    close(mg.GreenSolver(d, side="cols").solve(omega), g0 @ omega)
+    close(mg.GreenSolver(eq, side="rows").solve(b), g @ b)
+
+
+def test_orthonormal_pair_is_the_weighted_gram_schmidt():
+    """Both plane samplers' Gram-Schmidt, bit for bit the explicit weighted sums."""
+    space = dfm.BlockSpace([("a", 5, 0.3), ("b", 4, 2.0)])
+    x, y = np.random.default_rng(55).normal(size=(2, space.dim))
+    wts = space.weights
+    xr = x / np.sqrt(float(np.sum(x * x * wts)))
+    yr = y - xr * float(np.sum(xr * y * wts))
+    yr = yr / np.sqrt(float(np.sum(yr * yr * wts)))
+    got = mg._orthonormal_pair(space, x, y)
+    assert np.array_equal(got[0], xr) and np.array_equal(got[1], yr)
+
+
 def test_nonorthonormal_plane_warns():
     geom = torus()
     c = gsw.random_config(geom, GaugeGroup.U1, seed=30)
