@@ -167,10 +167,12 @@ def validate_config(cfg, experiment):
 
 
 def _frequency_grid(params, geom):
-    """(radii, centers) of a frequency run; every ball lies within delta0 and the box."""
+    """(radii, centers) of a frequency run: radii > 0 spaced >= 2h, balls in delta0 and the box."""
     radii = np.array(params.get("r_cells", range(8, 25, 2)), dtype=float) * geom.h
     centers = params.get("centers")
     centers = [[0.5 * w for w in geom.widths()]] if centers is None else centers
+    gaps = np.diff(np.sort(radii))
+    _require(np.all(radii > 0) and np.all(gaps >= 2 * geom.h - 1e-12), "radii > 0, spaced >= 2h")
     r = float(np.max(radii))
     _require(r <= geom.delta0() + 1e-12, f"radius {r:g} passes delta0 {geom.delta0():g}")
     for x in centers:

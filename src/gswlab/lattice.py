@@ -288,11 +288,33 @@ def dirac(u: SpinorField, a: ConnectionField, stencil=Stencil.FORWARD):
     return out
 
 
+#: axis-0 planes per slab of grad_energy_density (two 33^4 spinor planes fit a 2 MB L2)
+ENERGY_SLAB_PLANES = 2
+
+
+def _planes(u: SpinorField, a: ConnectionField, lo, hi):
+    """u and a on the axis-0 planes lo..hi-1 (wrapped), as fields of their own lattice."""
+    n = u.geom.dims[0]
+    rows = slice(lo, hi) if 0 <= lo and hi <= n else np.arange(lo, hi) % n
+    geom = LatticeGeom((hi - lo,) + u.geom.dims[1:], u.geom.h, u.geom.topology)
+    links = None if a.links is None else a.links[rows]
+    return SpinorField(geom, u.values[rows], u.kind), ConnectionField(geom, a.group, links)
+
+
 def grad_energy_density(u: SpinorField, a: ConnectionField, stencil=Stencil.FORWARD):
-    """|d_A u|^2 sitewise, accumulated one direction at a time."""
-    out = np.zeros(u.geom.dims)
-    for i in range(4):
-        out += quat.norm2(cov_diff_component(u, a, i, stencil))
+    """|d_A u|^2 sitewise, one direction at a time, over slabs of ENERGY_SLAB_PLANES
+    axis-0 planes (the last takes the remainder): axes 1-3 on the slab, axis 0 on the
+    slab plus a plane on each side, wrapped on a torus and clipped at box faces."""
+    n, box = u.geom.dims[0], u.geom.topology is Topology.BOX
+    out = np.empty(u.geom.dims)
+    edges = [*range(0, n - 1, ENERGY_SLAB_PLANES), n]
+    for p0, p1 in zip(edges, edges[1:]):
+        lo, hi = (max(p0 - 1, 0), min(p1 + 1, n)) if box else (p0 - 1, p1 + 1)
+        d0 = cov_diff_component(*_planes(u, a, lo, hi), 0, stencil)
+        out[p0:p1] = quat.norm2(d0[p0 - lo:p1 - lo])
+        us, as_ = _planes(u, a, p0, p1)
+        for i in range(1, 4):
+            out[p0:p1] += quat.norm2(cov_diff_component(us, as_, i, stencil))
     return out
 
 
@@ -538,13 +560,9 @@ def interpolate(geom: LatticeGeom, f, points):
     return vals
 
 
-def interpolate_quadratic(geom: LatticeGeom, f, points):
-    """Tensor-quadratic Lagrange interpolation of a site scalar.
-
-    Smoother radial dependence than multilinear (the O(h^2) cell-phase
-    oscillation cancels), which the derivative-based radial identity
-    checks require; windows shift inward at box faces.
-    """
+def _quadratic_stencil(geom: LatticeGeom, points):
+    """Flat site indices and weights, each (81, n), of the tensor-quadratic Lagrange
+    corners of physical points (axis 3 slowest); windows shift inward at box faces."""
     pts = np.asarray(points, dtype=float) / geom.h
     n = pts.shape[0]
     base = np.rint(pts).astype(int) - 1
@@ -554,8 +572,6 @@ def interpolate_quadratic(geom: LatticeGeom, f, points):
                 raise ValueError("interpolation point outside the box")
         base = np.clip(base, 0, np.asarray(geom.dims) - 3)
     x = pts - base
-    # the 81 corners along a leading axis (axis 3 slowest); weights multiply in axis
-    # order and the sum runs in corner order, as a corner-by-corner loop would
     w = np.ones((1, n))
     flat = np.zeros((1, n), dtype=np.intp)
     for i in range(4):
@@ -566,21 +582,46 @@ def interpolate_quadratic(geom: LatticeGeom, f, points):
             ci = np.mod(ci, geom.dims[i])
         w = (w[None] * wi[:, None]).reshape(-1, n)
         flat = (flat[None] * geom.dims[i] + ci[:, None]).reshape(-1, n)
-    vals = np.ravel(f)[flat]
-    vals *= w
-    return np.sum(vals, axis=0)
+    return flat, w
+
+
+def interpolate_quadratic(geom: LatticeGeom, f, points):
+    """Tensor-quadratic Lagrange interpolation of a site scalar, summed in corner
+    order; smoother in r than multilinear (the O(h^2) cell-phase oscillation
+    cancels), which the derivative-based radial identity checks require."""
+    flat, w = _quadratic_stencil(geom, points)
+    return np.sum(np.ravel(f)[flat] * w, axis=0)
+
+
+@functools.lru_cache(maxsize=16)
+def _shell_functional(dims, h, topology, spec):
+    """Read-only (sites int32, weights), shell_integral = weights @ f.flat[sites]; every
+    site a node's stencil touches stays, so a non-finite value there reaches the sum."""
+    geom = LatticeGeom(dims, h, topology)
+    _check_ball(geom, spec)
+    pts, wts = sphere_nodes(spec)
+    acc = np.zeros(geom.n_sites)  # pages away from the shell are never touched
+    touched = np.zeros(geom.n_sites, dtype=bool)
+    for s in range(0, wts.size, 2048):  # node chunks bound the (81, chunk) corner arrays
+        flat, w = _quadratic_stencil(geom, pts[s:s + 2048])
+        w *= wts[s:s + 2048]
+        lo = flat.min()  # consecutive nodes share a polar band, so a short index range
+        part = np.bincount((flat - lo).ravel(), w.ravel())
+        acc[lo:lo + part.size] += part
+        touched[flat] = True
+    sites = np.flatnonzero(touched).astype(np.int32)
+    weights = acc[sites]
+    sites.flags.writeable = weights.flags.writeable = False
+    return sites, weights
 
 
 def shell_integral(geom: LatticeGeom, f, spec: BallSpec):
-    """Integral of a site scalar over the boundary sphere of B_r(x).
-
-    The integrand is interpolated onto the product quadrature grid with
-    tensor-quadratic weights (smooth in r, which the radial derivative
-    identities need).
-    """
-    _check_ball(geom, spec)
-    pts, wts = sphere_nodes(spec)
-    return float(np.sum(interpolate_quadratic(geom, f, pts) * wts))
+    """Integral of a site scalar over the boundary sphere of B_r(x): tensor-quadratic
+    interpolation (smooth in r, as the radial identities need) onto the product
+    quadrature grid, a linear functional of f cached per (dims, h, topology, spec)."""
+    sites, weights = _shell_functional(geom.dims, geom.h, geom.topology, spec)
+    # einsum, not a BLAS dot: a threaded dot's start-up outweighs a sum this short
+    return float(np.einsum("i,i", weights, np.ravel(f)[sites]))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from gswlab import cli, frequency as fq, lattice as lat
 from gswlab.lattice import ConnectionField, LatticeGeom, SpinorField
@@ -348,6 +349,14 @@ def test_frequency_radius_grid_checked_before_output(tmp_path):
     assert cli.run("frequency", cfg) == 2
     assert not out.exists()
     out, cfg = _probe_cfg(tmp_path, "bad_centre", centers=[[0.5, 0.5]])
+    assert cli.run("frequency", cfg) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("r_cells", [[4, 5, 6, 7, 8], [7, 3, 4], [0, 3, 5], [-3, 3, 5]])
+def test_frequency_radius_spacing_and_sign_checked_before_output(tmp_path, r_cells):
+    """A grid spaced under 2h (sorted or not) or a radius <= 0 is exit 2 with no output."""
+    out, cfg = _probe_cfg(tmp_path, "bad_grid", r_cells=r_cells)
     assert cli.run("frequency", cfg) == 2
     assert not out.exists()
 

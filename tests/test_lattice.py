@@ -91,6 +91,51 @@ def test_one_transport_differences_bit_identical(dims, topology, group, kind):
         assert np.array_equal(lat.grad_energy_density(u, a, st), energy[st])
 
 
+def _whole_array_energy(u, a, stencil):
+    out = np.zeros(u.geom.dims)
+    for i in range(4):
+        out += quat.norm2(lat.cov_diff_component(u, a, i, stencil))
+    return out
+
+
+SLAB_DIMS = [(2, 3, 4, 3), (3, 4, 2, 3), (5, 3, 3, 4), (7, 2, 3, 3), (8, 3, 2, 2)]
+
+
+@pytest.mark.parametrize("planes", [2, 3])
+@pytest.mark.parametrize("dims", SLAB_DIMS)
+@pytest.mark.parametrize("topology", list(Topology))
+def test_slab_energy_density_bit_identical_for_identity_transport(monkeypatch, planes, dims,
+                                                                   topology):
+    """Slabs of axis-0 planes give the whole-array sum bit for bit."""
+    monkeypatch.setattr(lat, "ENERGY_SLAB_PLANES", planes)
+    geom = LatticeGeom(dims, 0.3, topology)
+    u = SpinorField(geom, np.random.default_rng(15).normal(size=dims + (4,)))
+    a = ConnectionField(geom)
+    for st in Stencil:
+        assert np.array_equal(lat.grad_energy_density(u, a, st), _whole_array_energy(u, a, st))
+
+
+def test_slab_energy_density_u1_and_cone():
+    """With U(1) links or a cone target the slabs stay within 1e-12 relative."""
+    rng = np.random.default_rng(16)
+    worst = 0.0
+    for dims in SLAB_DIMS + [(13, 13, 13, 13)]:
+        for topology in Topology:
+            geom = LatticeGeom(dims, 0.3, topology)
+            for group, kind in ((GaugeGroup.U1, TargetKind.FLAT_H),
+                                (GaugeGroup.TRIVIAL, TargetKind.CONE_H_MOD_Z2),
+                                (GaugeGroup.U1, TargetKind.CONE_H_MOD_Z2)):
+                u = SpinorField(geom, rng.normal(size=dims + (4,)) + quat.ONE, kind)
+                links = rng.normal(size=dims + (4,)) if group is GaugeGroup.U1 else None
+                a = ConnectionField(geom, group, links)
+                for st in Stencil:
+                    ref = _whole_array_energy(u, a, st)
+                    rel = np.abs(lat.grad_energy_density(u, a, st) - ref) / np.abs(ref)
+                    worst = max(worst, float(rel.max()))
+    print(f"max relative difference {worst:.2e}")
+    assert worst <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # covariant differences and gauge covariance
 
@@ -369,6 +414,77 @@ def test_sphere_nodes_fresh_per_call():
     wts[:] = 0.0
     pts2, wts2 = lat.sphere_nodes(spec)
     assert np.array_equal(pts2, ref_pts) and np.array_equal(wts2, ref_wts)
+
+
+def _shell_specs(geom):
+    """Several radii at the centre, a sphere reaching within h/2 of a face (a box
+    clips its stencils there, a torus wraps) and one touching the near face."""
+    h, mid = geom.h, tuple(0.5 * w for w in geom.widths())
+    specs = [BallSpec(mid, r * h, 8, 12) for r in (2.0, 3.5, 4.25)]
+    near = (3.5 * h, mid[1], mid[2] + 0.3 * h, mid[3])
+    specs.append(BallSpec(near, 3.0 * h, 10, 16))
+    specs.append(BallSpec((3.0 * h,) + mid[1:], 3.0 * h))
+    return specs
+
+
+@pytest.mark.parametrize("topology", list(Topology))
+def test_shell_functional_matches_node_sum(topology):
+    """The cached site functional is the interpolated node sum to rounding."""
+    geom = LatticeGeom((11, 12, 13, 11), 0.1, topology)
+    f = np.random.default_rng(21).normal(size=geom.dims) + 2.0
+    worst = 0.0
+    for spec in _shell_specs(geom):
+        pts, wts = lat.sphere_nodes(spec)
+        ref = float(np.sum(lat.interpolate_quadratic(geom, f, pts) * wts))
+        worst = max(worst, abs(lat.shell_integral(geom, f, spec) / ref - 1.0))
+        # every site a node's stencil touches is kept, zero weight or not
+        sites, _ = lat._shell_functional(geom.dims, geom.h, geom.topology, spec)
+        assert np.array_equal(sites, np.unique(lat._quadratic_stencil(geom, pts)[0]))
+    print(f"max relative difference {worst:.2e}")
+    assert worst <= 1e-12
+
+
+def test_shell_functional_cache():
+    """Cold and warm caches agree to the bit; the entries are read-only, the cache is
+    bounded, and a geom with s_x set shares the bare lattice's entry."""
+    geom = LatticeGeom((11,) * 4, 0.1, Topology.BOX)
+    f = np.random.default_rng(22).normal(size=geom.dims)
+    spec = BallSpec((0.5,) * 4, 0.35, 8, 12)
+    cache = lat._shell_functional
+    cache.cache_clear()
+    cold = lat.shell_integral(geom, f, spec)
+    warm = lat.shell_integral(geom, f, spec)
+    cache.cache_clear()
+    assert cold == warm == lat.shell_integral(geom, f, spec)
+    sites, weights = cache(geom.dims, geom.h, geom.topology, spec)
+    assert sites.dtype == np.int32
+    for arr in (sites, weights):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    hits = cache.cache_info().hits
+    curved = LatticeGeom(geom.dims, geom.h, geom.topology, s_x=np.ones(geom.dims))
+    assert lat.shell_integral(curved, f, spec) == cold
+    assert cache.cache_info().hits == hits + 1 and cache.cache_info().currsize == 1
+    maxsize = cache.cache_info().maxsize
+    assert maxsize is not None
+    for k in range(maxsize + 3):
+        lat.shell_integral(geom, f, BallSpec((0.5,) * 4, 0.2 + 0.005 * k, 4, 6))
+    assert cache.cache_info().currsize == maxsize
+
+
+def test_shell_functional_propagates_non_finite():
+    geom = LatticeGeom((11,) * 4, 0.1, Topology.TORUS)
+    spec = BallSpec((0.5,) * 4, 0.3, 8, 12)
+    sites, weights = lat._shell_functional(geom.dims, geom.h, geom.topology, spec)
+    for k in (int(np.argmin(np.abs(weights))), int(np.argmax(np.abs(weights)))):
+        for bad in (np.nan, np.inf):
+            f = np.ones(geom.dims)
+            f.flat[sites[k]] = bad
+            assert not np.isfinite(lat.shell_integral(geom, f, spec))
+    f = np.ones(geom.dims)
+    f.flat[np.setdiff1d(np.arange(geom.n_sites), sites)[0]] = np.nan
+    assert np.isfinite(lat.shell_integral(geom, f, spec))
 
 
 def test_radius_guard():
