@@ -316,6 +316,24 @@ class LinearMap:
         coeff = (u[:, :r].T @ (sr * y)) / s[:r]
         return (vt[:r].T @ coeff) / sc
 
+    def range_basis(self):
+        """Columns: a weighted-orthonormal basis of the range, from `eigh` of the normal matrix.
+
+        LinAlgError (rank loss) unless lambda_min > RANK_MARGIN n eps lambda_max,
+        n = max(shape): `eigh` resolves no singular value below about sqrt(n eps)
+        s_max, above the `rank` cutoff, so when this returns `rank` keeps every column.
+        """
+        sr = np.sqrt(self.row_space.weights)
+        m_hat = (self.matrix * sr[:, None]) / np.sqrt(self.col_space.weights)
+        lam, vec = np.linalg.eigh(m_hat.T @ m_hat)
+        floor = RANK_MARGIN * max(self.matrix.shape) * np.finfo(float).eps * lam.max(initial=0.0)
+        if lam.size and not lam[0] > floor:
+            raise np.linalg.LinAlgError(
+                "rank loss: the map is not injective (smallest normal-matrix eigenvalue "
+                "%.3e <= %.3e, %d columns)" % (lam[0], floor, lam.size)
+            )
+        return (m_hat @ (vec / np.sqrt(lam))) / sr[:, None]
+
     def operator_norm(self):
         s = self.singular_values()
         return float(s[0]) if s.size else 0.0
@@ -390,11 +408,6 @@ def lin_gauge(c: Configuration) -> LinearMap:
         (lay.spinor_c, np.arange(geom.n_sites)[:, None], -ku),
     ])
     return LinearMap(mat, rows, cols)
-
-
-def lin_gauge_adjoint(c: Configuration) -> LinearMap:
-    """Exact weighted transpose of lin_gauge (the slice operator)."""
-    return lin_gauge(c).adjoint()
 
 
 def lin_gauge_adjoint_formula(c: Configuration, zeta) -> LinearMap:

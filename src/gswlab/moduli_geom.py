@@ -192,11 +192,14 @@ class HopfFixtureSystem(QuotientSystem):
 
 
 def horizontal_projector(system: QuotientSystem, cvec):
-    """Return a callable projecting tangent columns onto ker(D*)."""
-    d = system.gauge_map(cvec)
-    if d.col_space.dim == 0:
-        return lambda t: np.array(t, dtype=float, copy=True)
-    return lambda t: t - d.apply(d.pinv_apply(t))  # a vector or a column stack: t - D D^+ t
+    """Return a callable projecting tangent columns onto ker(D*): t - D D^+ t.
+
+    D D^+ projects onto `D.range_basis()`: a reducible configuration (D not
+    injective) raises LinAlgError; the trivial group (no gauge columns) gives a copy.
+    """
+    q = system.gauge_map(cvec).range_basis()
+    qw = q.T * system.tan_space.weights
+    return lambda t: t - q @ (qw @ t)  # t is a vector or a column stack
 
 
 def a_term(system: QuotientSystem, cvec, xvec, yvec):
@@ -288,22 +291,24 @@ def fd_oracle_curvature(metric_fn, dim, eps=1e-3):
     formulas.  The step is halved once and the two estimates
     Richardson-combined; a large mismatch raises, flagging cancellation
     (step too small) or a too-coarse step.
+
+    metric_fn(xi, plane=False) is the dim x dim chart metric at xi, or
+    with plane=True only its leading 2x2 block.  The full matrix is read
+    at xi = 0, +-e_0 and +-e_1; the diagonal points +-e_0 +- e_1 and the
+    gradient points +-e_k (k >= 2) read only the plane block.
     """
 
     def estimate(e):
         g0 = np.asarray(metric_fn(np.zeros(dim)))
         ginv = np.linalg.inv(g0)
-        ev = np.zeros(dim)
-        ev[0] = e
-        ew = np.zeros(dim)
-        ew[1] = e
+        steps = e * np.eye(dim)
+        ev, ew = steps[0], steps[1]
 
         g_pv, g_mv = np.asarray(metric_fn(ev)), np.asarray(metric_fn(-ev))
         g_pw, g_mw = np.asarray(metric_fn(ew)), np.asarray(metric_fn(-ew))
-        g_pp = np.asarray(metric_fn(ev + ew))
-        g_pm = np.asarray(metric_fn(ev - ew))
-        g_mp = np.asarray(metric_fn(-ev + ew))
-        g_mm = np.asarray(metric_fn(-ev - ew))
+        g_pp, g_pm, g_mp, g_mm = (
+            np.asarray(metric_fn(x, plane=True)) for x in (ev + ew, ev - ew, -ev + ew, -ev - ew)
+        )
 
         dg_v = (g_pv - g_mv) / (2 * e)
         dg_w = (g_pw - g_mw) / (2 * e)
@@ -311,22 +316,12 @@ def fd_oracle_curvature(metric_fn, dim, eps=1e-3):
         d2_ww = (g_pw - 2 * g0 + g_mw) / e**2
         d2_vw = (g_pp - g_pm - g_mp + g_mm) / (4 * e**2)
 
-        # gradient of the three plane coefficients along every direction
-        grad_vv = np.zeros(dim)
-        grad_ww = np.zeros(dim)
-        grad_vw = np.zeros(dim)
-        for k in range(dim):
-            if k == 0:
-                gp, gm = g_pv, g_mv
-            elif k == 1:
-                gp, gm = g_pw, g_mw
-            else:
-                ek = np.zeros(dim)
-                ek[k] = e
-                gp, gm = np.asarray(metric_fn(ek)), np.asarray(metric_fn(-ek))
-            grad_vv[k] = (gp[0, 0] - gm[0, 0]) / (2 * e)
-            grad_ww[k] = (gp[1, 1] - gm[1, 1]) / (2 * e)
-            grad_vw[k] = (gp[0, 1] - gm[0, 1]) / (2 * e)
+        # plane block of the metric gradient along every direction
+        pairs = [(g_pv, g_mv), (g_pw, g_mw)] + [
+            (metric_fn(ek, plane=True), metric_fn(-ek, plane=True)) for ek in steps[2:]
+        ]
+        grad = np.array([np.asarray(gp)[:2, :2] - np.asarray(gm)[:2, :2] for gp, gm in pairs]) / (2 * e)
+        grad_vv, grad_ww, grad_vw = grad[:, 0, 0], grad[:, 1, 1], grad[:, 0, 1]
 
         gamma_vv = dg_v[0, :] - 0.5 * grad_vv
         gamma_ww = dg_w[1, :] - 0.5 * grad_ww
@@ -359,16 +354,17 @@ def slice_chart_metric(system: QuotientSystem, cvec, v, w):
 
     The chart point xi maps to cvec + basis @ xi; the metric entry is
     the inner product of horizontally-projected basis vectors at the
-    moved configuration.  Basis vector 0 is v, vector 1 is w.
+    moved configuration.  Basis vector 0 is v, vector 1 is w; with
+    plane=True only those two.  A reducible cvec raises LinAlgError here.
     """
+    horizontal_projector(system, cvec)  # rank loss ends the run before any oracle call
     slice_basis = system.gauge_map(cvec).adjoint().kernel_basis()
     basis = dfm._complete_plane_basis(system.tan_space, v, w, slice_basis)
     wts = system.tan_space.weights
 
-    def metric_fn(xi):
+    def metric_fn(xi, plane=False):
         cv = cvec + basis @ np.asarray(xi, dtype=float)
-        proj = horizontal_projector(system, cv)
-        bh = proj(basis)
+        bh = horizontal_projector(system, cv)(basis[:, :2] if plane else basis)
         return bh.T @ (bh * wts[:, None])
 
     return metric_fn, basis.shape[1]
@@ -381,27 +377,26 @@ def solution_chart_metric(system, cvec, v, w, newton_tol=1e-12, max_iter=80):
     the leading basis vectors; the chart point solves the equations in
     the gauge slice, orthogonal to the kernel.  The chart differential
     is obtained from the linearized equations at the solved point, and
-    the metric is the quotient (horizontally projected) inner product.
-    A plane outside ker(elliptic operator) raises ValueError; metric_fn
-    raises RuntimeError unless the chart Newton converges with the full
-    equation rows within newton_tol.
+    the metric is the quotient (horizontally projected) inner product; with
+    plane=True only the leading two columns.  A reducible cvec raises
+    LinAlgError here, a plane outside ker(elliptic operator) ValueError;
+    metric_fn raises RuntimeError unless the chart Newton converges with
+    the full equation rows within newton_tol.
     """
+    horizontal_projector(system, cvec)  # rank loss ends the run before any oracle call
     frame = dfm.ChartFrame(system.equation_map(cvec), system.gauge_map(cvec), lead=(v, w))
     basis, w_basis = frame.kernel, frame.w_basis
     wts = system.tan_space.weights
 
-    def metric_fn(xi):
+    def metric_fn(xi, plane=False):
         base = cvec + basis @ np.asarray(xi, dtype=float)
         cv, r, info = frame.newton(system.equation_rows, base, newton_tol, max_iter)
         if not info["converged"] or frame.eq.row_space.norm(r) > newton_tol:
             raise RuntimeError("solution chart Newton did not converge")
-        e_here = system.equation_map(cv)
-        red = e_here.matrix @ w_basis
-        rhs = -(e_here.matrix @ basis)
-        dy, *_ = np.linalg.lstsq(red, rhs, rcond=None)
-        dphi = basis + w_basis @ dy
-        proj = horizontal_projector(system, cv)
-        dphi_h = proj(dphi)
+        e_here = system.equation_map(cv).matrix
+        cols = basis[:, :2] if plane else basis
+        dy, *_ = np.linalg.lstsq(e_here @ w_basis, -(e_here @ cols), rcond=None)
+        dphi_h = horizontal_projector(system, cv)(cols + w_basis @ dy)
         return dphi_h.T @ (dphi_h * wts[:, None])
 
     return metric_fn, basis.shape[1]
@@ -415,14 +410,6 @@ def l2_inner(c: Configuration, t1: TangentConfig, t2: TangentConfig):
     """h^4-weighted metric on configuration tangents (links + spinors)."""
     space = dfm.layout(c.geom, c.group).tangent
     return space.inner(dfm.pack_tangent(space, t1), dfm.pack_tangent(space, t2))
-
-
-def horizontal_project(c: Configuration, t: TangentConfig) -> TangentConfig:
-    """Project onto ker(D*): t - D D^+ t."""
-    sys_ = LatticeSystem(c, Sources.zero(c.geom))
-    proj = horizontal_projector(sys_, sys_.center())
-    vec = proj(dfm.pack_tangent(sys_.tan_space, t))
-    return dfm.unpack_tangent(sys_.tan_space, vec)
 
 
 def omega_form(c: Configuration, v, w):

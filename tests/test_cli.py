@@ -419,3 +419,29 @@ def test_curvature_cli_fixture(tmp_path):
     vals = lines[1].split(",")
     assert abs(float(vals[5]) - 4.0) <= 1e-9  # K_M of the fixture level set
     assert float(vals[7]) <= 1e-6
+
+
+def test_curvature_cli_reducible_configuration_exits_before_the_oracle(tmp_path):
+    # u = 0 on a U(1) box: the gauge map loses the constants, so the horizontal
+    # projector has no full column rank; the chart metric refuses at its centre
+    out = tmp_path / "c0"
+    cfg = write_cfg(
+        tmp_path,
+        "curv0.json",
+        {
+            "experiment": "curvature",
+            "seed": 1,
+            "output_dir": str(out),
+            "geometry": {"dims": [2, 2, 2, 2], "h": 0.5, "topology": "box"},
+            "group": "u1",
+            "params": {"mode": "lattice", "init": {"kind": "zero"}, "n_samples": 1, "oracle": True},
+        },
+    )
+    assert cli.run("curvature", cfg) == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["exit_code"] == 3
+    assert manifest["error"].startswith("LinAlgError: rank loss")
+    frames = [line for line in manifest["traceback"].splitlines() if line.startswith('  File "')]
+    assert frames[-1].endswith("in range_basis")
+    assert any(f.endswith("in solution_chart_metric") for f in frames)
+    assert not any(f.endswith("in fd_oracle_curvature") for f in frames)

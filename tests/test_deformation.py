@@ -121,7 +121,7 @@ def test_trivial_group_empty_map():
 def test_adjoint_formula_and_zeta_independence():
     geom = torus()
     c = gsw.random_config(geom, GaugeGroup.U1, seed=5)
-    transpose = dfm.lin_gauge_adjoint(c)
+    transpose = dfm.lin_gauge(c).adjoint()
     mats = []
     for zeta in (quat.QI, quat.QJ, quat.QK):
         formula = dfm.lin_gauge_adjoint_formula(c, zeta)
@@ -139,7 +139,7 @@ def test_slice_annihilates_horizontal():
     sys_ = mg.LatticeSystem(c, Sources.zero(geom))
     proj = mg.horizontal_projector(sys_, sys_.center())
     t = np.random.default_rng(7).normal(size=sys_.tan_space.dim)
-    out = dfm.lin_gauge_adjoint(c).apply(proj(t))
+    out = dfm.lin_gauge(c).adjoint().apply(proj(t))
     assert np.abs(out).max() <= 1e-9 * max(np.abs(t).max(), 1.0)
 
 
@@ -199,7 +199,7 @@ def test_elliptic_op_blocks_and_index():
     geom = torus()
     c = gsw.random_config(geom, GaugeGroup.U1, seed=12)
     e = dfm.linearize_fsw(c)
-    d_star = dfm.lin_gauge_adjoint(c)
+    d_star = dfm.lin_gauge(c).adjoint()
     op = dfm.elliptic_op(c)
     assert np.array_equal(op.matrix[: e.row_space.dim], e.matrix)
     assert np.array_equal(op.matrix[e.row_space.dim :], d_star.matrix)
@@ -212,7 +212,7 @@ def test_kernel_two_ways():
     c, s = box_fueter_config(3)
     op = dfm.elliptic_op(c)
     e = dfm.linearize_fsw(c)
-    d_star = dfm.lin_gauge_adjoint(c)
+    d_star = dfm.lin_gauge(c).adjoint()
     ker = op.kernel_basis()
     assert np.abs(e.matrix @ ker).max() <= 1e-9
     assert np.abs(d_star.matrix @ ker).max() <= 1e-9

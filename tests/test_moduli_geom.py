@@ -34,7 +34,7 @@ def box_fueter_config(n=2):
 def test_oracle_round_sphere():
     r0, th0 = 2.0, 1.1
 
-    def metric(xi):
+    def metric(xi, plane=False):
         return np.diag([r0**2, r0**2 * np.sin(th0 + xi[0]) ** 2])
 
     k = mg.fd_oracle_curvature(metric, 2, eps=1e-3)
@@ -42,7 +42,7 @@ def test_oracle_round_sphere():
 
 
 def test_oracle_flat_chart():
-    def metric(xi):
+    def metric(xi, plane=False):
         return np.diag([1.0, (1.5 + xi[0]) ** 2])
 
     assert abs(mg.fd_oracle_curvature(metric, 2, eps=1e-3)) <= 1e-8
@@ -51,7 +51,7 @@ def test_oracle_flat_chart():
 def test_oracle_step_sweep_flags_junk():
     rng = np.random.default_rng(0)
 
-    def noisy(xi):
+    def noisy(xi, plane=False):
         base = np.diag([1.0, (1.5 + xi[0]) ** 2])
         return base + 1e-4 * rng.normal(size=(2, 2))
 
@@ -146,14 +146,56 @@ def test_horizontal_projector_identities():
     assert sys_.tan_space.norm(pt) <= sys_.tan_space.norm(t) + 1e-12
 
 
-def test_horizontal_project_wrapper():
+def test_horizontal_projector_idempotent_on_tangent_configs():
     geom = torus()
     c = gsw.random_config(geom, GaugeGroup.U1, seed=3)
-    t = dfm.random_tangent(c, 4)
-    ht = mg.horizontal_project(c, t)
-    again = mg.horizontal_project(c, ht)
+    sys_ = mg.LatticeSystem(c, Sources.zero(geom))
+    proj = mg.horizontal_projector(sys_, sys_.center())
+
+    def project(t):
+        return dfm.unpack_tangent(sys_.tan_space, proj(dfm.pack_tangent(sys_.tan_space, t)))
+
+    ht = project(dfm.random_tangent(c, 4))
+    again = project(ht)
     assert np.abs(again.v - ht.v).max() <= 1e-9
     assert np.abs(again.b - ht.b).max() <= 1e-9
+
+
+def _gauge_case(case):
+    """(system, chart centre) of a rank test case: D has full column rank in each."""
+    if case == "hopf":
+        sys_ = mg.HopfFixtureSystem()
+    elif case == "u1_torus":
+        geom = torus(3, 0.4)
+        sys_ = mg.LatticeSystem(gsw.random_config(geom, GaugeGroup.U1, seed=56), Sources.zero(geom))
+    else:
+        sys_ = mg.LatticeSystem(*box_fueter_config(int(case[-1])))
+    return sys_, sys_.center()
+
+
+@pytest.mark.parametrize("case", ["hopf", "box_2", "box_3", "u1_torus"])
+def test_range_basis_projector_matches_pinv(case):
+    """The eigh projector keeps every column exactly where `rank` does, and is t - D D^+ t."""
+    sys_, c0 = _gauge_case(case)
+    d = sys_.gauge_map(c0)
+    rank, _ = d.rank()
+    assert rank == d.col_space.dim == d.range_basis().shape[1]
+    proj = mg.horizontal_projector(sys_, c0)
+    t = np.random.default_rng(57).normal(size=(sys_.tan_space.dim, 3))
+    for x in (t, t[:, 0]):
+        want = x - d.apply(d.pinv_apply(x))
+        assert np.abs(proj(x) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_range_basis_raises_on_zero_spinor():
+    """u = 0: D = (d xi, 0) loses the constants; the projector refuses instead of guessing."""
+    geom = torus()
+    c = Configuration(ConnectionField(geom, GaugeGroup.U1), SpinorField(geom, np.zeros(geom.dims + (4,))))
+    sys_ = mg.LatticeSystem(c, Sources.zero(geom))
+    d = sys_.gauge_map(sys_.center())
+    assert d.rank()[0] < d.col_space.dim
+    with pytest.raises(np.linalg.LinAlgError, match="rank loss"):
+        mg.horizontal_projector(sys_, sys_.center())
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +326,41 @@ def test_plane_invariance():
         w2 = -np.sin(th) * v + np.cos(th) * w
         k2 = mg.gauss_sectional_vec(sys_, c0, v2, w2)["K_M"]
         assert abs(k2 - base) <= 1e-6 * max(abs(base), 1.0)
+
+
+def _plane_case(case):
+    """(metric_fn, dim, eps) of an oracle chart."""
+    if case == "box_2":
+        c, s = box_fueter_config(2)
+        sys_ = mg.LatticeSystem(c, s)
+        c0 = sys_.center()
+        v, w = mg.sample_solution_plane(sys_, c0, seed=23)[0]
+        return (*mg.solution_chart_metric(sys_, c0, v, w), 3e-3)
+    sys_ = mg.HopfFixtureSystem()
+    chart = mg.slice_chart_metric if case == "hopf_slice" else mg.solution_chart_metric
+    return (*chart(sys_, sys_.center(), quat.QJ.copy(), quat.QK.copy()), 1e-3)
+
+
+@pytest.mark.parametrize("case", ["box_2", "hopf_slice", "hopf_solution"])
+def test_plane_block_is_the_full_metric_block(case):
+    """At every point the oracle visits, metric_fn(xi, plane=True) is metric_fn(xi)[:2, :2]."""
+    mf, dim, eps = _plane_case(case)
+    visited = []
+
+    def recording(xi, plane=False):
+        visited.append((np.array(xi), plane))
+        return mf(xi, plane=plane)
+
+    mg.fd_oracle_curvature(recording, dim, eps=eps)
+    assert len(visited) == 2 * (9 + 2 * (dim - 2))
+    assert sum(p for _, p in visited) == 2 * (4 + 2 * (dim - 2))
+    worst = 0.0
+    for xi, _ in visited:
+        full = mf(xi)
+        block = mf(xi, plane=True)
+        assert full.shape == (dim, dim) and block.shape == (2, 2)
+        worst = max(worst, np.abs(block - full[:2, :2]).max() / np.abs(full[:2, :2]).max())
+    assert worst <= 1e-12
 
 
 def test_lattice_dual_path_small():
