@@ -10,7 +10,7 @@ import sys
 import time
 
 import gswlab.quaternion as quat
-from gswlab import frequency as fq, gsw, moduli_geom as mg
+from gswlab import cli, frequency as fq, gsw, moduli_geom as mg
 from gswlab.lattice import ConnectionField, LatticeGeom, SpinorField, Topology
 from gswlab.targets import GaugeGroup
 
@@ -59,7 +59,7 @@ def main(out_csv="curvature_study.csv"):
     print(f"fixture: K_B={rows[0]['K_B']:.6f} (analytic 3), K_M={rows[0]['K_M']:.6f} "
           f"(analytic 4), oracle rel err {rows[0]['rel_err']:.2e}")
     rows += lattice_rows()
-    mg.write_samples_csv(out_csv, rows)
+    cli._write_csv(out_csv, mg.CSV_FIELDS, rows)
     print("wrote", out_csv)
 
 

@@ -222,6 +222,16 @@ def layout(geom: LatticeGeom, group: GaugeGroup) -> DofLayout:
     return _layout(geom.dims, geom.h, geom.topology, group)
 
 
+def moved(c: Configuration, vec) -> Configuration:
+    """A copy of c moved additively by the packed tangent vector vec (flat targets)."""
+    b, v = layout(c.geom, c.group).tangent.unpack(vec)
+    out = c.copy()
+    if b is not None:
+        out.a.links = out.a.links + b
+    out.u.values = out.u.values + v
+    return out
+
+
 # ---------------------------------------------------------------------------
 # linear maps
 
@@ -236,6 +246,7 @@ class LinearMap:
         if self.matrix.shape != (row_space.dim, col_space.dim):
             raise ValueError("matrix shape does not match block spaces")
         self._svd = None
+        self._rank = None
 
     # -- basic algebra -----------------------------------------------------
     def apply(self, x):
@@ -280,20 +291,21 @@ class LinearMap:
         return self._weighted()[1]
 
     def rank(self):
-        u, s, vt, _, _ = self._weighted()
-        if s.size == 0 or s[0] == 0.0:
-            return 0, (np.inf, 0.0)
-        cutoff = max(self.matrix.shape) * s[0] * RANK_REL_CUTOFF
-        r = int(np.sum(s > cutoff))
-        retained = s[r - 1] if r > 0 else np.inf
-        discarded = s[r] if r < s.size else 0.0
-        if discarded > 0 and retained / discarded < RANK_MARGIN:
-            warnings.warn(
-                "rank decision margin below 10x (retained %.3e, discarded %.3e)"
-                % (retained, discarded),
-                RankMarginWarning,
-            )
-        return r, (retained, discarded)
+        """(rank, (retained, discarded)), decided once per map: a margin below 10x warns once."""
+        if self._rank is None:
+            s = self._weighted()[1]
+            cutoff = max(self.matrix.shape) * s.max(initial=0.0) * RANK_REL_CUTOFF
+            r = int(np.sum(s > cutoff))
+            retained = s[r - 1] if r > 0 else np.inf
+            discarded = s[r] if r < s.size else 0.0
+            if discarded > 0 and retained / discarded < RANK_MARGIN:
+                warnings.warn(
+                    "rank decision margin below 10x (retained %.3e, discarded %.3e)"
+                    % (retained, discarded),
+                    RankMarginWarning,
+                )
+            self._rank = r, (retained, discarded)
+        return self._rank
 
     def kernel_basis(self):
         """Columns: an orthonormal kernel basis in the weighted metric."""
@@ -646,6 +658,31 @@ def _complete_plane_basis(space: BlockSpace, v, w, rest):
     return np.stack(cols, axis=1)
 
 
+def newton(rows_at, step, x, tol, max_iter, norm, step_norm):
+    """Newton-type iteration x <- x + step(x, r) on the rows r = rows_at(x).
+
+    Every iterate is recorded as {iter, residual_norm: norm(r), step_norm:
+    step_norm of the step that reached it}, record 0 for the start.  The
+    loop stops as "converged" once the norm is <= tol, as "diverged" once
+    it is non-finite or larger than at the previous iterate (returning
+    that iterate), and otherwise as "max_iter" after max_iter steps.
+    Returns (x, r, records, status).
+    """
+    records = []
+    for it in range(max_iter + 1):
+        r = rows_at(x)
+        res = norm(r)
+        records.append({"iter": it, "residual_norm": res, "step_norm": step_norm(dx) if it else 0.0})
+        if res <= tol:
+            return x, r, records, "converged"
+        if not np.isfinite(res) or (it and res > records[-2]["residual_norm"]):
+            return x, r, records, "diverged"
+        if it == max_iter:
+            return x, r, records, "max_iter"
+        dx = step(x, r)
+        x = x + dx
+
+
 class ChartFrame:
     """Linear data of the solution-set chart over ker [E; D*] at a point.
 
@@ -680,34 +717,27 @@ class ChartFrame:
         """Cokernel coefficients of equation rows r."""
         return self.coker.T @ (r * self.eq.row_space.weights)
 
-    def newton(self, rows_at, base, tol, max_iter):
+    def solve(self, rows_at, base, tol, max_iter):
         """Chord Newton for base + w_basis @ y with rows_at = 0 off the cokernel.
 
-        Returns (vec, rows_at(vec), info); info holds the iterations, the
-        convergence flag, the divergence flag and the norm of the projected
-        rows at the last test.  The loop stops as diverged, returning that
-        iterate, once the projected rows are non-finite or larger than at
-        the previous iteration.  Without convergence or divergence vec
-        carries the last step.
+        Runs `newton` on y with the fixed chord step, stopping on the norm
+        of the rows projected off the cokernel.  Returns (vec, rows_at(vec),
+        info); info holds the residual evaluations ("iters"), the
+        convergence and divergence flags and the projected norm at vec.
         """
-        norm = self.eq.row_space.norm
-        y = np.zeros(self.w_basis.shape[1])
-        info = {"iters": 0, "converged": False, "diverged": False, "proj_residual": np.inf}
-        for it in range(1, max_iter + 1):
-            vec = base + self.w_basis @ y
-            r = rows_at(vec)
-            pr = r - self.coker @ self.coker_coeffs(r)
-            last, info["iters"] = info["proj_residual"], it
-            info["proj_residual"] = norm(pr)
-            if info["proj_residual"] <= tol:
-                info["converged"] = True
-                return vec, r, info
-            if not np.isfinite(info["proj_residual"]) or info["proj_residual"] > last:
-                info["diverged"] = True
-                return vec, r, info
-            y = y + self._chord.pinv_apply(-pr)
-        vec = base + self.w_basis @ y
-        return vec, rows_at(vec), info
+
+        def off_coker(r):
+            return r - self.coker @ self.coker_coeffs(r)
+
+        y, r, records, status = newton(
+            lambda y: rows_at(base + self.w_basis @ y),
+            lambda y, r: self._chord.pinv_apply(-off_coker(r)),
+            np.zeros(self.w_basis.shape[1]), tol, max_iter,
+            lambda r: self.eq.row_space.norm(off_coker(r)), self._chord.col_space.norm,
+        )
+        info = {"iters": len(records), "converged": status == "converged", "diverged": status == "diverged"}
+        info["proj_residual"] = records[-1]["residual_norm"]
+        return base + self.w_basis @ y, r, info
 
 
 class KuranishiChart:
@@ -735,18 +765,13 @@ class KuranishiChart:
     def h2_dim(self):
         return self.frame.coker.shape[1]
 
-    def _rows_at(self, tangent_vec):
-        b, v = self.space.unpack(tangent_vec)
-        c2 = self.c.copy()
-        if c2.group is not GaugeGroup.TRIVIAL:
-            c2.a.links = c2.a.links + b
-        c2.u.values = c2.u.values + v
-        return residual_rowvec(c2, self.s, self.eq.row_space)
-
     def solve(self, xi):
         """Return (phi_vec, kappa_coeffs, info) for chart coordinates xi."""
         base = self.frame.kernel @ np.asarray(xi, dtype=float)
-        vec, r, info = self.frame.newton(self._rows_at, base, self.tol, self.max_iter)
+        vec, r, info = self.frame.solve(
+            lambda t: residual_rowvec(moved(self.c, t), self.s, self.eq.row_space),
+            base, self.tol, self.max_iter,
+        )
         info["full_residual"] = self.eq.row_space.norm(r)
         return vec, self.frame.coker_coeffs(r), info
 

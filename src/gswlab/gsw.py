@@ -183,10 +183,6 @@ def gauge_apply_spinor_row(g: GaugeElement, row):
     return quat.mul_exp_i(row, -g.theta)
 
 
-def gauge_compose(g1: GaugeElement, g2: GaugeElement) -> GaugeElement:
-    return GaugeElement(g1.geom, g1.theta + g2.theta)
-
-
 def random_gauge(geom: LatticeGeom, seed, amplitude=1.0) -> GaugeElement:
     rng = np.random.default_rng(seed)
     return GaugeElement(geom, amplitude * rng.normal(size=geom.dims))
@@ -231,41 +227,34 @@ def solve_newton(
 
     Each step solves the least-squares system
         [ D F_sw ; D* ] step = [ -residual ; 0 ]
-    at the current iterate and updates the configuration additively
-    (flat targets).  Returns (configuration, diagnostics) where the
-    diagnostics are one dict per iteration: iter, residual_norm,
-    step_norm, rank; the rank of each step's system is recorded, not
-    checked.  Raises NewtonError when max_iter is exhausted.
+    re-linearised at the current iterate, which is init moved additively
+    (flat targets) by the sum of the steps; the loop and its stop rule
+    are `deformation.newton` on the trusted equation rows.  Returns
+    (configuration, diagnostics), one dict per iterate: iter,
+    residual_norm, step_norm.  Raises NewtonError, naming the stop status
+    ("diverged" or "max_iter"), unless the residual norm reaches tol.
     """
     from . import deformation as dfm
 
-    c = init.copy()
-    diagnostics = []
-    res = residual_norm(c, sources)
-    diagnostics.append({"iter": 0, "residual_norm": res, "step_norm": 0.0, "rank": -1})
-    if res <= tol:
-        return c, diagnostics
+    lay = dfm.layout(init.geom, init.group)
 
-    for it in range(1, max_iter + 1):
-        e, d = dfm.linearize_fsw(c), dfm.lin_gauge(c)
-        op = dfm.stacked_op(e, d)
-        dof = op.col_space
-        rhs = -np.concatenate([
-            dfm.residual_rowvec(c, sources, e.row_space), np.zeros(d.col_space.dim)
-        ])
-        rank, _ = op.rank()
-        step = op.pinv_apply(rhs)
-        b_step, v_step = dof.unpack(step)
-        if c.group is not GaugeGroup.TRIVIAL:
-            c.a.links += b_step
-        c.u.values = c.u.values + v_step
-        res = residual_norm(c, sources)
-        step_norm = float(np.sqrt(np.sum(step * step * dof.weights)))
-        diagnostics.append(
-            {"iter": it, "residual_norm": res, "step_norm": step_norm, "rank": int(rank)}
+    def rows_at(x):
+        return dfm.residual_rowvec(dfm.moved(init, x), sources, lay.equations)
+
+    def step(x, r):
+        c = dfm.moved(init, x)
+        d = dfm.lin_gauge(c)
+        return dfm.stacked_op(dfm.linearize_fsw(c), d).pinv_apply(
+            -np.concatenate([r, np.zeros(d.col_space.dim)])
         )
-        if res <= tol:
-            return c, diagnostics
-    raise NewtonError(
-        f"no convergence after {max_iter} iterations (residual {res:.3e})", diagnostics
+
+    x, _, diagnostics, status = dfm.newton(
+        rows_at, step, np.zeros(lay.tangent.dim), tol, max_iter, lay.equations.norm, lay.tangent.norm
     )
+    if status != "converged":
+        raise NewtonError(
+            f"no convergence ({status}) after {len(diagnostics) - 1} steps "
+            f"(residual {diagnostics[-1]['residual_norm']:.3e})",
+            diagnostics,
+        )
+    return dfm.moved(init, x), diagnostics

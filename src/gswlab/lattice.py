@@ -383,12 +383,6 @@ def selfdual(f: TwoForm) -> SelfDualForm:
     return SelfDualForm(f.geom, s)
 
 
-def selfdual_embed(s: SelfDualForm) -> TwoForm:
-    """Write a self-dual form back out as a plaquette two-form."""
-    v = np.concatenate([s.values, s.values], axis=-1)
-    return TwoForm(s.geom, v)
-
-
 def d_cube(f: TwoForm):
     """Exterior derivative of a plaquette field on cubes (Bianchi check)."""
     geom = f.geom

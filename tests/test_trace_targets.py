@@ -2,22 +2,55 @@
 
 `bench/spans.py` looks each target up as `owner.__dict__[attr]`, so a
 renamed or deleted function makes `bench/run.py --trace 1` fail with a
-KeyError; `bench/test_bench.py` lies outside the default test paths.
+KeyError, and its iteration counters read the solvers' return values;
+`bench/test_bench.py` lies outside the default test paths.
 """
 
 import importlib.util
 import pathlib
 
+import numpy as np
+
+from gswlab import deformation as dfm, frequency as fq, gsw
+from gswlab.gsw import Configuration
+from gswlab.lattice import ConnectionField, LatticeGeom, SpinorField, Topology
+from gswlab.targets import GaugeGroup
+
 SPANS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
-def test_every_trace_target_resolves():
+def load_spans():
     spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_every_trace_target_resolves():
+    spans = load_spans()
     missing = [
         (getattr(owner, "__name__", owner), attr)
         for owner, attr, _, _ in spans.TARGETS
         if not callable(owner.__dict__.get(attr))
     ]
     assert not missing
+
+
+def test_iteration_counters_read_the_solver_results():
+    spans = load_spans()
+    geom = LatticeGeom((2,) * 4, 0.5, Topology.TORUS)
+    c = gsw.random_config(geom, GaugeGroup.U1, seed=3, amplitude=0.3)
+    s = gsw.manufacture(c)
+    tangent = dfm.layout(geom, c.group).tangent
+    start = dfm.moved(c, dfm.pack_tangent(tangent, dfm.random_tangent(c, 4, 1e-3)))
+    solved = gsw.solve_newton(start, s, tol=1e-11)
+    steps = solved[1][-1]["iter"]
+    assert steps >= 1 and spans._newton_iters((start, s), {}, solved) == (steps, 0)
+
+    # a chord solve of several iterations on the 2^4 Fueter box
+    box = LatticeGeom((2,) * 4, 0.5, Topology.BOX)
+    vals = fq.fueter_library(box, "z1").values + np.array([0.8, 0.1, 0.0, 0.0])
+    c = Configuration(ConnectionField(box, GaugeGroup.U1), SpinorField(box, vals))
+    chart = dfm.KuranishiChart(c, gsw.manufacture(c))
+    charted = chart.solve(np.full(chart.h1_dim, 0.05 / np.sqrt(chart.h1_dim)))
+    assert charted[2]["iters"] > 1 and spans._chart_iters((chart,), {}, charted) == (charted[2]["iters"], 0)
