@@ -2,10 +2,10 @@
 
 Every operator is a dense matrix together with block-tagged row/column
 spaces carrying diagonal metric weights (h^4 per site dof, 2 h^4 for
-self-dual components).  Adjoints are exact weighted transposes; ranks,
-kernels and cokernels come from the SVD of the weight-normalized matrix
-with the cutoff  max(shape) * sigma_max * 1e-10  and a 10x margin
-warning.
+self-dual components).  Adjoints are exact weighted transposes; ranks
+come from the singular values of the weight-normalized matrix, with the
+cutoff  max(shape) * sigma_max * 1e-10  and a 10x margin warning, and
+kernels and cokernels from its full SVD, computed only where read.
 
 Equation rows are restricted to the trusted stencil support
 (`gsw.row_masks`); on a box this leaves the faces unconstrained, which
@@ -237,7 +237,12 @@ def moved(c: Configuration, vec) -> Configuration:
 
 
 class LinearMap:
-    """Dense matrix between block spaces with exact weighted adjoints."""
+    """Dense matrix between block spaces with exact weighted adjoints.
+
+    Its weight-normalised matrix is factored only as far as it is read: one
+    cached singular-value set decides the rank, full U and V are computed for
+    the (co)kernel bases and pseudo-inverses, and LU inverts a square map of full rank.
+    """
 
     def __init__(self, matrix, row_space: BlockSpace, col_space: BlockSpace):
         self.matrix = np.ascontiguousarray(matrix, dtype=float)
@@ -246,6 +251,7 @@ class LinearMap:
         if self.matrix.shape != (row_space.dim, col_space.dim):
             raise ValueError("matrix shape does not match block spaces")
         self._svd = None
+        self._values = None
         self._rank = None
 
     # -- basic algebra -----------------------------------------------------
@@ -272,28 +278,32 @@ class LinearMap:
             raise ValueError("incompatible composition")
         return LinearMap(self.matrix @ other.matrix, self.row_space, other.col_space)
 
-    # -- weighted SVD machinery ---------------------------------------------
+    # -- weighted factorisations --------------------------------------------
+    def _normalised(self):
+        """(m_hat, sr, sc) with m_hat = sr M / sc, the matrix in unit weights."""
+        if max(self.matrix.shape) > MAX_DENSE_DIM:
+            raise ValueError("dense SVD limited to dimension %d; use a smaller lattice" % MAX_DENSE_DIM)
+        sr = np.sqrt(self.row_space.weights)
+        sc = np.sqrt(self.col_space.weights)
+        return (self.matrix * sr[:, None]) / sc[None, :], sr, sc
+
     def _weighted(self):
         if self._svd is None:
-            if max(self.matrix.shape) > MAX_DENSE_DIM:
-                raise ValueError(
-                    "dense SVD limited to dimension %d; use a smaller lattice"
-                    % MAX_DENSE_DIM
-                )
-            sr = np.sqrt(self.row_space.weights)
-            sc = np.sqrt(self.col_space.weights)
-            m_hat = (self.matrix * sr[:, None]) / sc[None, :]
-            u, s, vt = np.linalg.svd(m_hat, full_matrices=True)
-            self._svd = (u, s, vt, sr, sc)
+            m_hat, sr, sc = self._normalised()
+            self._svd = (*np.linalg.svd(m_hat, full_matrices=True), sr, sc)
         return self._svd
 
     def singular_values(self):
-        return self._weighted()[1]
+        """Values-only, unless the full factors came first."""
+        if self._values is None:
+            self._values = (self._svd[1] if self._svd is not None
+                            else np.linalg.svd(self._normalised()[0], compute_uv=False))
+        return self._values
 
     def rank(self):
         """(rank, (retained, discarded)), decided once per map: a margin below 10x warns once."""
         if self._rank is None:
-            s = self._weighted()[1]
+            s = self.singular_values()
             cutoff = max(self.matrix.shape) * s.max(initial=0.0) * RANK_REL_CUTOFF
             r = int(np.sum(s > cutoff))
             retained = s[r - 1] if r > 0 else np.inf
@@ -310,23 +320,23 @@ class LinearMap:
     def kernel_basis(self):
         """Columns: an orthonormal kernel basis in the weighted metric."""
         u, s, vt, sr, sc = self._weighted()
-        r, _ = self.rank()
-        null_hat = vt[r:].T
-        return null_hat / sc[:, None]
+        return vt[self.rank()[0]:].T / sc[:, None]
 
     def cokernel_basis(self):
         u, s, vt, sr, sc = self._weighted()
-        r, _ = self.rank()
-        return u[:, r:] / sr[:, None]
+        return u[:, self.rank()[0]:] / sr[:, None]
 
     def pinv_apply(self, y):
         """Weighted least-squares solution of minimal norm; y is a vector or a column stack."""
-        u, s, vt, sr, sc = self._weighted()
+        col = (slice(None), None) if np.ndim(y) == 2 else slice(None)
+        m, n = self.matrix.shape
+        if self._svd is None and m == n and self.rank()[0] == n:  # full rank, no factors cached: LU
+            m_hat, sr, sc = self._normalised()
+            return np.linalg.solve(m_hat, sr[col] * y) / sc[col]
+        u, s, vt, sr, sc = self._weighted()  # before a first rank(), which then reads these values
         r, _ = self.rank()
-        if np.ndim(y) == 2:
-            s, sr, sc = s[:, None], sr[:, None], sc[:, None]
-        coeff = (u[:, :r].T @ (sr * y)) / s[:r]
-        return (vt[:r].T @ coeff) / sc
+        coeff = (u[:, :r].T @ (sr[col] * y)) / s[:r][col]
+        return (vt[:r].T @ coeff) / sc[col]
 
     def range_basis(self):
         """Columns: a weighted-orthonormal basis of the range, from `eigh` of the normal matrix.
@@ -686,15 +696,18 @@ def newton(rows_at, step, x, tol, max_iter, norm, step_norm):
 class ChartFrame:
     """Linear data of the solution-set chart over ker [E; D*] at a point.
 
-    `kernel` is a weighted-orthonormal basis of ker [E; D*], led by the
-    plane (v, w) when `lead` is given; `coker` spans coker E; `w_basis`
-    completes the kernel inside the gauge slice ker D*.  The chord
-    matrix is E on `w_basis`, projected off the cokernel.
+    `kernel` is a weighted-orthonormal basis of ker [E; D*] = ker E ∩ ker D*:
+    ker E, from the SVD of E that also gives `coker` (coker E), times the
+    kernel of D* on ker E, led by the plane (v, w) when `lead` is given.
+    `w_basis` completes it inside the slice ker D*.  The chord matrix is
+    E on `w_basis`, projected off the cokernel.
     """
 
     def __init__(self, eq: LinearMap, gauge: LinearMap, lead=None):
         self.eq = eq
-        kernel = stacked_op(eq, gauge).kernel_basis()
+        ker_e, slice_op = eq.kernel_basis(), gauge.adjoint()
+        on_ker_e = BlockSpace([("ker E", ker_e.shape[1], 1.0)])
+        kernel = ker_e @ LinearMap(slice_op.matrix @ ker_e, slice_op.row_space, on_ker_e).kernel_basis()
         if lead is not None:
             led = _complete_plane_basis(eq.col_space, *lead, kernel)
             if led.shape[1] != kernel.shape[1]:
@@ -702,9 +715,7 @@ class ChartFrame:
             kernel = led
         self.kernel = kernel
         self.coker = eq.cokernel_basis()
-        self.w_basis = _orthonormal_complement(
-            kernel, gauge.adjoint().kernel_basis(), eq.col_space.weights
-        )
+        self.w_basis = _orthonormal_complement(kernel, slice_op.kernel_basis(), eq.col_space.weights)
         red = eq.matrix @ self.w_basis
         red = red - self.coker @ (
             self.coker.T @ (red * eq.row_space.weights[:, None])

@@ -111,6 +111,81 @@ def test_pinv_apply_column_stack():
     assert np.array_equal(empty.pinv_apply(np.zeros(0)), np.zeros(4))
 
 
+def weighted_map(sing, seed):
+    """Square map whose weight-normalised matrix has singular values `sing`, on non-uniform weights."""
+    n = len(sing)
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    v, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    rows = dfm.BlockSpace([("a", n - 2, 0.3), ("b", 2, 2.5)])
+    cols = dfm.BlockSpace([("c", 3, 1.7), ("d", n - 3, 0.05)])
+    m_hat = (u * np.asarray(sing, dtype=float)) @ v.T
+    return dfm.LinearMap(m_hat / np.sqrt(rows.weights)[:, None] * np.sqrt(cols.weights), rows, cols)
+
+
+def test_pinv_apply_lu_route_matches_svd_route():
+    """A square map of full rank is inverted by LU, with no U or V, as the SVD route would."""
+    sing = np.geomspace(3.0, 0.02, 9)
+    lu_map, svd_map = weighted_map(sing, 61), weighted_map(sing, 61)
+    svd_map._weighted()  # full factors first: pinv_apply takes the SVD route
+    rng = np.random.default_rng(62)
+    for y in (rng.normal(size=9), rng.normal(size=(9, 4))):
+        got, ref = lu_map.pinv_apply(y), svd_map.pinv_apply(y)
+        assert got.shape == y.shape
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.abs(lu_map.apply(got) - y).max() <= 1e-12 * np.abs(y).max() * sing[0] / sing[-1]
+    assert lu_map._svd is None and lu_map.rank()[0] == 9
+
+
+def test_pinv_apply_rank_deficient_square_map():
+    """The minimum-norm weighted least-squares solution, and one margin warning per map."""
+    lm = weighted_map([2.0, 1.0, 0.5, 0.25, 0.0, 0.0], 63)
+    ys = np.random.default_rng(64).normal(size=(6, 3))
+    sr, sc = np.sqrt(lm.row_space.weights), np.sqrt(lm.col_space.weights)
+    m_hat = sr[:, None] * lm.matrix / sc
+    ref = (np.linalg.pinv(m_hat, rcond=6 * dfm.RANK_REL_CUTOFF) @ (sr[:, None] * ys)) / sc[:, None]
+    out = lm.pinv_apply(ys)
+    assert lm.rank()[0] == 4 and lm._svd is not None
+    assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.abs(lm.pinv_apply(ys[:, 1]) - ref[:, 1]).max() <= 1e-12 * np.abs(ref).max()
+    # retained 4e-9 and discarded 5e-10 straddle the cutoff 6e-10 less than 10x apart
+    marginal = weighted_map([1.0, 0.7, 0.4, 0.1, 4e-9, 5e-10], 65)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        marginal.pinv_apply(ys[:, 0])
+        marginal.pinv_apply(ys)
+        marginal.kernel_basis(), marginal.cokernel_basis(), marginal.rank()
+    assert [w.category for w in caught] == [dfm.RankMarginWarning]
+    assert marginal.rank()[0] == 5
+
+
+def test_kernel_and_cokernel_after_a_values_only_rank():
+    """A values-only rank is the rank the full factors are read with."""
+    c, _ = box_fueter_config(n=2)
+    geom = torus()
+    zero = Configuration(ConnectionField(geom, GaugeGroup.U1), SpinorField(geom, np.zeros(geom.dims + (4,))))
+    for lm in (dfm.linearize_fsw(c), dfm.lin_gauge(c), dfm.lin_gauge(zero), weighted_map([1.0, 0.5, 0.0, 0.0], 66)):
+        r, _ = lm.rank()
+        assert lm._svd is None
+        assert lm.kernel_basis().shape == (lm.col_space.dim, lm.col_space.dim - r)
+        assert lm.cokernel_basis().shape == (lm.row_space.dim, lm.row_space.dim - r)
+        assert lm.rank()[0] == r
+
+
+def test_dense_size_limit_raised_before_any_svd(monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("SVD ran over the dense-size limit")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    big = dfm.BlockSpace([("big", dfm.MAX_DENSE_DIM + 1, 1.0)])
+    lm = dfm.LinearMap(np.zeros((big.dim, 1)), big, dfm.BlockSpace([("one", 1, 1.0)]))
+    for method in (lm.rank, lm.singular_values, lm.operator_norm, lm.kernel_basis):
+        with pytest.raises(ValueError, match="dense SVD limited"):
+            method()
+    with pytest.raises(ValueError, match="dense SVD limited"):
+        lm.pinv_apply(np.zeros(big.dim))
+
+
 def test_trivial_group_empty_map():
     geom = torus()
     c = gsw.random_config(geom, GaugeGroup.TRIVIAL, seed=4)
@@ -216,6 +291,44 @@ def test_kernel_two_ways():
     ker = op.kernel_basis()
     assert np.abs(e.matrix @ ker).max() <= 1e-9
     assert np.abs(d_star.matrix @ ker).max() <= 1e-9
+
+
+def chart_points():
+    geom = torus()
+    zero = Configuration(ConnectionField(geom, GaugeGroup.U1), SpinorField(geom, np.zeros(geom.dims + (4,))))
+    rnd = gsw.random_config(geom, GaugeGroup.U1, seed=5, amplitude=0.3)
+    return {"zero_torus": zero, "fueter_box": box_fueter_config(3)[0], "random_torus": rnd}
+
+
+@pytest.mark.parametrize("name", ["zero_torus", "fueter_box", "random_torus"])
+def test_chart_kernel_from_e_matches_the_stacked_kernel(name, monkeypatch):
+    """ker E ∩ ker D* through the SVD of E is ker [E; D*], and no SVD of [E; D*] is taken."""
+    c = chart_points()[name]
+    s = gsw.manufacture(c)
+    calls = []
+    real_svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        calls.append((a.shape, kwargs.get("compute_uv", True)))
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    chart = dfm.KuranishiChart(c, s)
+    stacked_shape = dfm.elliptic_op(c).matrix.shape
+    assert calls and stacked_shape not in [shape for shape, _ in calls]
+    del calls[:]
+    rep = dfm.cohomology(c)
+    assert calls and not any(uv for _, uv in calls)
+    monkeypatch.undo()
+
+    w = chart.space.weights
+    ker = dfm.elliptic_op(c).kernel_basis()
+    got = chart.frame.kernel @ (chart.frame.kernel.T * w)
+    want = ker @ (ker.T * w)
+    assert np.abs(got - want).max() <= 1e-12
+    assert chart.h1_dim == rep.h1
+    eq = dfm.linearize_fsw(c)
+    assert chart.h2_dim == eq.row_space.dim - eq.rank()[0]
 
 
 # ---------------------------------------------------------------------------

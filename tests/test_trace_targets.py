@@ -54,3 +54,34 @@ def test_iteration_counters_read_the_solver_results():
     chart = dfm.KuranishiChart(c, gsw.manufacture(c))
     charted = chart.solve(np.full(chart.h1_dim, 0.05 / np.sqrt(chart.h1_dim)))
     assert charted[2]["iters"] > 1 and spans._chart_iters((chart,), {}, charted) == (charted[2]["iters"], 0)
+
+
+def test_svd_cost_counts_values_only_calls_as_not_full(monkeypatch):
+    """`linalg.svd.full_calls` and `.flops` follow `compute_uv`, as `LinearMap` passes it."""
+    spans = load_spans()
+    a = np.zeros((7, 5))
+    values_only = 4 * 7 * 5 * 5 - 4 * 5**3 / 3
+    assert spans._svd_cost((a,), {"compute_uv": False}, None) == (values_only, 0)
+    assert spans._svd_cost((a, True, False), {}, None) == (values_only, 0)
+    assert spans._svd_cost((a,), {"full_matrices": True}, None) == (4 * 49 * 5 + 8 * 7 * 25 + 9 * 125, 1)
+    assert spans._svd_cost((a,), {"full_matrices": False}, None) == (14 * 7 * 25 + 8 * 125, 0)
+
+    costs = []
+    real_svd = np.linalg.svd
+
+    def costed_svd(*args, **kwargs):
+        out = real_svd(*args, **kwargs)
+        costs.append(spans._svd_cost(args, kwargs, out))
+        return out
+
+    monkeypatch.setattr(np.linalg, "svd", costed_svd)
+    space = dfm.BlockSpace([("x", 5, 1.0)])
+    lm = dfm.LinearMap(np.random.default_rng(0).normal(size=(5, 5)), space, space)
+    lm.rank(), lm.operator_norm(), lm.pinv_apply(np.ones(5))
+    assert costs == [(4 * 125 - 4 * 125 / 3, 0)]
+    lm.kernel_basis()
+    assert costs[1] == (4 * 125 + 8 * 125 + 9 * 125, 1)
+    # a non-square pseudo-inverse reads the full factors, so its rank comes from them
+    tall = dfm.LinearMap(np.random.default_rng(1).normal(size=(7, 5)), dfm.BlockSpace([("y", 7, 2.0)]), space)
+    tall.pinv_apply(np.ones(7)), tall.rank(), tall.operator_norm()
+    assert costs[2:] == [(4 * 49 * 5 + 8 * 7 * 25 + 9 * 125, 1)]
