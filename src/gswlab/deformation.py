@@ -330,10 +330,10 @@ class LinearMap:
         """Weighted least-squares solution of minimal norm; y is a vector or a column stack."""
         col = (slice(None), None) if np.ndim(y) == 2 else slice(None)
         m, n = self.matrix.shape
-        if self._svd is None and m == n and self.rank()[0] == n:  # full rank, no factors cached: LU
+        if m == n and self.rank()[0] == n:  # square of full rank: LU, whatever is cached
             m_hat, sr, sc = self._normalised()
             return np.linalg.solve(m_hat, sr[col] * y) / sc[col]
-        u, s, vt, sr, sc = self._weighted()  # before a first rank(), which then reads these values
+        u, s, vt, sr, sc = self._weighted()  # a non-square map: before a first rank(), which reads these
         r, _ = self.rank()
         coeff = (u[:, :r].T @ (sr[col] * y)) / s[:r][col]
         return (vt[:r].T @ coeff) / sc[col]
@@ -764,9 +764,9 @@ class KuranishiChart:
         self.s = s
         self.tol = tol
         self.max_iter = max_iter
-        self.eq = linearize_fsw(c)
+        self.eq, self.gauge = linearize_fsw(c), lin_gauge(c)
         self.space = self.eq.col_space
-        self.frame = ChartFrame(self.eq, lin_gauge(c))
+        self.frame = ChartFrame(self.eq, self.gauge)
 
     @property
     def h1_dim(self):
@@ -775,6 +775,12 @@ class KuranishiChart:
     @property
     def h2_dim(self):
         return self.frame.coker.shape[1]
+
+    def h_dims(self):
+        """(h0, h1, h2) as in `cohomology`, h1 the dimension sampled: rank [E; D*] = cols - h1."""
+        h0 = self.gauge.col_space.dim - self.gauge.rank()[0]
+        coker_op = self.eq.row_space.dim + self.gauge.col_space.dim - (self.space.dim - self.h1_dim)
+        return h0, self.h1_dim, coker_op - h0
 
     def solve(self, xi):
         """Return (phi_vec, kappa_coeffs, info) for chart coordinates xi."""
@@ -826,16 +832,16 @@ def kuranishi(
     carry the kappa norm, Newton iterations and the convergence and
     divergence flags.
     """
-    rep = cohomology(c)
     chart = KuranishiChart(c, s, tol=tol)
-    kappa0, info0 = chart.kappa_norm(np.zeros(chart.h1_dim))
+    h0, h1, h2 = chart.h_dims()
+    kappa0, info0 = chart.kappa_norm(np.zeros(h1))
     rng = np.random.default_rng(seed)
     samples = []
     for k in range(n_samples):
-        xi = rng.normal(size=chart.h1_dim)
+        xi = rng.normal(size=h1)
         nrm = np.linalg.norm(xi)
         if nrm > 0:
-            xi *= radius * rng.uniform() ** (1.0 / max(chart.h1_dim, 1)) / nrm
+            xi *= radius * rng.uniform() ** (1.0 / max(h1, 1)) / nrm
         knorm, info = chart.kappa_norm(xi)
         samples.append(
             {
@@ -847,13 +853,7 @@ def kuranishi(
                 "proj_residual": info["proj_residual"],
             }
         )
-    return KuranishiReport(
-        (rep.h0, rep.h1, rep.h2),
-        rep.h2 == 0,
-        rep.h2 == 0 and rep.h0 == 0,
-        kappa0,
-        samples,
-    )
+    return KuranishiReport((h0, h1, h2), h2 == 0, h2 == 0 and h0 == 0, kappa0, samples)
 
 
 # ---------------------------------------------------------------------------

@@ -124,16 +124,20 @@ def weighted_map(sing, seed):
 
 
 def test_pinv_apply_lu_route_matches_svd_route():
-    """A square map of full rank is inverted by LU, with no U or V, as the SVD route would."""
+    """A square map of full rank is inverted by LU, with no U or V, whatever was factored first."""
     sing = np.geomspace(3.0, 0.02, 9)
-    lu_map, svd_map = weighted_map(sing, 61), weighted_map(sing, 61)
-    svd_map._weighted()  # full factors first: pinv_apply takes the SVD route
+    lu_map, factored = weighted_map(sing, 61), weighted_map(sing, 61)
+    factored.kernel_basis()  # full factors cached first: the route must not change
+    sr, sc = np.sqrt(lu_map.row_space.weights), np.sqrt(lu_map.col_space.weights)
+    pinv_hat = np.linalg.pinv(sr[:, None] * lu_map.matrix / sc)
     rng = np.random.default_rng(62)
     for y in (rng.normal(size=9), rng.normal(size=(9, 4))):
-        got, ref = lu_map.pinv_apply(y), svd_map.pinv_apply(y)
+        got = lu_map.pinv_apply(y)
+        ref = ((pinv_hat @ (sr[:, None] * y.reshape(9, -1))) / sc[:, None]).reshape(y.shape)
         assert got.shape == y.shape
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
         assert np.abs(lu_map.apply(got) - y).max() <= 1e-12 * np.abs(y).max() * sing[0] / sing[-1]
+        assert np.array_equal(factored.pinv_apply(y), got)
     assert lu_map._svd is None and lu_map.rank()[0] == 9
 
 
@@ -302,7 +306,10 @@ def chart_points():
 
 @pytest.mark.parametrize("name", ["zero_torus", "fueter_box", "random_torus"])
 def test_chart_kernel_from_e_matches_the_stacked_kernel(name, monkeypatch):
-    """ker E ∩ ker D* through the SVD of E is ker [E; D*], and no SVD of [E; D*] is taken."""
+    """ker E ∩ ker D* through the SVD of E is ker [E; D*], and no SVD of [E; D*] is taken.
+
+    Away from the rank cutoff the chart's h-dims are `cohomology`'s.
+    """
     c = chart_points()[name]
     s = gsw.manufacture(c)
     calls = []
@@ -314,6 +321,7 @@ def test_chart_kernel_from_e_matches_the_stacked_kernel(name, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
     chart = dfm.KuranishiChart(c, s)
+    dims = chart.h_dims()
     stacked_shape = dfm.elliptic_op(c).matrix.shape
     assert calls and stacked_shape not in [shape for shape, _ in calls]
     del calls[:]
@@ -326,9 +334,29 @@ def test_chart_kernel_from_e_matches_the_stacked_kernel(name, monkeypatch):
     got = chart.frame.kernel @ (chart.frame.kernel.T * w)
     want = ker @ (ker.T * w)
     assert np.abs(got - want).max() <= 1e-12
-    assert chart.h1_dim == rep.h1
+    assert chart.h1_dim == rep.h1 and dims == (rep.h0, rep.h1, rep.h2)
     eq = dfm.linearize_fsw(c)
     assert chart.h2_dim == eq.row_space.dim - eq.rank()[0]
+
+
+def test_kuranishi_reports_the_h1_it_samples(monkeypatch):
+    """Where the two rank routes part, kuranishi's h1 is the chart's and the index is kept.
+
+    The least singular value of [E; D*] on the 3^4 Fueter box, 0.881, is also
+    that of D* on ker E.  A cutoff of 1.6e-4 relative puts it below the stacked
+    map's cutoff (540 * 12.25 * 1.6e-4 = 1.06) and above the small map's
+    (428 * 10.43 * 1.6e-4 = 0.71), so `cohomology` counts it in h1 and the chart does not.
+    """
+    c, s = box_fueter_config(3)
+    monkeypatch.setattr(dfm, "RANK_REL_CUTOFF", 1.6e-4)
+    with pytest.warns(dfm.RankMarginWarning):
+        rep = dfm.cohomology(c)
+        chart = dfm.KuranishiChart(c, s)
+        kur = dfm.kuranishi(c, s, n_samples=1)
+    assert (rep.h1, chart.h1_dim) == (348, 347)
+    h0, h1, h2 = kur.h_dims
+    assert (h0, h1) == (rep.h0, chart.h1_dim)
+    assert h1 - h0 - h2 == rep.index
 
 
 # ---------------------------------------------------------------------------
