@@ -642,30 +642,18 @@ def complex_check(c: Configuration, s: Sources):
     return comp.operator_norm()
 
 
-def _orthonormal_complement(basis, inside, weights):
-    """Orthonormalize `inside` against span(basis) in the weighted metric."""
-    if basis.shape[1] == 0:
-        keep = inside
-    else:
-        gram = basis.T @ (inside * weights[:, None])
-        keep = inside - basis @ gram
-    q, r = np.linalg.qr(keep * np.sqrt(weights)[:, None])
-    diag = np.abs(np.diag(r))
-    cols = diag > 1e-8 * (diag.max() if diag.size else 1.0)
-    return (q[:, cols]) / np.sqrt(weights)[:, None]
+def _completed(q):
+    """Orthonormal columns q followed by their exact complement: the trailing columns of q's complete QR."""
+    return np.hstack([q, np.linalg.qr(q, mode="complete")[0][:, q.shape[1]:]])
 
 
-def _complete_plane_basis(space: BlockSpace, v, w, rest):
-    """Weighted-orthonormal basis starting with (v, w), completed by rest."""
-    cols = [v, w]
-    for k in range(rest.shape[1]):
-        x = rest[:, k]
-        for c in cols:
-            x = x - c * space.inner(c, x)
-        nrm = space.norm(x)
-        if nrm > 1e-8:
-            cols.append(x / nrm)
-    return np.stack(cols, axis=1)
+def _plane_led(basis, weights, v, w, span):
+    """Weighted-orthonormal `basis` turned to start with the orthonormal plane (v, w) in its `span`."""
+    plane = np.stack([v, w], axis=1)
+    coef = basis.T @ (plane * weights[:, None])
+    if np.sqrt(weights @ (plane - basis @ coef) ** 2).max() > 1e-8:
+        raise ValueError("plane vectors must lie in the %s" % span)
+    return np.hstack([plane, basis @ _completed(coef)[:, 2:]])
 
 
 def newton(rows_at, step, x, tol, max_iter, norm, step_norm):
@@ -698,24 +686,26 @@ class ChartFrame:
 
     `kernel` is a weighted-orthonormal basis of ker [E; D*] = ker E ∩ ker D*:
     ker E, from the SVD of E that also gives `coker` (coker E), times the
-    kernel of D* on ker E, led by the plane (v, w) when `lead` is given.
-    `w_basis` completes it inside the slice ker D*.  The chord matrix is
-    E on `w_basis`, projected off the cokernel.
+    kernel of D* on ker E, led by the orthonormal plane (v, w) when `lead`
+    is given.  `w_basis` completes it inside the slice: with S a weighted-
+    orthonormal basis of ker D*, S times the complete-QR complement of the
+    kernel's coordinates on S.  The chord matrix is E on `w_basis`,
+    projected off the cokernel.
     """
 
     def __init__(self, eq: LinearMap, gauge: LinearMap, lead=None):
         self.eq = eq
+        weights = eq.col_space.weights
         ker_e, slice_op = eq.kernel_basis(), gauge.adjoint()
         on_ker_e = BlockSpace([("ker E", ker_e.shape[1], 1.0)])
         kernel = ker_e @ LinearMap(slice_op.matrix @ ker_e, slice_op.row_space, on_ker_e).kernel_basis()
         if lead is not None:
-            led = _complete_plane_basis(eq.col_space, *lead, kernel)
-            if led.shape[1] != kernel.shape[1]:
-                raise ValueError("plane vectors must lie in the solution-set tangent space")
-            kernel = led
+            kernel = _plane_led(kernel, weights, *lead, "solution-set tangent space")
         self.kernel = kernel
         self.coker = eq.cokernel_basis()
-        self.w_basis = _orthonormal_complement(kernel, slice_op.kernel_basis(), eq.col_space.weights)
+        slice_basis = slice_op.kernel_basis()
+        coords = slice_basis.T @ (kernel * weights[:, None])
+        self.w_basis = slice_basis @ _completed(coords)[:, kernel.shape[1]:]
         red = eq.matrix @ self.w_basis
         red = red - self.coker @ (
             self.coker.T @ (red * eq.row_space.weights[:, None])

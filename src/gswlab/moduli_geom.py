@@ -353,12 +353,13 @@ def slice_chart_metric(system: QuotientSystem, cvec, v, w):
     The chart point xi maps to cvec + basis @ xi; the metric entry is
     the inner product of horizontally-projected basis vectors at the
     moved configuration.  Basis vector 0 is v, vector 1 is w; with
-    plane=True only those two.  A reducible cvec raises LinAlgError here.
+    plane=True only those two.  A reducible cvec raises LinAlgError here,
+    a plane outside the gauge slice ker D* ValueError.
     """
     horizontal_projector(system, cvec)  # rank loss ends the run before any oracle call
-    slice_basis = system.gauge_map(cvec).adjoint().kernel_basis()
-    basis = dfm._complete_plane_basis(system.tan_space, v, w, slice_basis)
     wts = system.tan_space.weights
+    slice_basis = system.gauge_map(cvec).adjoint().kernel_basis()
+    basis = dfm._plane_led(slice_basis, wts, v, w, "gauge slice")
 
     def metric_fn(xi, plane=False):
         cv = cvec + basis @ np.asarray(xi, dtype=float)
@@ -421,8 +422,8 @@ def omega_form(c: Configuration, v, w):
 
 
 def sample_solution_plane(system: QuotientSystem, cvec, seed, n_planes=1):
-    """Orthonormal plane pairs tangent to the solution set at cvec."""
-    h1 = dfm.stacked_op(system.equation_map(cvec), system.gauge_map(cvec)).kernel_basis()
+    """Orthonormal plane pairs tangent to the solution set at cvec, from the chart's kernel basis."""
+    h1 = dfm.ChartFrame(system.equation_map(cvec), system.gauge_map(cvec)).kernel
     if h1.shape[1] < 2:
         raise ValueError("solution-set tangent space has dimension < 2")
     rng = np.random.default_rng(seed)

@@ -304,6 +304,39 @@ def chart_points():
     return {"zero_torus": zero, "fueter_box": box_fueter_config(3)[0], "random_torus": rnd}
 
 
+def noisy_box():
+    """A 0.01-noise spinor off a manufactured U(1) 3^4 box solution."""
+    geom = LatticeGeom((3,) * 4, 1.0 / 3, Topology.BOX)
+    c = gsw.random_config(geom, GaugeGroup.U1, seed=0, amplitude=0.3)
+    s = gsw.manufacture(c)
+    c.u.values = c.u.values + 0.01 * np.random.default_rng(0).normal(size=c.u.values.shape)
+    return c, s
+
+
+@pytest.mark.parametrize("name", ["zero_torus", "noisy_box"])
+def test_chart_frame_completes_the_kernel_inside_the_slice(name):
+    """[kernel | w_basis] is a weighted-orthonormal basis of the slice ker D*, w_basis orthogonal to the kernel.
+
+    On the noisy box the chart point at xi = 0 then solves the equations.
+    """
+    if name == "noisy_box":
+        c, s = noisy_box()
+    else:
+        c = chart_points()[name]
+        s = gsw.manufacture(c)
+    chart = dfm.KuranishiChart(c, s)
+    frame, w = chart.frame, chart.space.weights
+    d_star = chart.gauge.adjoint()
+    assert np.abs(d_star.matrix @ frame.w_basis).max() <= 1e-12
+    assert np.abs(frame.kernel.T @ (frame.w_basis * w[:, None])).max() <= 1e-12
+    full = np.hstack([frame.kernel, frame.w_basis])
+    assert full.shape[1] == chart.space.dim - d_star.rank()[0]
+    assert np.abs(full.T @ (full * w[:, None]) - np.eye(full.shape[1])).max() <= 1e-12
+    if name == "noisy_box":
+        _, _, info = chart.solve(np.zeros(chart.h1_dim))
+        assert info["converged"] and not info["diverged"]
+
+
 @pytest.mark.parametrize("name", ["zero_torus", "fueter_box", "random_torus"])
 def test_chart_kernel_from_e_matches_the_stacked_kernel(name, monkeypatch):
     """ker E ∩ ker D* through the SVD of E is ker [E; D*], and no SVD of [E; D*] is taken.
@@ -603,27 +636,22 @@ def test_pack_unpack_roundtrip_with_missing_far_face_links():
 
 
 def test_chart_newton_stops_when_the_projected_rows_grow():
-    # a 0.01-noise spinor off a manufactured U(1) box solution: the chord
-    # iteration grows from the first step, so it stops there, finite and flagged
-    geom = LatticeGeom((3,) * 4, 1.0 / 3, Topology.BOX)
-    c = gsw.random_config(geom, GaugeGroup.U1, seed=0, amplitude=0.3)
-    s = gsw.manufacture(c)
-    c.u.values = c.u.values + 0.01 * np.random.default_rng(0).normal(size=c.u.values.shape)
+    # the noisy box at the far chart point 30 xi_hat: the chord iteration
+    # grows from the first step, so it stops there, finite and flagged
+    c, s = noisy_box()
     chart = dfm.KuranishiChart(c, s, max_iter=10)
+    xi = np.random.default_rng(0).normal(size=chart.h1_dim)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        vec, kappa, info = chart.solve(np.zeros(chart.h1_dim))
+        vec, kappa, info = chart.solve(30.0 * xi / np.linalg.norm(xi))
     assert info["diverged"] and not info["converged"] and info["iters"] < 10
     assert np.all(np.isfinite(vec)) and np.all(np.isfinite(kappa))
 
 
 def test_kuranishi_samples_carry_the_divergence_flag():
-    # the same 0.01-noise box: every sample's chord Newton stops as diverged
-    geom = LatticeGeom((3,) * 4, 1.0 / 3, Topology.BOX)
-    c = gsw.random_config(geom, GaugeGroup.U1, seed=0, amplitude=0.3)
-    s = gsw.manufacture(c)
-    c.u.values = c.u.values + 0.01 * np.random.default_rng(0).normal(size=c.u.values.shape)
-    rep = dfm.kuranishi(c, s, n_samples=3)
+    # the same noisy box sampled at radius 100: every sample's chord Newton stops as diverged
+    c, s = noisy_box()
+    rep = dfm.kuranishi(c, s, radius=100, n_samples=3)
     assert [r["diverged"] for r in rep.samples] == [True] * 3
     assert not any(r["converged"] for r in rep.samples)
     assert all(type(r["diverged"]) is bool for r in rep.samples)

@@ -98,6 +98,34 @@ def test_solution_chart_rejects_vertical_plane():
         mg.solution_chart_metric(sys_, sys_.center(), quat.QI.copy(), quat.QJ.copy())
 
 
+def test_slice_chart_rejects_a_plane_outside_the_slice():
+    sys_ = mg.HopfFixtureSystem()
+    # i spans the orbit at 1, so (i, j) is not in the gauge slice span(1, j, k)
+    with pytest.raises(ValueError, match="gauge slice"):
+        mg.slice_chart_metric(sys_, sys_.center(), quat.QI.copy(), quat.QJ.copy())
+
+
+def test_curvature_plane_reads_the_chart_kernel(monkeypatch):
+    """The plane sampler and the solution chart make no SVD of the stacked [E; D*]."""
+    c, s = box_fueter_config(2)
+    sys_ = mg.LatticeSystem(c, s)
+    c0 = sys_.center()
+    shapes = []
+    real_svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    v, w = mg.sample_solution_plane(sys_, c0, seed=0)[0]
+    mf, dim = mg.solution_chart_metric(sys_, c0, v, w)
+    mf(np.zeros(dim))
+    monkeypatch.undo()
+    stacked = dfm.elliptic_op(c).matrix.shape
+    assert stacked == (23, 96) and shapes and stacked not in shapes
+
+
 def test_solution_chart_newton_failure_raises():
     sys_ = mg.HopfFixtureSystem()
     mf, dim = mg.solution_chart_metric(sys_, sys_.center(), quat.QJ.copy(), quat.QK.copy(),
@@ -108,8 +136,8 @@ def test_solution_chart_newton_failure_raises():
 
 
 def test_solution_chart_divergence_raises_without_warnings():
-    # the chart point of a 0.01-noise spinor off a manufactured solution: the
-    # chord Newton grows, stops at once and reports it, with no overflow on the way
+    # the far chart point 30 e_0 of a 0.01-noise spinor off a manufactured solution:
+    # the chord Newton grows, stops at once and reports it, with no overflow on the way
     geom = LatticeGeom((3,) * 4, 1.0 / 3, Topology.BOX)
     c = gsw.random_config(geom, GaugeGroup.U1, seed=0, amplitude=0.3)
     s = gsw.manufacture(c)
@@ -120,7 +148,7 @@ def test_solution_chart_divergence_raises_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(RuntimeError, match="did not converge"):
-            mf(np.zeros(dim))
+            mf(30.0 * np.eye(dim)[0])
 
 
 # ---------------------------------------------------------------------------
