@@ -83,7 +83,11 @@ def validate_config(cfg, experiment):
     )
     _require(cfg.get("experiment") == experiment, "config experiment mismatch")
     _require(isinstance(cfg.get("seed", 0), int), "seed must be an integer")
+    params = cfg.get("params", {})
+    _require(isinstance(params, dict), "params must be an object")
     geo = cfg.get("geometry", {})
+    fixture = experiment == "curvature" and params.get("mode", "lattice") == "fixture"
+    _require(geo or experiment == "target-check" or fixture, f"{experiment} needs a geometry")
     if geo:
         _check_keys(geo, {"dims", "h", "topology"}, "geometry")
         dims = geo.get("dims")
@@ -98,8 +102,6 @@ def validate_config(cfg, experiment):
         _require(geo.get("topology", "torus") in ("torus", "box"), "bad topology")
     _require(cfg.get("target", "flat_h") in ("flat_h", "cone_h_mod_z2"), "bad target")
     _require(cfg.get("group", "trivial") in ("trivial", "u1"), "bad group")
-    params = cfg.get("params", {})
-    _require(isinstance(params, dict), "params must be an object")
     allowed = {
         "target-check": {"samples", "fd_step", "fd_tol", "alg_tol"},
         "solve": {"init", "perturb_amplitude", "tol", "max_iter"},
@@ -132,8 +134,7 @@ def validate_config(cfg, experiment):
     if experiment == "frequency":
         _require(params.get("stencil", "centered") in ("forward", "centered"), "bad params.stencil")
         try:  # the balls are known before any work
-            if geo:
-                _frequency_grid(params, build_geometry(cfg))
+            _frequency_grid(params, build_geometry(cfg))
         except (TypeError, ValueError, IndexError) as err:
             raise ConfigError(f"bad frequency grid: {err}") from err
     init = params.get("init")
@@ -392,7 +393,6 @@ def run_deform(cfg, out, opts):
         warnings.simplefilter("always")
         rep = dfm.cohomology(c)
         payload = rep.as_dict()
-        payload["index_consistent"] = rep.index == -(rep.h0 - rep.h1 + rep.h2)
         if params.get("complex_check", True):
             payload["complex_norm"] = dfm.complex_check(c, s)
             payload["residual_norm"] = gsw.residual_norm(c, s)
@@ -453,7 +453,7 @@ def run_curvature(cfg, out, opts):
     eps = float(params.get("oracle_eps", 3e-3))
     seed = cfg.get("seed", 0)
     if mode == "fixture":
-        system = mg.HopfFixtureSystem(with_level_set=True)
+        system = mg.HopfFixtureSystem()
         cvec = system.center()
     else:
         c = build_configuration(cfg)

@@ -13,7 +13,7 @@ is what makes under-determined smooth solution families possible.
 All assemblies use the forward/backward stencil pairing so that the
 matrix adjoints are the discrete adjoints exactly.
 
-One `DofLayout` per (dims, h, topology, group), from the bounded cache
+One `DofLayout` per (geom, group), from the bounded cache
 behind `layout`, holds the dof spaces and the neighbour index.  The
 equation rows (`residual_rowvec`) are evaluated on the trusted sites
 only, by gathers through that layout, and the Jacobian blocks of
@@ -209,17 +209,9 @@ class DofLayout:
 
 
 @functools.lru_cache(maxsize=8)
-def _layout(dims, h, topology, group):
-    return DofLayout(LatticeGeom(dims, h, topology), group)
-
-
 def layout(geom: LatticeGeom, group: GaugeGroup) -> DofLayout:
-    """The cached layout of (geom, group), keyed on (dims, h, topology, group).
-
-    The key leaves out `geom.s_x`, which no dof space reads (and which
-    makes a geom unhashable); the spaces' `geom` is the bare lattice.
-    """
-    return _layout(geom.dims, geom.h, geom.topology, group)
+    """The cached layout of (geom, group); equal geoms share one entry."""
+    return DofLayout(geom, group)
 
 
 def moved(c: Configuration, vec) -> Configuration:

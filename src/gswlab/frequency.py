@@ -2,10 +2,9 @@
 
 Radial machinery around a center x: the scaled energy
 F_x(r) = r^-2 int_{B_r} |d_A u|^2, the boundary density
-f_x(r) = int_{dB_r} |chi0 o u|^2, the frequency N = r^3 F / f, the
-metric-correction integral sigma and kappa = sqrt(e^{-2 sigma} r^-3 f).
-Every scalar-curvature term s_X reads the geometry's slot
-(`LatticeGeom.s_x`, identically zero on the flat base).
+f_x(r) = int_{dB_r} |chi0 o u|^2, the frequency N = r^3 F / f and
+kappa = sqrt(r^-3 f).  The base is flat, so every scalar-curvature term
+s_X of the identities and the metric correction sigma vanish.
 
 Identity residuals (Weitzenboeck, Bochner, stress divergence) are
 formed with the same stencils as the operators they test and converge
@@ -180,26 +179,22 @@ def curvature_yterm(u_vals, a: lat.ConnectionField, stencil=Stencil.FORWARD):
 def weitzenbock_residual(c: Configuration, stencil=Stencil.CENTERED):
     """Pointwise norm of the Dirac Weitzenboeck identity defect.
 
-    residual = D^{lin,u*} D_A u - d^{TM,*} d_A u - (s_X/4) chi0 o u
-               - Y_u(F); first/second order in h for forward/centered
-    stencils on smooth data.
+    residual = D^{lin,u*} D_A u - d^{TM,*} d_A u - Y_u(F); first/second
+    order in h for forward/centered stencils on smooth data.
     """
     geom = c.geom
     du = lat.dirac(c.u, c.a, stencil)
     lhs = dirac_lin_adjoint(du, c.a, stencil, geom)
     rhs = cov_laplacian(c.u.values, c.a, stencil, geom)
-    rhs = rhs + 0.25 * geom.scalar_curvature()[..., None] * c.u.values
     rhs = rhs + curvature_yterm(c.u.values, c.a, stencil)
     return quat.norm(lhs - rhs)
 
 
 def energy_identity(c: Configuration, stencil=Stencil.FORWARD):
-    """(int |d_A u|^2, -int (s_X/4) |chi0 o u|^2); equal on closed on-shell data."""
+    """(int |d_A u|^2, -int (s_X/4) |chi0 o u|^2 = 0); equal on closed on-shell data."""
     geom = c.geom
     lhs = lat.site_inner(geom, lat.grad_energy_density(c.u, c.a, stencil), np.ones(geom.dims))
-    chi2 = quat.norm2(c.u.values)
-    rhs = -lat.site_inner(geom, 0.25 * geom.scalar_curvature() * chi2, np.ones(geom.dims))
-    return lhs, rhs
+    return lhs, 0.0
 
 
 def key_identity_check(c: Configuration, stencil=Stencil.FORWARD):
@@ -237,11 +232,10 @@ def stress_tensor(c: Configuration, stencil=Stencil.CENTERED):
 
 
 def stress_div_residual(c: Configuration, stencil=Stencil.CENTERED):
-    """div T minus its curvature and scalar-curvature sources, per site.
+    """div T minus its curvature source, per site.
 
-    For the trivial group on a flat base the sources vanish and the
-    residual measures div T directly (zero to stencil order on
-    harmonic data).
+    For the trivial group the source vanishes and the residual measures
+    div T directly (zero to stencil order on harmonic data).
     """
     geom = c.geom
     t = stress_tensor(c, stencil)
@@ -263,9 +257,6 @@ def stress_div_residual(c: Configuration, stencil=Stencil.CENTERED):
             for j in range(4):
                 kf = quat.mul(c.u.values, quat.QI) * fmat[..., j, i][..., None]
                 source[..., i] += quat.inner(kf, comps[j])
-    s_x = geom.scalar_curvature()
-    for i in range(4):
-        source[..., i] += 0.25 * s_x * quat.inner(c.u.values, comps[i])
     return div - source
 
 
@@ -326,9 +317,7 @@ class RadialProfile:
     f_scaled_energy: np.ndarray  # F(r)
     f_boundary: np.ndarray  # f(r)
     frequency: np.ndarray  # N(r); nan where undefined
-    sigma: np.ndarray
     kappa: np.ndarray
-    sx_ball: np.ndarray  # int_{B_r} (s_X/4)|chi0 o u|^2
     chi_ball: np.ndarray  # int_{B_r} |chi0 o u|^2
     undefined: np.ndarray  # mask where f below threshold
 
@@ -341,7 +330,7 @@ class RadialProfile:
                     "F": float(self.f_scaled_energy[k]),
                     "f": float(self.f_boundary[k]),
                     "N": float(self.frequency[k]),
-                    "sigma": float(self.sigma[k]),
+                    "sigma": 0.0,  # metric correction, zero on the flat base
                     "kappa": float(self.kappa[k]),
                 }
             )
@@ -362,7 +351,7 @@ def radial_profile(
     n_polar=24,
     n_azimuth=48,
 ) -> RadialProfile:
-    """Tabulate F, f, N, sigma, kappa on a radius grid (spacing >= 2h)."""
+    """Tabulate F, f, N, kappa on a radius grid (spacing >= 2h)."""
     geom = c.geom
     radii = np.asarray(sorted(radii), dtype=float)
     if radii.size >= 2 and np.min(np.diff(radii)) < 2 * geom.h - 1e-12:
@@ -374,30 +363,18 @@ def radial_profile(
     m = radii.size
     f_r = np.zeros(m)
     big_f = np.zeros(m)
-    sx_ball = np.zeros(m)
     chi_ball = np.zeros(m)
     d = lat.site_distances(geom, center)
-    sx_chi2 = 0.25 * geom.scalar_curvature() * chi2
     for k, r in enumerate(radii):
         spec = BallSpec(center, float(r), n_polar, n_azimuth)
         w = lat.ball_window(geom, spec, d)
         big_f[k] = lat.site_inner(geom, energy, w) / r**2
         f_r[k] = lat.shell_integral(geom, chi2, spec)
-        sx_ball[k] = lat.site_inner(geom, sx_chi2, w)
         chi_ball[k] = lat.site_inner(geom, chi2, w)
     undefined = f_r <= 1e-14
     freq = np.where(undefined, np.nan, radii**3 * big_f / np.where(undefined, 1.0, f_r))
-    # sigma' = (1/f) int_{B_r}(s_X/4)|chi0 o u|^2; trapezoid from the grid
-    sigma = np.zeros(m)
-    integrand = np.where(undefined, 0.0, sx_ball / np.where(undefined, 1.0, f_r))
-    for k in range(1, m):
-        sigma[k] = sigma[k - 1] + 0.5 * (integrand[k] + integrand[k - 1]) * (
-            radii[k] - radii[k - 1]
-        )
-    kappa = np.sqrt(np.exp(-2 * sigma) * np.where(undefined, 0.0, f_r) / radii**3)
-    return RadialProfile(
-        tuple(center), radii, big_f, f_r, freq, sigma, kappa, sx_ball, chi_ball, undefined
-    )
+    kappa = np.sqrt(np.where(undefined, 0.0, f_r) / radii**3)
+    return RadialProfile(tuple(center), radii, big_f, f_r, freq, kappa, chi_ball, undefined)
 
 
 def _fd_weights(offsets, at=0.0):
@@ -433,10 +410,9 @@ def _grid_derivative(radii, values):
 def ode_checks(profile: RadialProfile):
     """Deviations of the radial identities f' and d kappa / dr.
 
-    f' is compared against (3/r) f + 2 r^2 F + 2 int_{B_r}(s_X/4)|chi0|^2
-    and kappa' against N kappa / r, with derivatives from 4th-order
-    central differences (needs >= 5 grid points).  Returns max relative
-    deviations over the interior grid.
+    f' is compared against (3/r) f + 2 r^2 F and kappa' against N kappa / r,
+    with derivatives from 4th-order central differences (needs >= 5 grid
+    points).  Returns max relative deviations over the interior grid.
     """
     r = profile.radii
     if r.size < 5:
@@ -444,7 +420,7 @@ def ode_checks(profile: RadialProfile):
     f = profile.f_boundary
     big_f = profile.f_scaled_energy
     fp = _grid_derivative(r, f)
-    rhs = 3.0 / r * f + 2.0 * r**2 * big_f + 2.0 * profile.sx_ball
+    rhs = 3.0 / r * f + 2.0 * r**2 * big_f
     sel = ~np.isnan(fp) & ~profile.undefined
     dev_f = np.abs(fp[sel] - rhs[sel]) / np.maximum(np.abs(rhs[sel]), 1e-300)
     kp = _grid_derivative(r, profile.kappa)

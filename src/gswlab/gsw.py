@@ -36,7 +36,7 @@ class Configuration:
     u: SpinorField
 
     def __post_init__(self):
-        if self.a.geom is not self.u.geom and self.a.geom != self.u.geom:
+        if self.a.geom != self.u.geom:
             raise ValueError("connection and spinor live on different lattices")
 
     @property

@@ -50,13 +50,11 @@ PLAQ_PAIRS = ((0, 1), (0, 2), (0, 3), (2, 3), (3, 1), (1, 2))
 
 @dataclass(frozen=True)
 class LatticeGeom:
-    """Flat 4-lattice; the scalar-curvature slot s_x defaults to zero
-    everywhere but is kept so the curvature-coupled formulas stay wired."""
+    """Flat 4-lattice (scalar curvature zero); a hashable value, so caches key on it."""
 
     dims: tuple
     h: float
     topology: Topology = Topology.TORUS
-    s_x: np.ndarray = None
 
     def __post_init__(self):
         if len(self.dims) != 4 or any(n < 2 for n in self.dims):
@@ -64,11 +62,6 @@ class LatticeGeom:
         if self.h <= 0:
             raise ValueError("spacing h must be positive")
         object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
-        if self.s_x is not None:
-            sx = np.ascontiguousarray(self.s_x, dtype=float)
-            if sx.shape != self.dims:
-                raise ValueError("s_x shape does not match dims")
-            object.__setattr__(self, "s_x", sx)
 
     @property
     def n_sites(self):
@@ -88,9 +81,6 @@ class LatticeGeom:
         axes = [np.arange(n) * self.h for n in self.dims]
         grid = np.meshgrid(*axes, indexing="ij")
         return np.stack(grid, axis=-1)
-
-    def scalar_curvature(self):
-        return self.s_x if self.s_x is not None else np.zeros(self.dims)
 
 
 @dataclass
@@ -588,10 +578,9 @@ def interpolate_quadratic(geom: LatticeGeom, f, points):
 
 
 @functools.lru_cache(maxsize=16)
-def _shell_functional(dims, h, topology, spec):
+def _shell_functional(geom, spec):
     """Read-only (sites int32, weights), shell_integral = weights @ f.flat[sites]; every
     site a node's stencil touches stays, so a non-finite value there reaches the sum."""
-    geom = LatticeGeom(dims, h, topology)
     _check_ball(geom, spec)
     pts, wts = sphere_nodes(spec)
     acc = np.zeros(geom.n_sites)  # pages away from the shell are never touched
@@ -612,8 +601,8 @@ def _shell_functional(dims, h, topology, spec):
 def shell_integral(geom: LatticeGeom, f, spec: BallSpec):
     """Integral of a site scalar over the boundary sphere of B_r(x): tensor-quadratic
     interpolation (smooth in r, as the radial identities need) onto the product
-    quadrature grid, a linear functional of f cached per (dims, h, topology, spec)."""
-    sites, weights = _shell_functional(geom.dims, geom.h, geom.topology, spec)
+    quadrature grid, a linear functional of f cached per (geom, spec)."""
+    sites, weights = _shell_functional(geom, spec)
     # einsum, not a BLAS dot: a threaded dot's start-up outweighs a sum this short
     return float(np.einsum("i,i", weights, np.ravel(f)[sites]))
 

@@ -154,11 +154,10 @@ class HopfFixtureSystem(QuotientSystem):
     Both values are closed-form anchors for the dual-route check.
     """
 
-    def __init__(self, with_level_set=True):
-        self.with_level_set = with_level_set
+    def __init__(self):
         self.tan_space = BlockSpace([("spinor", 4, 1.0)])
         self.gauge_space = BlockSpace([("gauge", 1, 1.0)])
-        self.eq_space = BlockSpace([("level", 1 if with_level_set else 0, 1.0)])
+        self.eq_space = BlockSpace([("level", 1, 1.0)])
 
     def center(self):
         return np.array([1.0, 0.0, 0.0, 0.0])
@@ -171,17 +170,12 @@ class HopfFixtureSystem(QuotientSystem):
         return -quat.mul(wvec, quat.QI)[:, None]
 
     def equation_rows(self, cvec):
-        if not self.with_level_set:
-            return np.zeros(0)
         return np.array([0.5 * (float(cvec @ cvec) - 1.0)])
 
     def equation_map(self, cvec):
-        mat = cvec[None, :] if self.with_level_set else np.zeros((0, 4))
-        return LinearMap(mat, self.eq_space, self.tan_space)
+        return LinearMap(cvec[None, :], self.eq_space, self.tan_space)
 
     def equation_second(self, cvec, t1, t2):
-        if not self.with_level_set:
-            return np.zeros(0)
         return np.array([float(t1 @ t2)])
 
 

@@ -24,10 +24,6 @@ BASIS = np.eye(4)
 IM_BASIS = BASIS[1:]
 
 
-def quat(h0=0.0, h1=0.0, h2=0.0, h3=0.0):
-    return np.array([h0, h1, h2, h3], dtype=float)
-
-
 def from_imag(v3):
     """Embed an imaginary 3-vector (i, j, k components) as a quaternion."""
     v3 = np.asarray(v3, dtype=float)

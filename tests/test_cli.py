@@ -43,6 +43,23 @@ def test_unknown_key_rejected(tmp_path):
     assert cli.run("target-check", cfg) == 2
 
 
+
+@pytest.mark.parametrize(
+    "experiment", ["solve", "deform", "kuranishi", "curvature", "frequency", "sequence"])
+def test_lattice_config_without_geometry_exit2(tmp_path, experiment):
+    """Every lattice experiment needs a geometry: without one (or with an empty one) the
+    run is exit 2 with no output; target-check and fixture curvature need none."""
+    out = tmp_path / "out"
+    payload = {"experiment": experiment, "output_dir": str(out), "group": "u1"}
+    assert cli.run(experiment, write_cfg(tmp_path, "nogeo.json", payload)) == 2
+    payload["geometry"] = {}
+    assert cli.run(experiment, write_cfg(tmp_path, "emptygeo.json", payload)) == 2
+    assert not out.exists()
+    for exempt in ({"experiment": "target-check"},
+                   {"experiment": "curvature", "params": {"mode": "fixture"}}):
+        assert cli.validate_config(exempt, exempt["experiment"]) is exempt
+
+
 def test_dense_limit_rejected_before_output(tmp_path):
     """A 5^4 U(1) torus (5000 unknowns) exceeds the dense limit: exit 2, no outputs."""
     out = tmp_path / "big"
@@ -249,7 +266,7 @@ def test_deform_cli(tmp_path):
     )
     assert cli.run("deform", cfg) == 0
     rep = json.loads((out / "cohomology.json").read_text())
-    assert rep["index_consistent"]
+    assert (rep["h0"], rep["h1"], rep["h2"], rep["index"]) == (0, 0, 0, 0)
     assert rep["complex_norm"] <= 1e-9
     assert (out / "elliptic_op.txt").exists()
 

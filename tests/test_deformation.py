@@ -603,12 +603,16 @@ def test_residual_rowvec_matches_full_field_residual(dims, topology, group, kind
 
 def test_layout_cache_keys_on_the_bare_lattice():
     plain = LatticeGeom((3,) * 4, 1.0 / 3, Topology.BOX)
-    curved = LatticeGeom((3,) * 4, 1.0 / 3, Topology.BOX, s_x=np.ones((3,) * 4))
-    with pytest.raises(TypeError):
-        hash(curved)
-    assert dfm.layout(curved, GaugeGroup.U1) is dfm.layout(plain, GaugeGroup.U1)
+    twin = LatticeGeom((3,) * 4, 1.0 / 3, Topology.BOX)
+    assert twin is not plain and twin == plain and hash(twin) == hash(plain)
+    dfm.layout.cache_clear()
+    lay = dfm.layout(plain, GaugeGroup.U1)
+    info = dfm.layout.cache_info()
+    assert dfm.layout(twin, GaugeGroup.U1) is lay
+    assert dfm.layout.cache_info().hits == info.hits + 1
+    assert dfm.layout.cache_info().currsize == info.currsize
     assert dfm.layout(plain, GaugeGroup.U1) is not dfm.layout(plain, GaugeGroup.TRIVIAL)
-    c = gsw.random_config(curved, GaugeGroup.U1, seed=5, amplitude=0.3)
+    c = gsw.random_config(twin, GaugeGroup.U1, seed=5, amplitude=0.3)
     e1, e2 = dfm.linearize_fsw(c), dfm.linearize_fsw(c)
     assert e1.row_space is e2.row_space and e1.col_space is e2.col_space
     assert dfm.lin_gauge(c).row_space is e1.col_space

@@ -245,7 +245,7 @@ def test_profile_z1_closed_forms():
     assert np.abs(prof.f_scaled_energy / (np.pi**2 * radii**2) - 1).max() <= 0.02
     assert np.abs(prof.f_boundary / (np.pi**2 * radii**5) - 1).max() <= 0.02
     assert np.abs(prof.frequency - 1).max() <= 0.02
-    assert np.abs(prof.sigma).max() == 0.0  # flat scalar-curvature slot
+    assert all(row["sigma"] == 0.0 for row in prof.rows())  # flat base: no metric correction
 
 
 @pytest.mark.parametrize("topology", [Topology.TORUS, Topology.BOX])

@@ -435,7 +435,7 @@ def test_shell_functional_matches_node_sum(topology):
         ref = float(np.sum(lat.interpolate_quadratic(geom, f, pts) * wts))
         worst = max(worst, abs(lat.shell_integral(geom, f, spec) / ref - 1.0))
         # every site a node's stencil touches is kept, zero weight or not
-        sites, _ = lat._shell_functional(geom.dims, geom.h, geom.topology, spec)
+        sites, _ = lat._shell_functional(geom, spec)
         assert np.array_equal(sites, np.unique(lat._quadratic_stencil(geom, pts)[0]))
     print(f"max relative difference {worst:.2e}")
     assert worst <= 1e-12
@@ -443,7 +443,7 @@ def test_shell_functional_matches_node_sum(topology):
 
 def test_shell_functional_cache():
     """Cold and warm caches agree to the bit; the entries are read-only, the cache is
-    bounded, and a geom with s_x set shares the bare lattice's entry."""
+    bounded, and an equal geom built apart shares the entry."""
     geom = LatticeGeom((11,) * 4, 0.1, Topology.BOX)
     f = np.random.default_rng(22).normal(size=geom.dims)
     spec = BallSpec((0.5,) * 4, 0.35, 8, 12)
@@ -453,15 +453,16 @@ def test_shell_functional_cache():
     warm = lat.shell_integral(geom, f, spec)
     cache.cache_clear()
     assert cold == warm == lat.shell_integral(geom, f, spec)
-    sites, weights = cache(geom.dims, geom.h, geom.topology, spec)
+    sites, weights = cache(geom, spec)
     assert sites.dtype == np.int32
     for arr in (sites, weights):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0
     hits = cache.cache_info().hits
-    curved = LatticeGeom(geom.dims, geom.h, geom.topology, s_x=np.ones(geom.dims))
-    assert lat.shell_integral(curved, f, spec) == cold
+    twin = LatticeGeom((11,) * 4, 0.1, Topology.BOX)
+    assert twin is not geom
+    assert lat.shell_integral(twin, f, spec) == cold
     assert cache.cache_info().hits == hits + 1 and cache.cache_info().currsize == 1
     maxsize = cache.cache_info().maxsize
     assert maxsize is not None
@@ -473,7 +474,7 @@ def test_shell_functional_cache():
 def test_shell_functional_propagates_non_finite():
     geom = LatticeGeom((11,) * 4, 0.1, Topology.TORUS)
     spec = BallSpec((0.5,) * 4, 0.3, 8, 12)
-    sites, weights = lat._shell_functional(geom.dims, geom.h, geom.topology, spec)
+    sites, weights = lat._shell_functional(geom, spec)
     for k in (int(np.argmin(np.abs(weights))), int(np.argmax(np.abs(weights)))):
         for bad in (np.nan, np.inf):
             f = np.ones(geom.dims)
@@ -519,15 +520,6 @@ def test_cone_field_differences_continuous():
     d = lat.covariant_diff(u, ConnectionField(geom))
     assert np.isfinite(d.values).all()
 
-
-def test_scalar_curvature_slot():
-    geom = LatticeGeom((3,) * 4, 0.3, Topology.TORUS)
-    assert np.abs(geom.scalar_curvature()).max() == 0.0
-    sx = 0.5 * np.ones(geom.dims)
-    geom2 = LatticeGeom((3,) * 4, 0.3, Topology.TORUS, sx)
-    assert np.allclose(geom2.scalar_curvature(), 0.5)
-    with pytest.raises(ValueError):
-        LatticeGeom((3,) * 4, 0.3, Topology.TORUS, np.ones((2, 2)))
 
 
 def test_box_ball_containment_guard():
