@@ -131,6 +131,8 @@ def validate_config(cfg, experiment):
         },
     }[experiment]
     _check_keys(params, allowed, "params")
+    if experiment == "curvature":
+        _require(params.get("mode", "lattice") in ("lattice", "fixture"), "bad params.mode")
     if experiment == "frequency":
         _require(params.get("stencil", "centered") in ("forward", "centered"), "bad params.stencil")
         try:  # the balls are known before any work
@@ -156,8 +158,7 @@ def validate_config(cfg, experiment):
         except (OSError, ValueError, KeyError, TypeError) as err:
             raise ConfigError(f"unreadable snapshot {init.get('path')!r}: {err}") from err
         lattice = (u.geom, a.group)
-    dense = experiment in ("solve", "deform", "kuranishi") or (
-        experiment == "curvature" and params.get("mode", "lattice") == "lattice")
+    dense = experiment in ("solve", "deform", "kuranishi") or (experiment == "curvature" and not fixture)
     if lattice and dense:
         geom, group = lattice
         lay = dfm.layout(geom, group)

@@ -47,17 +47,26 @@ def test_unknown_key_rejected(tmp_path):
 @pytest.mark.parametrize(
     "experiment", ["solve", "deform", "kuranishi", "curvature", "frequency", "sequence"])
 def test_lattice_config_without_geometry_exit2(tmp_path, experiment):
-    """Every lattice experiment needs a geometry: without one (or with an empty one) the
-    run is exit 2 with no output; target-check and fixture curvature need none."""
+    """Every lattice experiment needs a geometry: without one (or with an empty one)
+    the run is exit 2 with no output."""
     out = tmp_path / "out"
     payload = {"experiment": experiment, "output_dir": str(out), "group": "u1"}
     assert cli.run(experiment, write_cfg(tmp_path, "nogeo.json", payload)) == 2
     payload["geometry"] = {}
     assert cli.run(experiment, write_cfg(tmp_path, "emptygeo.json", payload)) == 2
     assert not out.exists()
+
+
+def test_lattice_free_experiments():
+    """target-check and fixture curvature need no geometry; a curvature mode other
+    than lattice or fixture is rejected, as it would run the lattice path unchecked."""
     for exempt in ({"experiment": "target-check"},
                    {"experiment": "curvature", "params": {"mode": "fixture"}}):
         assert cli.validate_config(exempt, exempt["experiment"]) is exempt
+    payload = {"experiment": "curvature", "geometry": {"dims": [5, 5, 5, 5], "h": 0.4},
+               "group": "u1", "params": {"mode": "Fixture"}}
+    with pytest.raises(cli.ConfigError, match="mode"):
+        cli.validate_config(payload, "curvature")
 
 
 def test_dense_limit_rejected_before_output(tmp_path):
