@@ -521,7 +521,6 @@ def test_cone_field_differences_continuous():
     assert np.isfinite(d.values).all()
 
 
-
 def test_box_ball_containment_guard():
     geom = LatticeGeom((16,) * 4, 1.0 / 15, Topology.BOX)
     with pytest.raises(ValueError, match="not contained"):
