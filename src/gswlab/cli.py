@@ -383,6 +383,7 @@ def run_solve(cfg, out, opts):
         lat.snapshot_save(snap, sol.u, sol.a)
         files.append(snap)
     extra["final_residual"] = diag[-1]["residual_norm"]
+    extra["lsqr_iters"] = [d["lsqr_iters"] for d in diag]
     return (3 if sol is None else 0), files, extra
 
 

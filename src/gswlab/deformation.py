@@ -1,11 +1,15 @@
-"""Deformation complex of the gauged Dirac system, assembled as matrices.
+"""Deformation complex of the gauged Dirac system, as triplets and matrices.
 
-Every operator is a dense matrix together with block-tagged row/column
-spaces carrying diagonal metric weights (h^4 per site dof, 2 h^4 for
-self-dual components).  Adjoints are exact weighted transposes; ranks
-come from the singular values of the weight-normalized matrix, with the
-cutoff  max(shape) * sigma_max * 1e-10  and a 10x margin warning, and
-kernels and cokernels from its full SVD, computed only where read.
+Every operator is a `LinearMap` between block-tagged row/column spaces
+carrying diagonal metric weights (h^4 per site dof, 2 h^4 for self-dual
+components).  The Jacobian blocks keep the (row, col, value) triplets
+they are assembled from, and the dense matrix is summed from them only
+when a dense reader first asks for it.  Adjoints are exact weighted
+transposes; ranks come from the singular values of the weight-normalized
+matrix, with the cutoff  max(shape) * sigma_max * 1e-10  and a 10x margin
+warning, and kernels and cokernels from its full SVD, computed only
+where read.  The Newton step of `gsw.solve_newton` never densifies: it
+runs `lsqr` on the weight-normalized triplets.
 
 Equation rows are restricted to the trusted stencil support
 (`gsw.row_masks`); on a box this leaves the faces unconstrained, which
@@ -37,6 +41,8 @@ from .targets import GaugeGroup, TargetKind, moment_values
 RANK_REL_CUTOFF = 1e-10
 RANK_MARGIN = 10.0
 MAX_DENSE_DIM = 4096
+LSQR_TOL = 1e-15
+LSQR_MAX_ITER = 10000
 
 #: plaquette axes (i, j) in lat.PLAQ_PAIRS order
 _PLAQ_I, _PLAQ_J = np.array(lat.PLAQ_PAIRS).T
@@ -228,23 +234,80 @@ def moved(c: Configuration, vec) -> Configuration:
 # linear maps
 
 
-class LinearMap:
-    """Dense matrix between block spaces with exact weighted adjoints.
+def lsqr(matvec, rmatvec, b):
+    """Minimum-norm least-squares solution of A x = b by LSQR; returns (x, iterations).
 
-    Its weight-normalised matrix is factored only as far as it is read: one
-    cached singular-value set decides the rank, full U and V are computed for
-    the (co)kernel bases and pseudo-inverses, and LU inverts a square map of full rank.
+    Paige & Saunders, ACM TOMS 8 (1982), from x = 0 with no damping, on
+    matvec(x) = A x and rmatvec(u) = A^T u.  It stops as scipy's `lsqr`
+    does at atol = btol = LSQR_TOL, with no condition limit: once
+    |r| <= btol |b| + atol |A| |x| (a consistent system) or |A^T r| <=
+    atol |A| |r| (a least-squares one), |A| the running Frobenius estimate.
+    Raises LinAlgError when neither holds after LSQR_MAX_ITER iterations.
+    """
+    beta = np.linalg.norm(b)
+    u = b / beta if beta > 0 else b
+    v = rmatvec(u)
+    alpha = np.linalg.norm(v)
+    x = np.zeros_like(v)
+    if alpha == 0:  # b = 0, or b orthogonal to the range
+        return x, 0
+    v = v / alpha
+    w = v.copy()
+    b_norm, phibar, rhobar, a_norm2 = beta, beta, alpha, 0.0
+    for it in range(1, LSQR_MAX_ITER + 1):
+        u = matvec(v) - alpha * u
+        beta = np.linalg.norm(u)
+        if beta > 0:
+            u = u / beta
+            a_norm2 += alpha**2 + beta**2
+            v = rmatvec(u) - beta * v
+            alpha = np.linalg.norm(v)
+            if alpha > 0:
+                v = v / alpha
+        # a plane rotation eliminates the subdiagonal beta
+        rho = np.hypot(rhobar, beta)
+        c, s = rhobar / rho, beta / rho
+        theta, rhobar = s * alpha, -c * alpha
+        phi, phibar = c * phibar, s * phibar
+        x = x + (phi / rho) * w
+        w = v - (theta / rho) * w
+        a_norm = np.sqrt(a_norm2)
+        ar_norm = alpha * abs(s * phi)
+        if (phibar <= LSQR_TOL * (b_norm + a_norm * np.linalg.norm(x))
+                or ar_norm <= LSQR_TOL * a_norm * phibar):
+            return x, it
+    raise np.linalg.LinAlgError("LSQR did not converge in %d iterations" % LSQR_MAX_ITER)
+
+
+class LinearMap:
+    """Linear map between block spaces with exact weighted adjoints.
+
+    It is given as a dense matrix, or (matrix None) as `blocks` of
+    (rows, cols, values) triplets that broadcast together, from which
+    `matrix` is summed by `_assemble` when first read.  Its weight-normalised
+    matrix is factored only as far as it is read: one cached singular-value
+    set decides the rank, full U and V are computed for the (co)kernel bases
+    and pseudo-inverses, and LU inverts a square map of full rank.
+    `lsqr_apply`, on a map given by triplets, reads them alone.
     """
 
-    def __init__(self, matrix, row_space: BlockSpace, col_space: BlockSpace):
-        self.matrix = np.ascontiguousarray(matrix, dtype=float)
+    def __init__(self, matrix, row_space: BlockSpace, col_space: BlockSpace, blocks=None):
         self.row_space = row_space
         self.col_space = col_space
-        if self.matrix.shape != (row_space.dim, col_space.dim):
+        self.shape = (row_space.dim, col_space.dim)
+        self.blocks = blocks
+        self._matrix = None if matrix is None else np.ascontiguousarray(matrix, dtype=float)
+        if self._matrix is not None and self._matrix.shape != self.shape:
             raise ValueError("matrix shape does not match block spaces")
         self._svd = None
         self._values = None
         self._rank = None
+
+    @property
+    def matrix(self):
+        if self._matrix is None:
+            self._matrix = _assemble(self.shape, self.blocks)
+        return self._matrix
 
     # -- basic algebra -----------------------------------------------------
     def apply(self, x):
@@ -273,7 +336,7 @@ class LinearMap:
     # -- weighted factorisations --------------------------------------------
     def _normalised(self):
         """(m_hat, sr, sc) with m_hat = sr M / sc, the matrix in unit weights."""
-        if max(self.matrix.shape) > MAX_DENSE_DIM:
+        if max(self.shape) > MAX_DENSE_DIM:
             raise ValueError("dense SVD limited to dimension %d; use a smaller lattice" % MAX_DENSE_DIM)
         sr = np.sqrt(self.row_space.weights)
         sc = np.sqrt(self.col_space.weights)
@@ -296,7 +359,7 @@ class LinearMap:
         """(rank, (retained, discarded)), decided once per map: a margin below 10x warns once."""
         if self._rank is None:
             s = self.singular_values()
-            cutoff = max(self.matrix.shape) * s.max(initial=0.0) * RANK_REL_CUTOFF
+            cutoff = max(self.shape) * s.max(initial=0.0) * RANK_REL_CUTOFF
             r = int(np.sum(s > cutoff))
             retained = s[r - 1] if r > 0 else np.inf
             discarded = s[r] if r < s.size else 0.0
@@ -321,7 +384,7 @@ class LinearMap:
     def pinv_apply(self, y):
         """Weighted least-squares solution of minimal norm; y is a vector or a column stack."""
         col = (slice(None), None) if np.ndim(y) == 2 else slice(None)
-        m, n = self.matrix.shape
+        m, n = self.shape
         if m == n and self.rank()[0] == n:  # square of full rank: LU, whatever is cached
             m_hat, sr, sc = self._normalised()
             return np.linalg.solve(m_hat, sr[col] * y) / sc[col]
@@ -329,6 +392,21 @@ class LinearMap:
         r, _ = self.rank()
         coeff = (u[:, :r].T @ (sr[col] * y)) / s[:r][col]
         return (vt[:r].T @ coeff) / sc[col]
+
+    def lsqr_apply(self, y):
+        """`pinv_apply` of the vector y by `lsqr`, matrix-free: returns (x, LSQR iterations).
+
+        Reads only the map's triplets, weight-normalised to sr M / sc, and
+        never forms, factors or rank-checks a dense matrix.
+        """
+        rows, cols, vals = (np.concatenate([a.ravel() for a in arrays])
+                            for arrays in zip(*(np.broadcast_arrays(*b) for b in self.blocks)))
+        sr, sc = np.sqrt(self.row_space.weights), np.sqrt(self.col_space.weights)
+        vals = vals * sr[rows] / sc[cols]
+        m, n = self.shape
+        z, iters = lsqr(lambda x: np.bincount(rows, vals * x[cols], m),
+                        lambda u: np.bincount(cols, vals * u[rows], n), sr * y)
+        return z / sc, iters
 
     def range_basis(self):
         """Columns: a weighted-orthonormal basis of the range, from `eigh` of the normal matrix.
@@ -413,15 +491,14 @@ def lin_gauge(c: Configuration) -> LinearMap:
     lay = layout(geom, c.group)
     cols, rows = lay.gauge, lay.tangent
     if c.group is GaugeGroup.TRIVIAL:
-        return LinearMap(np.zeros((rows.dim, cols.dim)), rows, cols)
+        return LinearMap(None, rows, cols, [(np.zeros(0, int), np.zeros(0, int), np.zeros(0))])
     links = np.arange(rows.n_links)
     ku = quat.mul(c.u.values, quat.QI).reshape(-1, 4)  # K_1|_u = u i
-    mat = _assemble((rows.dim, cols.dim), [
+    return LinearMap(None, rows, cols, [
         (links, lay.nb[rows.link_axes, rows.link_sites], 1.0 / geom.h),
         (links, rows.link_sites, -1.0 / geom.h),
         (lay.spinor_c, np.arange(geom.n_sites)[:, None], -ku),
     ])
-    return LinearMap(mat, rows, cols)
 
 
 def lin_gauge_adjoint_formula(c: Configuration, zeta) -> LinearMap:
@@ -458,8 +535,9 @@ def linearize_fsw(c: Configuration) -> LinearMap:
     """Exact Jacobian of the residual map on the trusted equation rows.
 
     Every block is built as (row, col, value) triplets over the trusted
-    sites, whose stencils only reach existing links, and the matrix is
-    summed from them in one scatter; the indices come from the layout.
+    sites, whose stencils only reach existing links, and kept on the map;
+    the matrix is summed from them in one scatter when first read.  The
+    indices come from the layout.
     """
     h = c.geom.h
     lay = layout(c.geom, c.group)
@@ -491,14 +569,20 @@ def linearize_fsw(c: Configuration) -> LinearMap:
         # self-dual rows, spinor columns: d_u Phi_4(e_a) on the trusted sites
         dphi = phi4_diff(u_flat[rows.sd_sites][:, None], quat.BASIS, c.group)  # (site, a, l)
         blocks.append((lay.sd_r, lay.sd_spinor_c, dphi))
-    mat = _assemble((rows.dim, cols.dim), blocks)
-    return LinearMap(mat, rows, cols)
+    return LinearMap(None, rows, cols, blocks)
 
 
 def stacked_op(eq: LinearMap, gauge: LinearMap) -> LinearMap:
-    """[E; D*]: equations E stacked over the slice operator of the gauge map D."""
+    """[E; D*]: equations E stacked over the slice operator of the gauge map D.
+
+    Both must carry triplets.  The D* rows are D's triplets transposed and
+    weighted as `adjoint` weights its matrix, so `matrix` is the stack of
+    E's matrix over D.adjoint()'s, bit for bit.
+    """
     rows = BlockSpace(list(eq.row_space.blocks) + list(gauge.col_space.blocks))
-    return LinearMap(np.vstack([eq.matrix, gauge.adjoint().matrix]), rows, eq.col_space)
+    w_tan, w_gauge, m = gauge.row_space.weights, gauge.col_space.weights, eq.shape[0]
+    slice_blocks = [(c + m, r, (v * w_tan[r]) / w_gauge[c]) for r, c, v in gauge.blocks]
+    return LinearMap(None, rows, eq.col_space, eq.blocks + slice_blocks)
 
 
 def elliptic_op(c: Configuration) -> LinearMap:
@@ -673,27 +757,35 @@ def newton(rows_at, step, x, tol, max_iter, norm, step_norm):
         x = x + dx
 
 
+def chart_kernel(eq: LinearMap, slice_op: LinearMap, lead=None):
+    """Weighted-orthonormal basis of ker [E; D*] = ker E ∩ ker D*, the chart's tangent space.
+
+    ker E, from the full SVD of E, times the kernel of D* (`slice_op`) on
+    ker E, led by the orthonormal plane (v, w) when `lead` is given.
+    """
+    ker_e = eq.kernel_basis()
+    on_ker_e = BlockSpace([("ker E", ker_e.shape[1], 1.0)])
+    kernel = ker_e @ LinearMap(slice_op.matrix @ ker_e, slice_op.row_space, on_ker_e).kernel_basis()
+    if lead is not None:
+        kernel = _plane_led(kernel, eq.col_space.weights, *lead, "solution-set tangent space")
+    return kernel
+
+
 class ChartFrame:
     """Linear data of the solution-set chart over ker [E; D*] at a point.
 
-    `kernel` is a weighted-orthonormal basis of ker [E; D*] = ker E ∩ ker D*:
-    ker E, from the SVD of E that also gives `coker` (coker E), times the
-    kernel of D* on ker E, led by the orthonormal plane (v, w) when `lead`
-    is given.  `w_basis` completes it inside the slice: with S a weighted-
-    orthonormal basis of ker D*, S times the complete-QR complement of the
-    kernel's coordinates on S.  The chord matrix is E on `w_basis`,
-    projected off the cokernel.
+    `kernel` is `chart_kernel`; `coker` (coker E) comes from the same SVD
+    of E.  `w_basis` completes the kernel inside the slice: with S a
+    weighted-orthonormal basis of ker D*, S times the complete-QR
+    complement of the kernel's coordinates on S.  The chord matrix is E on
+    `w_basis`, projected off the cokernel.
     """
 
     def __init__(self, eq: LinearMap, gauge: LinearMap, lead=None):
         self.eq = eq
         weights = eq.col_space.weights
-        ker_e, slice_op = eq.kernel_basis(), gauge.adjoint()
-        on_ker_e = BlockSpace([("ker E", ker_e.shape[1], 1.0)])
-        kernel = ker_e @ LinearMap(slice_op.matrix @ ker_e, slice_op.row_space, on_ker_e).kernel_basis()
-        if lead is not None:
-            kernel = _plane_led(kernel, weights, *lead, "solution-set tangent space")
-        self.kernel = kernel
+        slice_op = gauge.adjoint()
+        self.kernel = kernel = chart_kernel(eq, slice_op, lead)
         self.coker = eq.cokernel_basis()
         slice_basis = slice_op.kernel_basis()
         coords = slice_basis.T @ (kernel * weights[:, None])

@@ -225,18 +225,22 @@ def solve_newton(
 ):
     """Newton iteration on the residual augmented with the gauge slice.
 
-    Each step solves the least-squares system
+    Each step is the minimum-norm least-squares solution of
         [ D F_sw ; D* ] step = [ -residual ; 0 ]
     re-linearised at the current iterate, which is init moved additively
-    (flat targets) by the sum of the steps; the loop and its stop rule
-    are `deformation.newton` on the trusted equation rows.  Returns
+    (flat targets) by the sum of the steps.  It is matrix-free: LSQR on
+    the Jacobian's triplets (`LinearMap.lsqr_apply`), which raises
+    LinAlgError past its iteration cap.  The loop and its stop rule are
+    `deformation.newton` on the trusted equation rows.  Returns
     (configuration, diagnostics), one dict per iterate: iter,
-    residual_norm, step_norm.  Raises NewtonError, naming the stop status
-    ("diverged" or "max_iter"), unless the residual norm reaches tol.
+    residual_norm, step_norm and lsqr_iters (those of the step that
+    reached it, 0 at the start).  Raises NewtonError, naming the stop
+    status ("diverged" or "max_iter"), unless the residual norm reaches tol.
     """
     from . import deformation as dfm
 
     lay = dfm.layout(init.geom, init.group)
+    lsqr_iters = [0]
 
     def rows_at(x):
         return dfm.residual_rowvec(dfm.moved(init, x), sources, lay.equations)
@@ -244,13 +248,17 @@ def solve_newton(
     def step(x, r):
         c = dfm.moved(init, x)
         d = dfm.lin_gauge(c)
-        return dfm.stacked_op(dfm.linearize_fsw(c), d).pinv_apply(
+        dx, iters = dfm.stacked_op(dfm.linearize_fsw(c), d).lsqr_apply(
             -np.concatenate([r, np.zeros(d.col_space.dim)])
         )
+        lsqr_iters.append(iters)
+        return dx
 
     x, _, diagnostics, status = dfm.newton(
         rows_at, step, np.zeros(lay.tangent.dim), tol, max_iter, lay.equations.norm, lay.tangent.norm
     )
+    for record, iters in zip(diagnostics, lsqr_iters):
+        record["lsqr_iters"] = iters
     if status != "converged":
         raise NewtonError(
             f"no convergence ({status}) after {len(diagnostics) - 1} steps "

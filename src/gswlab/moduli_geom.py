@@ -417,7 +417,7 @@ def omega_form(c: Configuration, v, w):
 
 def sample_solution_plane(system: QuotientSystem, cvec, seed, n_planes=1):
     """Orthonormal plane pairs tangent to the solution set at cvec, from the chart's kernel basis."""
-    h1 = dfm.ChartFrame(system.equation_map(cvec), system.gauge_map(cvec)).kernel
+    h1 = dfm.chart_kernel(system.equation_map(cvec), system.gauge_map(cvec).adjoint())
     if h1.shape[1] < 2:
         raise ValueError("solution-set tangent space has dimension < 2")
     rng = np.random.default_rng(seed)

@@ -163,6 +163,17 @@ def test_solve_and_determinism(tmp_path):
     assert (out / "solution_snapshot.json").read_bytes() == snap1
 
 
+def test_solve_manifest_lists_the_lsqr_iterations(tmp_path):
+    """One LSQR count per diagnostics row (0 at the start) in the manifest; the CSV columns stay."""
+    out = tmp_path / "s_lsqr"
+    assert cli.run("solve", _solve_cfg(tmp_path, out)) == 0
+    iters = json.loads((out / "manifest.json").read_text())["extra"]["lsqr_iters"]
+    lines = (out / "solver_diagnostics.csv").read_text().splitlines()
+    assert lines[0] == "iter,residual_norm,step_norm"
+    assert len(iters) == len(lines) - 1 >= 2
+    assert iters[0] == 0 and all(isinstance(k, int) and k > 0 for k in iters[1:])
+
+
 def test_solve_rejects_a_stencil_before_output(tmp_path):
     """The dense experiments only use the forward stencil: naming one is exit 2."""
     out = tmp_path / "s_st"

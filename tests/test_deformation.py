@@ -372,6 +372,27 @@ def test_chart_kernel_from_e_matches_the_stacked_kernel(name, monkeypatch):
     assert chart.h2_dim == eq.row_space.dim - eq.rank()[0]
 
 
+def test_sampling_reads_only_the_chart_kernel(monkeypatch):
+    """`sample_solution_plane` draws from `chart_kernel`, bit for bit the chart's kernel, with no slice basis."""
+    from gswlab import moduli_geom as mg
+
+    c, s = box_fueter_config(3)
+    system = mg.LatticeSystem(c, s)
+    c0 = system.center()
+    kernel = dfm.chart_kernel(system.equation_map(c0), system.gauge_map(c0).adjoint())
+    assert np.array_equal(kernel, dfm.ChartFrame(system.equation_map(c0), system.gauge_map(c0)).kernel)
+
+    def no_frame(*args, **kwargs):
+        raise AssertionError("sampling built a chart frame")
+
+    monkeypatch.setattr(dfm, "ChartFrame", no_frame)
+    monkeypatch.setattr(np.linalg, "qr", no_frame)
+    v, w = mg.sample_solution_plane(system, c0, seed=3)[0]
+    weights = system.tan_space.weights
+    for x in (v, w):
+        assert np.sqrt(weights @ (x - kernel @ (kernel.T @ (x * weights))) ** 2) <= 1e-12
+
+
 def test_kuranishi_reports_the_h1_it_samples(monkeypatch):
     """Where the two rank routes part, kuranishi's h1 is the chart's and the index is kept.
 
@@ -659,3 +680,90 @@ def test_kuranishi_samples_carry_the_divergence_flag():
     assert [r["diverged"] for r in rep.samples] == [True] * 3
     assert not any(r["converged"] for r in rep.samples)
     assert all(type(r["diverged"]) is bool for r in rep.samples)
+
+
+# ---------------------------------------------------------------------------
+# triplet maps and the matrix-free Newton step
+
+
+def zero_torus(n):
+    geom = LatticeGeom((n,) * 4, 0.25, Topology.TORUS)
+    return Configuration(ConnectionField(geom, GaugeGroup.U1), SpinorField(geom, np.zeros(geom.dims + (4,))))
+
+
+@pytest.mark.parametrize("point", ["random_torus", "fueter_box", "trivial_torus"])
+def test_lazy_matrix_is_the_dense_assembly(point):
+    """`.matrix` sums the kept triplets exactly as the dense assembly did; [E; D*] is the stack of E over D*."""
+    c = {"random_torus": gsw.random_config(torus(), GaugeGroup.U1, seed=12),
+         "fueter_box": box_fueter_config(3)[0],
+         "trivial_torus": gsw.random_config(torus(2), GaugeGroup.TRIVIAL, seed=4)}[point]
+    e, d = dfm.linearize_fsw(c), dfm.lin_gauge(c)
+    for lm in (e, d):
+        ref = np.zeros(lm.shape)
+        for rows, cols, vals in lm.blocks:
+            rows, cols, vals = np.broadcast_arrays(rows, cols, vals)
+            np.add.at(ref, (rows, cols), vals)
+        assert np.array_equal(lm.matrix, ref)
+    stacked = np.vstack([e.matrix, d.adjoint().matrix])
+    assert np.array_equal(dfm.stacked_op(dfm.linearize_fsw(c), dfm.lin_gauge(c)).matrix, stacked)
+    assert np.array_equal(dfm.elliptic_op(c).matrix, stacked)
+
+
+def test_lsqr_matches_scipy():
+    scipy_lsqr = pytest.importorskip("scipy.sparse.linalg").lsqr
+    rng = np.random.default_rng(7)
+    low_rank = rng.normal(size=(25, 15)) @ rng.normal(size=(15, 25))
+    for a in (rng.normal(size=(30, 20)), rng.normal(size=(20, 30)), low_rank):
+        b = rng.normal(size=a.shape[0])
+        x, iters = dfm.lsqr(lambda v: a @ v, lambda u: a.T @ u, b)
+        ref = scipy_lsqr(a, b, atol=dfm.LSQR_TOL, btol=dfm.LSQR_TOL, conlim=0.0, iter_lim=dfm.LSQR_MAX_ITER)
+        assert ref[1] in (1, 2) and 0 < iters <= dfm.LSQR_MAX_ITER
+        assert np.linalg.norm(x - ref[0]) <= 1e-10 * np.linalg.norm(ref[0])
+        assert np.linalg.norm(x - np.linalg.pinv(a) @ b) <= 1e-10 * np.linalg.norm(x)
+    x, iters = dfm.lsqr(lambda v: a @ v, lambda u: a.T @ u, np.zeros(25))
+    assert iters == 0 and not x.any()
+
+
+def test_lsqr_raises_past_its_iteration_cap(monkeypatch):
+    op = dfm.elliptic_op(gsw.random_config(torus(2), GaugeGroup.U1, seed=3))
+    monkeypatch.setattr(dfm, "LSQR_MAX_ITER", 1)
+    with pytest.raises(np.linalg.LinAlgError, match="LSQR did not converge in 1 iterations"):
+        op.lsqr_apply(np.ones(op.shape[0]))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("point", ["random", "zero"])
+def test_lsqr_apply_matches_pinv_apply(n, point):
+    """The matrix-free weighted minimum-norm solution is pinv_apply's, also where [E; D*] loses rank (u = 0)."""
+    c = zero_torus(n)
+    if point == "random":
+        c = gsw.random_config(c.geom, GaugeGroup.U1, seed=9, amplitude=0.3)
+    s = gsw.manufacture(c)
+    op = dfm.elliptic_op(c)
+    off_shell = gsw.random_config(c.geom, GaugeGroup.U1, seed=8, amplitude=0.3)
+    rows = dfm.residual_rowvec(off_shell, s, dfm.layout(c.geom, c.group).equations)
+    newton_rhs = np.concatenate([rows, np.zeros(op.shape[0] - rows.size)])
+    for y in (newton_rhs, np.random.default_rng(n).normal(size=op.shape[0])):
+        x, iters = op.lsqr_apply(y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", dfm.RankMarginWarning)
+            ref = op.pinv_apply(y)
+        assert iters > 0
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+    assert op.rank()[0] == op.shape[1] - {"random": 0, "zero": 8}[point]  # 640 of 648 at 3^4, u = 0
+
+
+def test_newton_step_forms_no_dense_matrix(monkeypatch):
+    """solve_newton assembles, factors and rank-checks nothing dense; each record carries its LSQR iterations."""
+    c = gsw.random_config(torus(2), GaugeGroup.U1, seed=3, amplitude=0.3)
+    s = gsw.manufacture(c)
+    start = dfm.moved(c, dfm.pack_tangent(dfm.layout(c.geom, c.group).tangent, dfm.random_tangent(c, 4, 1e-3)))
+
+    def dense(*args, **kwargs):
+        raise AssertionError("a Newton step went dense")
+
+    for owner, name in ((dfm, "_assemble"), (np.linalg, "svd"), (np.linalg, "solve"), (np.linalg, "qr")):
+        monkeypatch.setattr(owner, name, dense)
+    sol, diag = gsw.solve_newton(start, s, tol=1e-11)
+    assert diag[-1]["residual_norm"] <= 1e-11
+    assert diag[0]["lsqr_iters"] == 0 and all(d["lsqr_iters"] > 0 for d in diag[1:])

@@ -82,8 +82,8 @@ def test_energy_identity_degenerate_closed():
     vals = np.zeros(geom.dims + (4,))
     vals[..., 0] = 2.0
     c = Configuration(ConnectionField(geom), SpinorField(geom, vals))
-    lhs, rhs = fq.energy_identity(c)
-    assert lhs == 0.0 and rhs == 0.0
+    lhs = fq.energy_identity(c)
+    assert lhs == 0.0
 
 
 def test_weitzenbock_trivial_flat_exact_centered():
