@@ -740,7 +740,8 @@ def newton(rows_at, step, x, tol, max_iter, norm, step_norm):
     loop stops as "converged" once the norm is <= tol, as "diverged" once
     it is non-finite or larger than at the previous iterate (returning
     that iterate), and otherwise as "max_iter" after max_iter steps.
-    Returns (x, r, records, status).
+    Returns (x, r, records, status).  A LinAlgError raised by step leaves
+    with the records so far as its `records`.
     """
     records = []
     for it in range(max_iter + 1):
@@ -753,7 +754,11 @@ def newton(rows_at, step, x, tol, max_iter, norm, step_norm):
             return x, r, records, "diverged"
         if it == max_iter:
             return x, r, records, "max_iter"
-        dx = step(x, r)
+        try:
+            dx = step(x, r)
+        except np.linalg.LinAlgError as err:
+            err.records = records
+            raise
         x = x + dx
 
 

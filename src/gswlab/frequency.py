@@ -16,7 +16,7 @@ machinery and the key chart identity.
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import permutations
+from math import factorial
 
 import numpy as np
 
@@ -35,28 +35,41 @@ MONOTONICITY_SLACK = 0.02
 
 def _fueter_variable(geom: LatticeGeom, k, center):
     """z_k = x_k - e_k x_0 sampled on the lattice, k in {1, 2, 3}."""
-    x = geom.coords()
+
+    def axis(i):  # x_i - center_i along axis i, broadcast over the others
+        shape = [1, 1, 1, 1]
+        shape[i] = geom.dims[i]
+        return (np.arange(geom.dims[i]) * geom.h - center[i]).reshape(shape)
+
     out = np.zeros(geom.dims + (4,))
-    out[..., 0] = x[..., k] - center[k]
-    out[..., k] = -(x[..., 0] - center[0])
+    out[..., 0] = axis(k)
+    out[..., k] = -axis(0)
     return out
 
 
 def _sym_product(variables, multiset):
     """Symmetrized quaternion product of the (..., 4) fields variables[k], k in multiset.
 
-    Each distinct ordering of the multiset is multiplied out once and
-    weighted by the number of permutations that produce it.
+    The sum S(M) over every ordering of a multiset M is grouped by the
+    last factor, S(M) = sum_k mult_k S(M - k) z_k over the distinct k in M
+    (mult_k copies of k), each sub-multiset's sum taken once; the result
+    is S(M) / |M|!.
     """
-    orders = Counter(permutations(multiset))
-    acc = None
-    for order, mult in orders.items():
-        term = variables[order[0]]
-        for k in order[1:]:
-            term = quat.mul(term, variables[k])
-        term = mult * term
-        acc = term if acc is None else acc + term
-    return acc / sum(orders.values())
+    sums = {}
+
+    def total(ms):  # ms sorted
+        if len(ms) == 1:
+            return variables[ms[0]]
+        if ms not in sums:
+            terms = []
+            for k, mult in Counter(ms).items():
+                rest = list(ms)
+                rest.remove(k)
+                terms.append(mult * quat.mul(total(tuple(rest)), variables[k]))
+            sums[ms] = sum(terms[1:], terms[0])
+        return sums[ms]
+
+    return total(tuple(sorted(multiset))) / factorial(len(multiset))
 
 
 def fueter_library(geom: LatticeGeom, kind, center=None, multiset=(1, 2)):
@@ -196,8 +209,7 @@ def energy_identity(c: Configuration, stencil=Stencil.FORWARD):
     On closed on-shell data it equals -int (s_X/4) |chi0 o u|^2, which is
     zero on the flat lattice.
     """
-    geom = c.geom
-    return lat.site_inner(geom, lat.grad_energy_density(c.u, c.a, stencil), np.ones(geom.dims))
+    return float(np.sum(lat.grad_energy_density(c.u, c.a, stencil)) * c.geom.h**4)
 
 
 def key_identity_check(c: Configuration, stencil=Stencil.FORWARD):
@@ -273,22 +285,14 @@ def _twoform_matrix(fvals):
     return m
 
 
-def _scalar_pair(geom, f, axis):
-    """(forward, backward) differences of a site scalar, face-filled from each
-    other on a box: the backward one is the forward one rolled a site on."""
-    fwd = (lat._shift(f, axis, +1, geom.topology) - f) / geom.h
-    return lat._face_filled_pair(fwd, axis, geom.topology)
-
-
 def _scalar_centered_diff(geom, f, axis):
     """Mean of the forward and backward differences, one-sided on box faces."""
-    fwd, bwd = _scalar_pair(geom, f, axis)
-    return 0.5 * (fwd + bwd)
+    return lat.identity_diff(geom, f, axis, 0)
 
 
 def _scalar_backward_diff(geom, f, axis):
     """(f(x) - f(x - e)) / h, the forward difference on the near face of a box."""
-    return _scalar_pair(geom, f, axis)[1]
+    return lat.identity_diff(geom, f, axis, -1)
 
 
 def bochner_residual(c: Configuration, stencil=Stencil.CENTERED):
@@ -367,13 +371,11 @@ def radial_profile(
     f_r = np.zeros(m)
     big_f = np.zeros(m)
     chi_ball = np.zeros(m)
-    d = lat.site_distances(geom, center)
     for k, r in enumerate(radii):
         spec = BallSpec(center, float(r), n_polar, n_azimuth)
-        w = lat.ball_window(geom, spec, d)
-        big_f[k] = lat.site_inner(geom, energy, w) / r**2
+        energy_ball, chi_ball[k] = lat.ball_sums(geom, spec, (energy, chi2))
+        big_f[k] = energy_ball / r**2
         f_r[k] = lat.shell_integral(geom, chi2, spec)
-        chi_ball[k] = lat.site_inner(geom, chi2, w)
     undefined = f_r <= 1e-14
     freq = np.where(undefined, np.nan, radii**3 * big_f / np.where(undefined, 1.0, f_r))
     kappa = np.sqrt(np.where(undefined, 0.0, f_r) / radii**3)
@@ -496,10 +498,9 @@ def critical_radius(c: Configuration, center, eps0, stencil=Stencil.CENTERED, fi
     r_min = 4.0 * geom.h
     if eps0 <= 0.0:
         return 0.0, "zero"
-    d = lat.site_distances(geom, center)
 
     def big_f(r):
-        return lat.site_inner(geom, energy, lat.ball_window(geom, BallSpec(center, r), d)) / r**2
+        return lat.ball_integral(geom, energy, BallSpec(center, r)) / r**2
 
     if big_f(delta0) <= eps0:
         return delta0, "full"
@@ -534,11 +535,11 @@ def regularity_probe(c: Configuration, centers, eps0=1e-2, stencil=Stencil.CENTE
         entry = {"center": tuple(center), "r_x": rx, "flag": flag, "rho0": rho, "chat": []}
         if rx > 0.0:
             radii = np.linspace(max(4 * geom.h, rx / 4), rx, 4)
-            d = lat.site_distances(geom, center)
             for r in radii:
-                w = lat.ball_window(geom, BallSpec(center, float(r)), d)
-                big_f = lat.site_inner(geom, energy, w) / r**2
-                sup = float(energy[d <= r / 4].max()) if np.any(d <= r / 4) else 0.0
+                big_f = lat.ball_integral(geom, energy, BallSpec(center, float(r))) / r**2
+                index, d = lat.ball_box(geom, center, r / 4)
+                inner = energy[index][d <= r / 4]
+                sup = float(inner.max()) if inner.size else 0.0
                 entry["chat"].append(
                     {"r": float(r), "chat": sup / (big_f / r**2 + r**2)}
                 )

@@ -229,13 +229,14 @@ def solve_newton(
         [ D F_sw ; D* ] step = [ -residual ; 0 ]
     re-linearised at the current iterate, which is init moved additively
     (flat targets) by the sum of the steps.  It is matrix-free: LSQR on
-    the Jacobian's triplets (`LinearMap.lsqr_apply`), which raises
-    LinAlgError past its iteration cap.  The loop and its stop rule are
-    `deformation.newton` on the trusted equation rows.  Returns
-    (configuration, diagnostics), one dict per iterate: iter,
+    the Jacobian's triplets (`LinearMap.lsqr_apply`).  The loop and its
+    stop rule are `deformation.newton` on the trusted equation rows.
+    Returns (configuration, diagnostics), one dict per iterate: iter,
     residual_norm, step_norm and lsqr_iters (those of the step that
-    reached it, 0 at the start).  Raises NewtonError, naming the stop
-    status ("diverged" or "max_iter"), unless the residual norm reaches tol.
+    reached it, 0 at the start).  Raises NewtonError with the diagnostics
+    so far, naming the stop status ("diverged", "max_iter", or
+    "lsqr_max_iter" when an LSQR step passes its iteration cap), unless
+    the residual norm reaches tol.
     """
     from . import deformation as dfm
 
@@ -254,9 +255,13 @@ def solve_newton(
         lsqr_iters.append(iters)
         return dx
 
-    x, _, diagnostics, status = dfm.newton(
-        rows_at, step, np.zeros(lay.tangent.dim), tol, max_iter, lay.equations.norm, lay.tangent.norm
-    )
+    cause = None
+    try:
+        x, _, diagnostics, status = dfm.newton(
+            rows_at, step, np.zeros(lay.tangent.dim), tol, max_iter, lay.equations.norm, lay.tangent.norm
+        )
+    except np.linalg.LinAlgError as err:  # an LSQR step past LSQR_MAX_ITER
+        diagnostics, status, cause = err.records, "lsqr_max_iter", err
     for record, iters in zip(diagnostics, lsqr_iters):
         record["lsqr_iters"] = iters
     if status != "converged":
@@ -264,5 +269,5 @@ def solve_newton(
             f"no convergence ({status}) after {len(diagnostics) - 1} steps "
             f"(residual {diagnostics[-1]['residual_norm']:.3e})",
             diagnostics,
-        )
+        ) from cause
     return dfm.moved(init, x), diagnostics

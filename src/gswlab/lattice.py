@@ -19,8 +19,9 @@ Conventions
   the backward value on the far face, the backward difference takes the
   forward value on the near face, and the centred difference is their
   mean.  Reductions are plain numpy sums (fixed order, deterministic).
-* With the identity transport (trivial group, flat target) the backward
-  difference is, bit for bit, the forward one rolled a site on.
+* With the identity transport (trivial group, flat target) a difference
+  reads the neighbour through a slice, with no rolled copy, and the
+  centred one sums two half steps, bit for bit the mean.
 """
 
 from dataclasses import dataclass
@@ -122,15 +123,6 @@ class ConnectionField:
 
 
 @dataclass
-class VectorField1Form:
-    """One-form with TangentM values: shape dims + (direction, 4)."""
-
-    geom: LatticeGeom
-    values: np.ndarray
-    base: SpinorField = None
-
-
-@dataclass
 class TwoForm:
     """Plaquette field, components ordered as PLAQ_PAIRS: dims + (6,)."""
 
@@ -203,31 +195,84 @@ def _transported(u: SpinorField, a: ConnectionField, axis, step):
     return quat.mul_exp_i(u_nb, step * u.geom.h * link)
 
 
-def _face_filled_pair(fwd, axis, topology, bwd=None):
-    """(forward, backward) from raw differences, face-filled from each other on a
-    box; without bwd the transport is the identity.  Fills fwd in place."""
-    if bwd is None:
-        bwd = np.roll(fwd, 1, axis=axis)
+def _planes_at(axis, start, stop):
+    """Index of the planes start..stop-1 along axis."""
+    return (slice(None),) * axis + (slice(start, stop),)
+
+
+def _link_diffs(v, axis, topology, scale, head=False):
+    """(v(x+e) - v(x)) / scale for each link x -> x + e along axis, stored at the
+    link's tail x, or with head at x + e; the neighbour is read through a slice,
+    so no rolled copy is made.  The one plane no link fills takes the wrapping
+    link on a torus and the zero difference v - v of _shift's edge clamp on a box."""
+    n = v.shape[axis]
+    out = np.empty(v.shape)
+    first, last = _planes_at(axis, 0, 1), _planes_at(axis, n - 1, n)
+    np.subtract(v[_planes_at(axis, 1, n)], v[_planes_at(axis, 0, n - 1)],
+                out=out[_planes_at(axis, int(head), n - 1 + head)])
+    spare = first if head else last
+    if topology is Topology.TORUS:
+        np.subtract(v[first], v[last], out=out[spare])
+    else:
+        np.subtract(v[spare], v[spare], out=out[spare])
+    out /= scale
+    return out
+
+
+def _face_filled(d, axis, topology, head=False):
+    """d of _link_diffs with, on a box, its spare face plane copied from the
+    neighbouring plane: the one-sided stencil at the face.  Fills d in place."""
     if topology is Topology.BOX:
-        far = (slice(None),) * axis + (slice(-1, None),)
-        near = (slice(None),) * axis + (slice(0, 1),)
+        n = d.shape[axis]
+        if head:
+            d[_planes_at(axis, 0, 1)] = d[_planes_at(axis, 1, 2)]
+        else:
+            d[_planes_at(axis, n - 1, n)] = d[_planes_at(axis, n - 2, n - 1)]
+    return d
+
+
+def identity_diff(geom: LatticeGeom, v, axis, step):
+    """Difference of a site array (any trailing shape) along axis under the identity
+    transport: step +1 forward, -1 backward (each one-sided on the other side at a box
+    face), 0 centred.  The centred value is g(x) + g(x - e) with the half step
+    g = (v(x+e) - v(x)) / (2h): bit for bit the mean of the forward and backward
+    differences, since dividing by 2h is dividing by h and halving, which is exact."""
+    topo = geom.topology
+    if step:
+        return _face_filled(_link_diffs(v, axis, topo, geom.h, step < 0), axis, topo, step < 0)
+    g = _face_filled(_link_diffs(v, axis, topo, 2.0 * geom.h), axis, topo)
+    n = v.shape[axis]
+    out = np.empty(v.shape)
+    np.add(g[_planes_at(axis, 1, n)], g[_planes_at(axis, 0, n - 1)], out=out[_planes_at(axis, 1, n)])
+    prev = _planes_at(axis, n - 1, n) if topo is Topology.TORUS else _planes_at(axis, 0, 1)
+    np.add(g[_planes_at(axis, 0, 1)], g[prev], out=out[_planes_at(axis, 0, 1)])
+    return out
+
+
+def _is_identity(u: SpinorField, a: ConnectionField):
+    """The transport is the identity: trivial group and flat target."""
+    return a.links is None and u.kind is not TargetKind.CONE_H_MOD_Z2
+
+
+def _one_sided_pair(u: SpinorField, a: ConnectionField, axis):
+    """(forward, backward) differences under a U(1) or cone transport, face-filled
+    from each other on a box."""
+    fwd = _transported(u, a, axis, +1)
+    fwd -= u.values
+    fwd /= u.geom.h
+    bwd = (u.values - _transported(u, a, axis, -1)) / u.geom.h
+    if u.geom.topology is Topology.BOX:
+        far = _planes_at(axis, -1, None)
+        near = _planes_at(axis, 0, 1)
         fwd[far] = bwd[far]
         bwd[near] = fwd[near]
     return fwd, bwd
 
 
-def _one_sided_pair(u: SpinorField, a: ConnectionField, axis):
-    """(forward, backward) differences, face-filled from each other on a box."""
-    fwd = _transported(u, a, axis, +1)
-    fwd -= u.values
-    fwd /= u.geom.h
-    identity = a.links is None and u.kind is not TargetKind.CONE_H_MOD_Z2
-    bwd = None if identity else (u.values - _transported(u, a, axis, -1)) / u.geom.h
-    return _face_filled_pair(fwd, axis, u.geom.topology, bwd)
-
-
 def forward_cov_diff(u: SpinorField, a: ConnectionField, axis):
     """(T u(x+e) - u(x)) / h, backward-filled on the far face of a box."""
+    if _is_identity(u, a):
+        return identity_diff(u.geom, u.values, axis, +1)
     if u.geom.topology is Topology.BOX:
         return _one_sided_pair(u, a, axis)[0]
     return (_transported(u, a, axis, +1) - u.values) / u.geom.h
@@ -235,27 +280,27 @@ def forward_cov_diff(u: SpinorField, a: ConnectionField, axis):
 
 def backward_cov_diff_raw(u: SpinorField, a: ConnectionField, axis):
     """(u(x) - T u(x-e)) / h, valid where x - e_axis exists."""
+    if _is_identity(u, a):
+        return _link_diffs(u.values, axis, u.geom.topology, u.geom.h, head=True)
     return (u.values - _transported(u, a, axis, -1)) / u.geom.h
 
 
 def backward_cov_diff(u: SpinorField, a: ConnectionField, axis):
     """Backward difference, forward-filled on the near face of a box."""
+    if _is_identity(u, a):
+        return identity_diff(u.geom, u.values, axis, -1)
     return _one_sided_pair(u, a, axis)[1]
 
 
 def cov_diff_component(u, a, axis, stencil: Stencil):
     if stencil is Stencil.FORWARD:
         return forward_cov_diff(u, a, axis)
+    if _is_identity(u, a):
+        return identity_diff(u.geom, u.values, axis, 0)
     fwd, bwd = _one_sided_pair(u, a, axis)
     fwd += bwd
     fwd *= 0.5
     return fwd
-
-
-def covariant_diff(u: SpinorField, a: ConnectionField, stencil=Stencil.FORWARD):
-    """Covariant derivative d_A u as a one-form field, dims + (4, 4)."""
-    comps = [cov_diff_component(u, a, i, stencil) for i in range(4)]
-    return VectorField1Form(u.geom, np.stack(comps, axis=-2), base=u)
 
 
 def clifford_pair(hdir, vplus, vminus):
@@ -448,19 +493,59 @@ def _check_ball(geom: LatticeGeom, spec: BallSpec):
         raise ValueError("ball not contained in the box")
 
 
+def _axis_offsets(geom: LatticeGeom, center, i):
+    """Offset of each site coordinate along axis i from center[i] (min-image on torus)."""
+    diff = np.arange(geom.dims[i]) * geom.h - center[i]
+    if geom.topology is Topology.TORUS:
+        period = geom.dims[i] * geom.h
+        diff = diff - period * np.round(diff / period)
+    return diff
+
+
 def site_distances(geom: LatticeGeom, center):
     """Distance from each site to a physical center (min-image on torus)."""
-    d2 = 0.0  # broadcast per axis: only the last sum is full-size
+    return ball_box(geom, center, np.inf)[1]
+
+
+def ball_box(geom: LatticeGeom, center, reach):
+    """(index, d): the sub-box of sites within reach of center along every axis and
+    their distances to it, as site_distances gives them.  The index is a slice per
+    axis, or np.ix_ arrays where a torus run wraps the seam; a run that spans the
+    axis is the whole axis.  A site whose offset passes reach by a rounding margin
+    stays in, since its distance can round an ulp below the offset."""
+    index, d2 = [], 0.0  # broadcast per axis: only the last sum is sub-box sized
     for i in range(4):
+        diff = _axis_offsets(geom, center, i)
+        keep = np.flatnonzero(np.abs(diff) <= reach * (1.0 + 1e-12))
         shape = [1, 1, 1, 1]
-        shape[i] = geom.dims[i]
-        xi = (np.arange(geom.dims[i]) * geom.h).reshape(shape)
-        diff = xi - center[i]
-        if geom.topology is Topology.TORUS:
-            period = geom.dims[i] * geom.h
-            diff = diff - period * np.round(diff / period)
-        d2 = d2 + diff**2
-    return np.sqrt(d2)
+        shape[i] = keep.size
+        d2 = d2 + diff[keep].reshape(shape) ** 2
+        contiguous = keep.size and keep[-1] - keep[0] == keep.size - 1
+        index.append(slice(keep[0], keep[-1] + 1) if contiguous else keep)
+    if any(isinstance(k, np.ndarray) for k in index):
+        index = np.ix_(*[np.arange(n)[k] for n, k in zip(geom.dims, index)])
+    return tuple(index), np.sqrt(d2)
+
+
+def ball_window(geom: LatticeGeom, spec: BallSpec):
+    """(index, weights): the partial-cell window of B_r(x), clip((r - d)/h + 0.5, 0, 1),
+    on the sub-box of sites within r + h/2 of x (beyond it the window is zero), built
+    in place in the distance buffer; every ball sum at one radius can share it."""
+    _check_ball(geom, spec)
+    index, w = ball_box(geom, spec.center, spec.radius + 0.5 * geom.h)
+    np.subtract(spec.radius, w, out=w)
+    w /= geom.h
+    w += 0.5
+    np.clip(w, 0.0, 1.0, out=w)
+    return index, w
+
+
+def ball_sums(geom: LatticeGeom, spec: BallSpec, fields):
+    """Integrals of the site scalars in fields over B_r(x), as a list: h^4-weighted
+    sums against one ball_window on its bounding sub-box, so no full-lattice window
+    or product is made."""
+    index, w = ball_window(geom, spec)
+    return [site_inner(geom, f[index], w) for f in fields]
 
 
 def ball_integral(geom: LatticeGeom, f, spec: BallSpec):
@@ -469,15 +554,7 @@ def ball_integral(geom: LatticeGeom, f, spec: BallSpec):
     Lattice sum with a linear partial-cell window of width h at the
     boundary sphere; exact volume error is O((h/r)^2) for smooth fields.
     """
-    d = site_distances(geom, spec.center)
-    return site_inner(geom, f, ball_window(geom, spec, d))
-
-
-def ball_window(geom: LatticeGeom, spec: BallSpec, d):
-    """Partial-cell weights of B_r(x) from the distances d = site_distances(geom, x);
-    every ball sum at one radius can share them."""
-    _check_ball(geom, spec)
-    return np.clip((spec.radius - d) / geom.h + 0.5, 0.0, 1.0)
+    return ball_sums(geom, spec, [f])[0]
 
 
 @functools.cache

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from gswlab import cli, frequency as fq, lattice as lat
+from gswlab import cli, deformation as dfm, frequency as fq, lattice as lat
 from gswlab.lattice import ConnectionField, LatticeGeom, SpinorField
 from gswlab.targets import GaugeGroup
 
@@ -172,6 +172,23 @@ def test_solve_manifest_lists_the_lsqr_iterations(tmp_path):
     assert lines[0] == "iter,residual_norm,step_norm"
     assert len(iters) == len(lines) - 1 >= 2
     assert iters[0] == 0 and all(isinstance(k, int) and k > 0 for k in iters[1:])
+
+
+def test_solve_lsqr_past_its_cap_is_a_newton_error(tmp_path, monkeypatch):
+    """An LSQR step past LSQR_MAX_ITER stops Newton as exit 3 with the iterates reached:
+    the diagnostics CSV, final_residual and lsqr_iters."""
+    monkeypatch.setattr(dfm, "LSQR_MAX_ITER", 1)
+    out = tmp_path / "s_cap"
+    assert cli.run("solve", _solve_cfg(tmp_path, out)) == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["error"].startswith("NewtonError: no convergence (lsqr_max_iter) after 0 steps")
+    assert "LSQR did not converge in 1 iterations" in manifest["traceback"]
+    assert "solver_diagnostics.csv" in manifest["outputs"]
+    lines = (out / "solver_diagnostics.csv").read_text().splitlines()
+    assert lines[0] == "iter,residual_norm,step_norm" and len(lines) == 2
+    extra = manifest["extra"]
+    assert extra["lsqr_iters"] == [0]
+    assert extra["final_residual"] == float(lines[1].split(",")[1]) > 0.0
 
 
 def test_solve_rejects_a_stencil_before_output(tmp_path):

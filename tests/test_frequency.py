@@ -1,3 +1,7 @@
+from collections import Counter
+from itertools import permutations
+from math import factorial
+
 import numpy as np
 import pytest
 
@@ -6,6 +10,7 @@ from gswlab import frequency as fq, lattice as lat
 from gswlab.gsw import Configuration
 from gswlab.lattice import ConnectionField, LatticeGeom, SpinorField, Stencil, Topology
 from gswlab.targets import GaugeGroup, TargetKind
+from tests_helpers import full_window_sum
 
 
 def box(n=17, h=None):
@@ -43,6 +48,37 @@ def test_fueter_products_regular():
         u = fq.fueter_library(geom, "sym_product", multiset=ms)
         d = lat.dirac(u, ConnectionField(geom), Stencil.CENTERED)
         assert interior_sup(geom, np.sqrt(np.sum(d * d, -1))) <= 0.05
+
+
+def test_fueter_variable_bit_identical_to_coordinates():
+    """Broadcast coordinate axes give the coords()-based samples bit for bit."""
+    for topology in Topology:
+        geom = LatticeGeom((5, 6, 4, 7), 0.3, topology)
+        x = geom.coords()
+        center = (0.7, 0.4, 1.1, 0.9)
+        for k in (1, 2, 3):
+            ref = np.zeros(geom.dims + (4,))
+            ref[..., 0] = x[..., k] - center[k]
+            ref[..., k] = -(x[..., 0] - center[0])
+            assert np.array_equal(fq._fueter_variable(geom, k, center), ref)
+
+
+@pytest.mark.parametrize("multiset", [(1, 2), (1, 1, 2, 2), (1, 2, 3), (3, 1, 2, 1), (2, 2, 2)])
+def test_sym_product_matches_sum_over_orderings(multiset):
+    """Grouping by the last factor reproduces the weighted sum over every distinct
+    ordering to 1e-12 relative on a non-dyadic lattice."""
+    geom = LatticeGeom((6, 5, 7, 6), 0.3, Topology.BOX)
+    center = (0.7, 0.4, 1.1, 0.9)
+    variables = {k: fq._fueter_variable(geom, k, center) for k in set(multiset)}
+    ref = 0.0
+    for order, mult in Counter(permutations(multiset)).items():
+        term = variables[order[0]]
+        for k in order[1:]:
+            term = quat.mul(term, variables[k])
+        ref = ref + mult * term
+    ref = ref / factorial(len(multiset))
+    got = fq._sym_product(variables, multiset)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_fueter_corpus_size_and_distinct():
@@ -341,6 +377,40 @@ def test_critical_radius_edges():
     z1 = Configuration(ConnectionField(geom), fq.fueter_library(geom, "z1"))
     r1, flag1 = fq.critical_radius(z1, center, 1e-6)
     assert flag1 == "zero"  # F = 2 pi^2 r^2-ish never below tiny eps0
+
+
+def test_critical_radius_interior_matches_full_window():
+    """The sub-box ball sums bisect to the same radius and flag as whole-lattice windows."""
+    geom = LatticeGeom((17,) * 4, 1 / 16, Topology.BOX)
+    c = Configuration(ConnectionField(geom), fq.fueter_library(geom, "z1"))
+    energy, _ = fq.profile_fields(c)
+    for center in (tuple(0.5 * w for w in geom.widths()), (0.45, 0.55, 0.5, 0.52)):
+
+        def big_f(r):
+            return full_window_sum(geom, energy, lat.BallSpec(center, r)) / r**2
+
+        lo, hi = 4 * geom.h, lat.max_ball_radius(geom, center)
+        eps0 = 0.5 * (big_f(lo) + big_f(hi))
+        for _ in range(40):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if big_f(mid) <= eps0 else (lo, mid)
+        assert fq.critical_radius(c, center, eps0) == (lo, "interior")
+
+
+def test_regularity_probe_matches_full_lattice_sums():
+    """F and the sup over B_{r/4} from the sub-boxes match whole-lattice references."""
+    geom = LatticeGeom((17,) * 4, 1 / 16, Topology.BOX)
+    c = Configuration(ConnectionField(geom), fq.fueter_library(geom, "sym_product", multiset=(1, 2)))
+    energy, _ = fq.profile_fields(c)
+    centers = [(0.5, 0.5, 0.5, 0.5), (0.45, 0.58, 0.5, 0.47)]
+    for center, entry in zip(centers, fq.regularity_probe(c, centers, eps0=3.0)):
+        d = lat.site_distances(geom, center)
+        assert len(entry["chat"]) == 4
+        for rec in entry["chat"]:
+            r = rec["r"]
+            big_f = full_window_sum(geom, energy, lat.BallSpec(center, r)) / r**2
+            ref = float(energy[d <= r / 4].max()) / (big_f / r**2 + r**2)
+            assert abs(rec["chat"] - ref) <= 1e-12 * ref
 
 
 def test_regularity_probe_scatter():

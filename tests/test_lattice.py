@@ -14,6 +14,7 @@ from gswlab.lattice import (
     Topology,
 )
 from gswlab.targets import GaugeGroup, TargetKind
+from tests_helpers import full_window_sum
 
 
 def small_geom(topology=Topology.TORUS, n=4, h=0.3):
@@ -140,12 +141,41 @@ def test_slab_energy_density_u1_and_cone():
 # covariant differences and gauge covariance
 
 
+def stacked_diffs(u, a, stencil=Stencil.FORWARD):
+    """d_A u as dims + (4, 4): the four cov_diff_component directions stacked."""
+    return np.stack([lat.cov_diff_component(u, a, i, stencil) for i in range(4)], axis=-2)
+
+
+def test_identity_differences_make_no_rolled_copy(monkeypatch):
+    """Where the transport is the identity, differences, dirac and the energy density
+    read neighbours through slices: np.roll is never called."""
+    from gswlab import frequency as fq
+
+    def no_roll(*args, **kwargs):
+        raise AssertionError("np.roll called on the identity path")
+
+    monkeypatch.setattr(np, "roll", no_roll)
+    for topology in Topology:
+        geom = LatticeGeom((3, 4, 2, 5), 0.3, topology)
+        u = SpinorField(geom, np.random.default_rng(17).normal(size=geom.dims + (4,)))
+        a = ConnectionField(geom)
+        for axis in range(4):
+            lat.forward_cov_diff(u, a, axis)
+            lat.backward_cov_diff(u, a, axis)
+            lat.backward_cov_diff_raw(u, a, axis)
+            fq._scalar_centered_diff(geom, u.values[..., 0], axis)
+            fq._scalar_backward_diff(geom, u.values[..., 0], axis)
+        for st in Stencil:
+            lat.dirac(u, a, st)
+            lat.grad_energy_density(u, a, st)
+
+
 def test_constant_field_parallel():
     geom = small_geom()
     u = SpinorField(geom, np.broadcast_to(quat.ONE, geom.dims + (4,)).copy())
     a = ConnectionField(geom)
-    d = lat.covariant_diff(u, a)
-    assert np.abs(d.values).max() == 0.0
+    d = stacked_diffs(u, a)
+    assert np.abs(d).max() == 0.0
 
 
 def test_linear_field_exact_stencil():
@@ -154,9 +184,9 @@ def test_linear_field_exact_stencil():
     vals = np.zeros(geom.dims + (4,))
     vals[..., 0] = x[..., 1]
     u = SpinorField(geom, vals)
-    d = lat.covariant_diff(u, ConnectionField(geom))
-    assert np.allclose(d.values[..., 1, 0], 1.0, atol=1e-12)
-    others = d.values.copy()
+    d = stacked_diffs(u, ConnectionField(geom))
+    assert np.allclose(d[..., 1, 0], 1.0, atol=1e-12)
+    others = d.copy()
     others[..., 1, 0] = 0.0
     assert np.abs(others).max() <= 1e-12
 
@@ -172,8 +202,8 @@ def test_gauge_covariance_exact(topology):
     cg = gsw.gauge_apply(g, c)
     phase = quat.exp_i(-g.theta)
     for st in Stencil:
-        before = lat.covariant_diff(c.u, c.a, st).values
-        after = lat.covariant_diff(cg.u, cg.a, st).values
+        before = stacked_diffs(c.u, c.a, st)
+        after = stacked_diffs(cg.u, cg.a, st)
         rotated = quat.mul(before, phase[..., None, :])
         assert np.abs(after - rotated).max() <= 1e-12 * max(1.0, np.abs(before).max())
 
@@ -319,6 +349,53 @@ def test_ball_derivative_matches_shell():
         b0 = lat.ball_integral(geom, f, BallSpec((0.5,) * 4, r - h / 2))
         sh = lat.shell_integral(geom, f, BallSpec((0.5,) * 4, r))
         assert abs((b1 - b0) / h - sh) <= 0.02 * abs(sh)
+
+
+#: (geom, centre, radii): a box ball touching the x0 = 0 face, a torus ball across
+#: the seam of two axes, and a torus ball spanning axis 1 (half its period is 3h)
+BALL_CASES = [
+    (LatticeGeom((13,) * 4, 1 / 12, Topology.BOX), (0.25, 0.5, 0.47, 0.52), (0.1, 0.25)),
+    (LatticeGeom((12, 10, 11, 12), 0.1, Topology.TORUS), (0.03, 0.97, 0.55, 0.6), (0.12, 0.5)),
+    (LatticeGeom((16, 6, 16, 16), 1 / 16, Topology.TORUS), (0.5, 0.2, 0.47, 0.53), (0.13, 0.1875)),
+]
+
+
+@pytest.mark.parametrize("geom,center,radii", BALL_CASES)
+def test_sub_box_ball_sums_match_full_lattice_window(geom, center, radii):
+    """Sums on the bounding sub-box are the whole-lattice window sums to 1e-12 relative."""
+    rng = np.random.default_rng(21)
+    fields = [rng.normal(size=geom.dims) + 2.0, rng.uniform(size=geom.dims)]
+    worst = 0.0
+    for r in radii:
+        spec = BallSpec(center, r)
+        sums = lat.ball_sums(geom, spec, fields)
+        assert sums[0] == lat.ball_integral(geom, fields[0], spec)
+        for f, val in zip(fields, sums):
+            ref = full_window_sum(geom, f, spec)
+            worst = max(worst, abs(val - ref) / abs(ref))
+    print(f"max relative difference {worst:.2e}")
+    assert worst <= 1e-12
+
+
+def test_ball_box_index_and_distances():
+    """Slices off the seam, index arrays across it, the whole axis once a ball spans it;
+    the distances are site_distances' bit for bit, and no site left out is in reach."""
+    box, seam, span = (case[0] for case in BALL_CASES)
+    index, _ = lat.ball_box(box, (0.25, 0.5, 0.47, 0.52), 0.25 + box.h / 2)
+    assert all(isinstance(k, slice) for k in index) and index[0] == slice(0, 7)
+    index, _ = lat.ball_box(seam, (0.03, 0.97, 0.55, 0.6), 0.16)
+    assert isinstance(index[0], np.ndarray)
+    assert sorted(index[0].ravel()) == [0, 1, 11] and sorted(index[1].ravel()) == [0, 1, 9]
+    index, _ = lat.ball_box(span, (0.5, 0.2, 0.47, 0.53), 0.1875 + span.h / 2)
+    assert index[1] == slice(0, 6) and index[0] == slice(5, 12)
+    for geom, center, radii in BALL_CASES:
+        full = lat.site_distances(geom, center)
+        for reach in (r + geom.h / 2 for r in radii):
+            index, d = lat.ball_box(geom, center, reach)
+            assert np.array_equal(d, full[index])
+            outside = np.ones(geom.dims, dtype=bool)
+            outside[index] = False
+            assert np.all(full[outside] > reach)
 
 
 def _interpolate_quadratic_loop(geom, f, points):
@@ -517,8 +594,8 @@ def test_cone_field_differences_continuous():
     vals[..., 0] = 1.0
     vals[..., 1] = 0.05 * geom.coords()[..., 0]
     u = SpinorField(geom, vals, TargetKind.CONE_H_MOD_Z2)
-    d = lat.covariant_diff(u, ConnectionField(geom))
-    assert np.isfinite(d.values).all()
+    d = stacked_diffs(u, ConnectionField(geom))
+    assert np.isfinite(d).all()
 
 
 def test_box_ball_containment_guard():

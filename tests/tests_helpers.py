@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from gswlab import lattice as lat
 from gswlab.gsw import Configuration
 from gswlab.lattice import ConnectionField, LatticeGeom, SpinorField, Topology
 from gswlab.targets import GaugeGroup
@@ -18,6 +19,13 @@ def interior_sup(geom, f, margin_phys=0.25):
         m[tuple(sl)] = True
         mask &= m
     return float(np.abs(np.asarray(f)[mask]).max())
+
+
+def full_window_sum(geom, f, spec):
+    """Reference ball sum: the partial-cell window on the whole lattice, summed against f."""
+    d = lat.site_distances(geom, spec.center)
+    w = np.clip((spec.radius - d) / geom.h + 0.5, 0.0, 1.0)
+    return float(np.sum(f * w) * geom.h**4)
 
 
 def smooth_u1_box_config(n):
