@@ -524,7 +524,7 @@ def ball_box(geom: LatticeGeom, center, reach):
         index.append(slice(keep[0], keep[-1] + 1) if contiguous else keep)
     if any(isinstance(k, np.ndarray) for k in index):
         index = np.ix_(*[np.arange(n)[k] for n, k in zip(geom.dims, index)])
-    return tuple(index), np.sqrt(d2)
+    return tuple(index), np.sqrt(d2, out=d2)
 
 
 def ball_window(geom: LatticeGeom, spec: BallSpec):
