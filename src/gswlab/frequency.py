@@ -16,6 +16,7 @@ machinery and the key chart identity.
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import combinations
 from math import factorial
 
 import numpy as np
@@ -52,24 +53,21 @@ def _sym_product(variables, multiset):
 
     The sum S(M) over every ordering of a multiset M is grouped by the
     last factor, S(M) = sum_k mult_k S(M - k) z_k over the distinct k in M
-    (mult_k copies of k), each sub-multiset's sum taken once; the result
-    is S(M) / |M|!.
+    (mult_k copies of k), built up one size of sub-multiset at a time,
+    each taken once; the result is S(M) / |M|!.
     """
-    sums = {}
-
-    def total(ms):  # ms sorted
-        if len(ms) == 1:
-            return variables[ms[0]]
-        if ms not in sums:
+    ms = tuple(sorted(multiset))
+    level = {(k,): variables[k] for k in set(ms)}
+    for size in range(2, len(ms) + 1):
+        prev, level = level, {}
+        for sub in set(combinations(ms, size)):  # sorted, so one key per sub-multiset
             terms = []
-            for k, mult in Counter(ms).items():
-                rest = list(ms)
+            for k, mult in Counter(sub).items():
+                rest = list(sub)
                 rest.remove(k)
-                terms.append(mult * quat.mul(total(tuple(rest)), variables[k]))
-            sums[ms] = sum(terms[1:], terms[0])
-        return sums[ms]
-
-    return total(tuple(sorted(multiset))) / factorial(len(multiset))
+                terms.append(mult * quat.mul(prev[tuple(rest)], variables[k]))
+            level[sub] = sum(terms[1:], terms[0])
+    return level[ms] / factorial(len(ms))
 
 
 def fueter_library(geom: LatticeGeom, kind, center=None, multiset=(1, 2)):

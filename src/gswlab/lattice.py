@@ -493,15 +493,6 @@ def _check_ball(geom: LatticeGeom, spec: BallSpec):
         raise ValueError("ball not contained in the box")
 
 
-def _axis_offsets(geom: LatticeGeom, center, i):
-    """Offset of each site coordinate along axis i from center[i] (min-image on torus)."""
-    diff = np.arange(geom.dims[i]) * geom.h - center[i]
-    if geom.topology is Topology.TORUS:
-        period = geom.dims[i] * geom.h
-        diff = diff - period * np.round(diff / period)
-    return diff
-
-
 def site_distances(geom: LatticeGeom, center):
     """Distance from each site to a physical center (min-image on torus)."""
     return ball_box(geom, center, np.inf)[1]
@@ -514,8 +505,11 @@ def ball_box(geom: LatticeGeom, center, reach):
     axis is the whole axis.  A site whose offset passes reach by a rounding margin
     stays in, since its distance can round an ulp below the offset."""
     index, d2 = [], 0.0  # broadcast per axis: only the last sum is sub-box sized
-    for i in range(4):
-        diff = _axis_offsets(geom, center, i)
+    for i, n in enumerate(geom.dims):
+        diff = np.arange(n) * geom.h - center[i]
+        if geom.topology is Topology.TORUS:  # min image
+            period = n * geom.h
+            diff = diff - period * np.round(diff / period)
         keep = np.flatnonzero(np.abs(diff) <= reach * (1.0 + 1e-12))
         shape = [1, 1, 1, 1]
         shape[i] = keep.size
