@@ -208,8 +208,9 @@ def _link_diffs(v, axis, topology, scale, head=False):
     n = v.shape[axis]
     out = np.empty(v.shape)
     first, last = _planes_at(axis, 0, 1), _planes_at(axis, n - 1, n)
+    lo = int(head)
     np.subtract(v[_planes_at(axis, 1, n)], v[_planes_at(axis, 0, n - 1)],
-                out=out[_planes_at(axis, int(head), n - 1 + head)])
+                out=out[_planes_at(axis, lo, lo + n - 1)])
     spare = first if head else last
     if topology is Topology.TORUS:
         np.subtract(v[first], v[last], out=out[spare])
@@ -233,8 +234,8 @@ def _face_filled(d, axis, topology, head=False):
 
 def identity_diff(geom: LatticeGeom, v, axis, step):
     """Difference of a site array (any trailing shape) along axis under the identity
-    transport: step +1 forward, -1 backward (each one-sided on the other side at a box
-    face), 0 centred.  The centred value is g(x) + g(x - e) with the half step
+    transport: step +1 forward, -1 backward (each takes the other's value at the box
+    face where its link is missing), 0 centred.  The centred value is g(x) + g(x - e) with the half step
     g = (v(x+e) - v(x)) / (2h): bit for bit the mean of the forward and backward
     differences, since dividing by 2h is dividing by h and halving, which is exact."""
     topo = geom.topology

@@ -10,7 +10,7 @@ from gswlab import frequency as fq, lattice as lat
 from gswlab.gsw import Configuration
 from gswlab.lattice import ConnectionField, LatticeGeom, SpinorField, Stencil, Topology
 from gswlab.targets import GaugeGroup, TargetKind
-from tests_helpers import full_window_sum
+from tests_helpers import full_distances, full_window_sum
 
 
 def box(n=17, h=None):
@@ -404,7 +404,7 @@ def test_regularity_probe_matches_full_lattice_sums():
     energy, _ = fq.profile_fields(c)
     centers = [(0.5, 0.5, 0.5, 0.5), (0.45, 0.58, 0.5, 0.47)]
     for center, entry in zip(centers, fq.regularity_probe(c, centers, eps0=3.0)):
-        d = lat.site_distances(geom, center)
+        d = full_distances(geom, center)
         assert len(entry["chat"]) == 4
         for rec in entry["chat"]:
             r = rec["r"]

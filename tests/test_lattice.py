@@ -14,7 +14,7 @@ from gswlab.lattice import (
     Topology,
 )
 from gswlab.targets import GaugeGroup, TargetKind
-from tests_helpers import full_window_sum
+from tests_helpers import full_distances, full_window_sum
 
 
 def small_geom(topology=Topology.TORUS, n=4, h=0.3):
@@ -390,6 +390,7 @@ def test_ball_box_index_and_distances():
     assert index[1] == slice(0, 6) and index[0] == slice(5, 12)
     for geom, center, radii in BALL_CASES:
         full = lat.site_distances(geom, center)
+        assert np.abs(full - full_distances(geom, center)).max() <= 1e-15
         for reach in (r + geom.h / 2 for r in radii):
             index, d = lat.ball_box(geom, center, reach)
             assert np.array_equal(d, full[index])

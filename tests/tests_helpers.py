@@ -2,7 +2,6 @@
 
 import numpy as np
 
-from gswlab import lattice as lat
 from gswlab.gsw import Configuration
 from gswlab.lattice import ConnectionField, LatticeGeom, SpinorField, Topology
 from gswlab.targets import GaugeGroup
@@ -21,10 +20,18 @@ def interior_sup(geom, f, margin_phys=0.25):
     return float(np.abs(np.asarray(f)[mask]).max())
 
 
+def full_distances(geom, center):
+    """Reference: min-image distance of every site to center, from the coordinate grid."""
+    x = geom.coords() - np.asarray(center)
+    if geom.topology is Topology.TORUS:
+        period = np.asarray(geom.dims) * geom.h
+        x -= period * np.round(x / period)
+    return np.sqrt(np.sum(x**2, axis=-1))
+
+
 def full_window_sum(geom, f, spec):
     """Reference ball sum: the partial-cell window on the whole lattice, summed against f."""
-    d = lat.site_distances(geom, spec.center)
-    w = np.clip((spec.radius - d) / geom.h + 0.5, 0.0, 1.0)
+    w = np.clip((spec.radius - full_distances(geom, spec.center)) / geom.h + 0.5, 0.0, 1.0)
     return float(np.sum(f * w) * geom.h**4)
 
 
