@@ -16,7 +16,9 @@ and the sha256 of every output file.  Manifests, which carry wall times,
 are left out; `bench/` is only read.
 
 `compare` prints per key "identical", or the largest relative difference
-max|a - b| / max(|a|, |b|) and the flat index where it occurs.  It exits
+max|a - b| / max(|a|, |b|) and the flat index where it occurs, then one
+summary line: keys identical out of all keys, keys moved, the worst
+relative difference with its key, and the output files that differ.  It exits
 1 when a key is missing on one side, a shape or string differs, or a
 relative difference passes --bound (default 0: any difference).  A file
 whose bytes differ is reported, but the numbers it holds decide.
@@ -114,7 +116,9 @@ def load(run_dir):
 def compare(dir_a, dir_b, bound):
     (nums_a, dig_a), (nums_b, dig_b) = load(dir_a), load(dir_b)
     failed = False
-    for key in sorted(set(nums_a) | set(nums_b)):
+    keys = sorted(set(nums_a) | set(nums_b))
+    identical, moved, files = 0, [], 0
+    for key in keys:
         if key not in nums_a or key not in nums_b:
             print("%s: missing in %s" % (key, dir_a if key not in nums_a else dir_b))
             failed = True
@@ -125,12 +129,14 @@ def compare(dir_a, dir_b, bound):
             failed = True
         elif np.array_equal(a, b, equal_nan=True):
             print("%s: identical" % key)
+            identical += 1
         else:
             diff = np.where(np.isnan(a) & np.isnan(b), 0.0, np.abs(a - b))
             diff = np.where(np.isnan(diff), np.inf, diff).ravel()
             scale = max(np.nanmax(np.abs(a)), np.nanmax(np.abs(b)))
             rel = diff.max() / scale if scale > 0 else np.inf
             print("%s: rel %.3e at %d" % (key, rel, int(np.argmax(diff))))
+            moved.append((rel, key))
             failed |= not rel <= bound
     for kind in ("strings", "sha256"):
         for key in sorted(set(dig_a[kind]) | set(dig_b[kind])):
@@ -138,6 +144,10 @@ def compare(dir_a, dir_b, bound):
             if va != vb:
                 print("%s %s: %s" % (kind, key, "differs" if va and vb else "missing on one side"))
                 failed |= kind == "strings" or not (va and vb)
+                files += kind == "sha256"
+    worst = "worst rel %.3e at %s" % max(moved) if moved else "none moved"
+    print("summary: %d/%d keys identical, %d moved (%s), %d files differ"
+          % (identical, len(keys), len(moved), worst, files))
     return 1 if failed else 0
 
 

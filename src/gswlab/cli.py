@@ -169,7 +169,8 @@ def validate_config(cfg, experiment):
 
 
 def _frequency_grid(params, geom):
-    """(radii, centers) of a frequency run: radii > 0 spaced >= 2h, balls in delta0 and the box."""
+    """(radii, centers) of a frequency run: radii > 0 spaced >= 2h, balls in delta0 and the
+    box, and with the probe a 4h ball at every centre."""
     radii = np.array(params.get("r_cells", range(8, 25, 2)), dtype=float) * geom.h
     centers = params.get("centers")
     centers = [[0.5 * w for w in geom.widths()]] if centers is None else centers
@@ -179,6 +180,8 @@ def _frequency_grid(params, geom):
     _require(r <= geom.delta0() + 1e-12, f"radius {r:g} passes delta0 {geom.delta0():g}")
     for x in centers:
         _require(r <= lat.max_ball_radius(geom, x) + 1e-12, f"ball B({x}, {r:g}) leaves the box")
+    if params.get("probe", False):
+        fq.check_probe_centres(geom, centers)
     return radii, centers
 
 

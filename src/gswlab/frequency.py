@@ -303,11 +303,9 @@ def bochner_residual(c: Configuration, stencil=Stencil.CENTERED):
     energy = lat.grad_energy_density(c.u, c.a, stencil)
     lap = lat.d_star(geom, lat.d_site(geom, energy))
     hess = np.zeros(geom.dims)
-    for i in range(4):
-        di = lat.cov_diff_component(c.u, c.a, i, stencil)
-        for j in range(4):
-            dji = lat.cov_diff_component(SpinorField(geom, di), c.a, j, stencil)
-            hess += quat.norm2(dji)
+    for i in range(4):  # |d^{TM} d_A u|^2 = sum_i |d_A (d_A u)_i|^2
+        di = SpinorField(geom, lat.cov_diff_component(c.u, c.a, i, stencil))
+        hess += lat.grad_energy_density(di, c.a, stencil)
     return 0.5 * lap + hess
 
 
@@ -483,14 +481,26 @@ def monotonicity_scan(profile: RadialProfile, c0=0.0):
 # critical radius and the epsilon-regularity probe
 
 
+def check_probe_centres(geom: LatticeGeom, centers):
+    """Raise ValueError unless the probe's smallest ball, radius 4h, fits at every centre."""
+    r_min = 4.0 * geom.h
+    for center in centers:
+        delta0 = lat.max_ball_radius(geom, center)
+        if r_min > delta0 + 1e-12:
+            raise ValueError(f"probe centre {tuple(center)}: delta0 = {delta0:g} is below "
+                             f"the smallest probe radius 4h = {r_min:g}")
+
+
 def critical_radius(c: Configuration, center, eps0, stencil=Stencil.CENTERED, fields=None):
     """sup { r <= delta0 : F_x(r) <= eps0 } by 40 bisection steps.
 
     Returns (radius, flag); flag 'zero' marks the degenerate outcome
     where even the smallest resolvable ball (radius 4h) exceeds the
-    threshold (in particular for eps0 = 0).
+    threshold (in particular for eps0 = 0).  A centre where that ball
+    does not fit (delta0 < 4h) is a ValueError before any work.
     """
     geom = c.geom
+    check_probe_centres(geom, [center])
     energy, _ = fields if fields is not None else profile_fields(c, stencil)
     delta0 = lat.max_ball_radius(geom, center)
     r_min = 4.0 * geom.h
@@ -521,9 +531,11 @@ def regularity_probe(c: Configuration, centers, eps0=1e-2, stencil=Stencil.CENTE
     the measured constant
         c_hat = sup_{B_{r/4}} |d_A u|^2 / (r^-2 F_x(r) + r^2),
     reported (never asserted; the continuum constant is not
-    constructive).
+    constructive).  Every centre must fit a ball of radius 4h
+    (check_probe_centres), checked before any work.
     """
     geom = c.geom
+    check_probe_centres(geom, centers)
     fields = fields if fields is not None else profile_fields(c, stencil)
     energy, chi2 = fields
     report = []

@@ -407,6 +407,20 @@ def test_frequency_radius_grid_checked_before_output(tmp_path):
     assert not out.exists()
 
 
+def test_frequency_probe_centre_near_face_checked_before_output(tmp_path, capsys):
+    """A probe centre 3h from a face (delta0 < 4h, the probe's smallest ball) is exit 2
+    with no output; without the probe the same grid runs."""
+    centers = [[0.1875, 0.5, 0.5, 0.5]]
+    out, cfg = _probe_cfg(tmp_path, "near_face", r_cells=[1, 3], centers=centers)
+    assert cli.run("frequency", cfg) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "(0.1875, 0.5, 0.5, 0.5)" in err and "delta0 = 0.1875" in err and "4h = 0.25" in err
+    out, cfg = _probe_cfg(tmp_path, "no_probe", r_cells=[1, 3], centers=centers, probe=False)
+    assert cli.run("frequency", cfg) == 0
+    assert (out / "profile_000.csv").exists()
+
+
 @pytest.mark.parametrize("r_cells", [[4, 5, 6, 7, 8], [7, 3, 4], [0, 3, 5], [-3, 3, 5]])
 def test_frequency_radius_spacing_and_sign_checked_before_output(tmp_path, r_cells):
     """A grid spaced under 2h (sorted or not) or a radius <= 0 is exit 2 with no output."""

@@ -268,6 +268,38 @@ def test_bochner_order_and_offshell():
     assert np.abs(fq.bochner_residual(noisy)).max() > 0.0
 
 
+def _bochner_double_loop(c, stencil):
+    """The Bochner residual with every |d_j (d_A u)_i|^2 and |d_A u|^2 summed from
+    cov_diff_component, one (i, j) pair at a time."""
+    geom = c.geom
+    energy = sum(quat.norm2(lat.cov_diff_component(c.u, c.a, i, stencil)) for i in range(4))
+    hess = np.zeros(geom.dims)
+    for i in range(4):
+        di = SpinorField(geom, lat.cov_diff_component(c.u, c.a, i, stencil))
+        for j in range(4):
+            hess += quat.norm2(lat.cov_diff_component(di, c.a, j, stencil))
+    return 0.5 * lat.d_star(geom, lat.d_site(geom, energy)) + hess
+
+
+def test_bochner_matches_double_loop():
+    """The Hessian term as sum_i grad_energy_density(d_i u) stays within 1e-12 of the
+    double loop, relative to the residual's sup, for U(1) and trivial data."""
+    rng = np.random.default_rng(19)
+    worst = 0.0
+    for topology in Topology:
+        geom = LatticeGeom((5, 4, 6, 5), 0.3, topology)
+        for group in GaugeGroup:
+            links = rng.normal(size=geom.dims + (4,)) if group is GaugeGroup.U1 else None
+            c = Configuration(ConnectionField(geom, group, links),
+                              SpinorField(geom, rng.normal(size=geom.dims + (4,))))
+            for st in Stencil:
+                ref = _bochner_double_loop(c, st)
+                dev = np.abs(fq.bochner_residual(c, st) - ref).max() / np.abs(ref).max()
+                worst = max(worst, float(dev))
+    print(f"max relative difference {worst:.2e}")
+    assert worst <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # radial profiles
 
@@ -411,6 +443,25 @@ def test_regularity_probe_matches_full_lattice_sums():
             big_f = full_window_sum(geom, energy, lat.BallSpec(center, r)) / r**2
             ref = float(energy[d <= r / 4].max()) / (big_f / r**2 + r**2)
             assert abs(rec["chat"] - ref) <= 1e-12 * ref
+
+
+def test_probe_centre_near_face_raises_before_work(monkeypatch):
+    """A centre where the 4h ball leaves the box is a ValueError naming the centre,
+    delta0 and the 4h minimum, raised before the site fields are computed."""
+    geom = LatticeGeom((17,) * 4, 1 / 16, Topology.BOX)
+    c = Configuration(ConnectionField(geom), fq.fueter_library(geom, "z1"))
+
+    def no_fields(*args, **kwargs):
+        raise AssertionError("profile_fields called before the centre check")
+
+    monkeypatch.setattr(fq, "profile_fields", no_fields)
+    centers = [(0.5, 0.5, 0.5, 0.5), (0.1875, 0.5, 0.5, 0.5)]
+    message = r"\(0\.1875, 0\.5, 0\.5, 0\.5\): delta0 = 0\.1875 .* 4h = 0\.25"
+    for call in (lambda: fq.regularity_probe(c, centers, eps0=3.0),
+                 lambda: fq.critical_radius(c, centers[1], 3.0)):
+        with pytest.raises(ValueError, match=message):
+            call()
+    fq.check_probe_centres(geom, [(0.25, 0.5, 0.5, 0.5)])  # exactly 4h from the face fits
 
 
 def test_regularity_probe_scatter():

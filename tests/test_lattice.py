@@ -72,7 +72,8 @@ def _two_transport_pair(u, a, axis):
 @pytest.mark.parametrize("kind", list(TargetKind))
 def test_one_transport_differences_bit_identical(dims, topology, group, kind):
     """One transport per axis (backward rolled from forward where the transport
-    is the identity) reproduces the two-transport formulas bit for bit."""
+    is the identity) reproduces the two-transport formulas bit for bit; the energy
+    density, summed from undivided differences, stays within 1e-12 relative."""
     geom = LatticeGeom(dims, 0.3, topology)
     rng = np.random.default_rng(14)
     u = SpinorField(geom, rng.normal(size=dims + (4,)) + quat.ONE, kind)
@@ -88,8 +89,12 @@ def test_one_transport_differences_bit_identical(dims, topology, group, kind):
         for st in Stencil:
             assert np.array_equal(lat.cov_diff_component(u, a, axis, st), ref[st])
             energy[st] += np.sum(ref[st] * ref[st], axis=-1)
+    worst = 0.0
     for st in Stencil:
-        assert np.array_equal(lat.grad_energy_density(u, a, st), energy[st])
+        diff = np.abs(lat.grad_energy_density(u, a, st) - energy[st])
+        worst = max(worst, float(np.max(diff / np.maximum(energy[st], np.finfo(float).tiny))))
+    print(f"max relative difference {worst:.2e}")
+    assert worst <= 1e-12
 
 
 def _whole_array_energy(u, a, stencil):
@@ -107,13 +112,15 @@ SLAB_DIMS = [(2, 3, 4, 3), (3, 4, 2, 3), (5, 3, 3, 4), (7, 2, 3, 3), (8, 3, 2, 2
 @pytest.mark.parametrize("topology", list(Topology))
 def test_slab_energy_density_bit_identical_for_identity_transport(monkeypatch, planes, dims,
                                                                    topology):
-    """Slabs of axis-0 planes give the whole-array sum bit for bit."""
-    monkeypatch.setattr(lat, "ENERGY_SLAB_PLANES", planes)
+    """Slabs of axis-0 planes give one slab spanning the lattice bit for bit."""
     geom = LatticeGeom(dims, 0.3, topology)
     u = SpinorField(geom, np.random.default_rng(15).normal(size=dims + (4,)))
     a = ConnectionField(geom)
+    monkeypatch.setattr(lat, "ENERGY_SLAB_PLANES", dims[0])
+    whole = {st: lat.grad_energy_density(u, a, st) for st in Stencil}
+    monkeypatch.setattr(lat, "ENERGY_SLAB_PLANES", planes)
     for st in Stencil:
-        assert np.array_equal(lat.grad_energy_density(u, a, st), _whole_array_energy(u, a, st))
+        assert np.array_equal(lat.grad_energy_density(u, a, st), whole[st])
 
 
 def test_slab_energy_density_u1_and_cone():
@@ -189,6 +196,18 @@ def test_linear_field_exact_stencil():
     others = d.copy()
     others[..., 1, 0] = 0.0
     assert np.abs(others).max() <= 1e-12
+
+
+@pytest.mark.parametrize("stencil", list(Stencil))
+def test_linear_field_energy_closed_form_exact(stencil):
+    """u = sum_i x_i c_i on a dyadic box: every difference, square and the final
+    division are exact, so |d_A u|^2 = sum_i |c_i|^2 bit for bit, face planes included."""
+    geom = LatticeGeom((9, 5, 4, 3), 0.25, Topology.BOX)  # two axis-0 slabs
+    c = np.array([[0.5, -1.25, 0.0, 2.0], [0.75, 0.0, -0.5, 1.0],
+                  [-1.0, 0.25, 1.5, 0.0], [0.0, 0.125, -0.75, 0.5]])
+    u = SpinorField(geom, geom.coords() @ c)
+    energy = lat.grad_energy_density(u, ConnectionField(geom), stencil)
+    assert np.all(energy == np.sum(c * c))
 
 
 @pytest.mark.parametrize("topology", [Topology.TORUS, Topology.BOX])
