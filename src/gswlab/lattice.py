@@ -275,13 +275,45 @@ def _one_sided_pair(u: SpinorField, a: ConnectionField, axis):
     return fwd, bwd
 
 
+def _undivided_diff(u: SpinorField, a: ConnectionField, axis, centred):
+    """T u(x+e) - T u(x-e) (centred) or T u(x+e) - u(x) (forward) along axis, not yet
+    divided by the step.  On a box a face plane whose neighbour is missing takes the
+    one-sided difference, doubled when centred, so that dividing by 2h gives the face
+    value of cov_diff_component; the forward one divided by h is forward_cov_diff.  The
+    identity transport reads neighbours through slices; U(1) and cone targets go
+    through _transported."""
+    v, topo, n = u.values, u.geom.topology, u.geom.dims[axis]
+    first, last = _planes_at(axis, 0, 1), _planes_at(axis, n - 1, n)
+    if _is_identity(u, a):
+        up_first, down_last = v[_planes_at(axis, 1, 2)], v[_planes_at(axis, n - 2, n - 1)]
+        if not centred:
+            d = _link_diffs(v, axis, topo)
+        else:
+            d = np.empty(v.shape)
+            np.subtract(v[_planes_at(axis, 2, n)], v[_planes_at(axis, 0, n - 2)],
+                        out=d[_planes_at(axis, 1, n - 1)])
+            if topo is Topology.TORUS:  # the wrapping neighbours
+                np.subtract(up_first, v[last], out=d[first])
+                np.subtract(v[first], down_last, out=d[last])
+    else:
+        up = _transported(u, a, axis, +1)
+        down = _transported(u, a, axis, -1) if centred or topo is Topology.BOX else None
+        d = up - (down if centred else v)
+        up_first, down_last = up[first], None if down is None else down[last]
+    if topo is Topology.BOX:
+        np.subtract(v[last], down_last, out=d[last])
+        if centred:
+            np.subtract(up_first, v[first], out=d[first])
+            d[first] *= 2.0
+            d[last] *= 2.0
+    return d
+
+
 def forward_cov_diff(u: SpinorField, a: ConnectionField, axis):
     """(T u(x+e) - u(x)) / h, backward-filled on the far face of a box."""
-    if _is_identity(u, a):
-        return identity_diff(u.geom, u.values, axis, +1)
-    if u.geom.topology is Topology.BOX:
-        return _one_sided_pair(u, a, axis)[0]
-    return (_transported(u, a, axis, +1) - u.values) / u.geom.h
+    d = _undivided_diff(u, a, axis, False)
+    d /= u.geom.h
+    return d
 
 
 def backward_cov_diff_raw(u: SpinorField, a: ConnectionField, axis):
@@ -332,10 +364,11 @@ def dirac(u: SpinorField, a: ConnectionField, stencil=Stencil.FORWARD):
 
 
 #: axis-0 planes per slab of grad_energy_density.  Two 33^4 spinor planes are 2.3 MB,
-#: past the 2 MB L2 per core of a 2-vCPU Xeon VM, and four are 4.6 MB; but each slab
-#: spends two halo planes on its axis-0 difference, and on that VM four planes ran the
-#: field_box benchmark iteration 7% faster than two (9 of 10 alternating pairs).
-ENERGY_SLAB_PLANES = 4
+#: past the 2 MB L2 per core of a 2-vCPU Xeon VM.  Four planes (4.6 MB) spend fewer
+#: halo planes on the axis-0 difference and won 9 of 10 alternating in-process
+#: field_box pairs against two, but by a median gap (0.029 s) under two planes'
+#: interquartile range (0.053 s), which is no measured gain; so two it stays.
+ENERGY_SLAB_PLANES = 2
 
 
 def _planes(u: SpinorField, a: ConnectionField, lo, hi):
@@ -345,39 +378,6 @@ def _planes(u: SpinorField, a: ConnectionField, lo, hi):
     geom = LatticeGeom((hi - lo,) + u.geom.dims[1:], u.geom.h, u.geom.topology)
     links = None if a.links is None else a.links[rows]
     return SpinorField(geom, u.values[rows], u.kind), ConnectionField(geom, a.group, links)
-
-
-def _undivided_diff(u: SpinorField, a: ConnectionField, axis, centred):
-    """T u(x+e) - T u(x-e) (centred) or T u(x+e) - u(x) (forward) along axis, not yet
-    divided by the step.  On a box a face plane whose neighbour is missing takes the
-    one-sided difference, doubled when centred, so that dividing by 2h gives the face
-    value of cov_diff_component.  The identity transport reads neighbours through
-    slices; U(1) and cone targets go through _transported."""
-    v, topo, n = u.values, u.geom.topology, u.geom.dims[axis]
-    first, last = _planes_at(axis, 0, 1), _planes_at(axis, n - 1, n)
-    if _is_identity(u, a):
-        up_first, down_last = v[_planes_at(axis, 1, 2)], v[_planes_at(axis, n - 2, n - 1)]
-        if not centred:
-            d = _link_diffs(v, axis, topo)
-        else:
-            d = np.empty(v.shape)
-            np.subtract(v[_planes_at(axis, 2, n)], v[_planes_at(axis, 0, n - 2)],
-                        out=d[_planes_at(axis, 1, n - 1)])
-            if topo is Topology.TORUS:  # the wrapping neighbours
-                np.subtract(up_first, v[last], out=d[first])
-                np.subtract(v[first], down_last, out=d[last])
-    else:
-        up = _transported(u, a, axis, +1)
-        down = _transported(u, a, axis, -1) if centred or topo is Topology.BOX else None
-        d = up - (down if centred else v)
-        up_first, down_last = up[first], None if down is None else down[last]
-    if topo is Topology.BOX:
-        np.subtract(v[last], down_last, out=d[last])
-        if centred:
-            np.subtract(up_first, v[first], out=d[first])
-            d[first] *= 2.0
-            d[last] *= 2.0
-    return d
 
 
 def grad_energy_density(u: SpinorField, a: ConnectionField, stencil=Stencil.FORWARD):
