@@ -79,10 +79,12 @@ class BlockSpace:
         return self._slices[name]
 
     def inner(self, x, y):
-        return float(np.sum(x * y * self.weights))
+        """Weighted inner product over the last axis: a float, or an array over leading axes."""
+        s = np.sum(x * y * self.weights, axis=-1)
+        return float(s) if s.ndim == 0 else s
 
     def norm(self, x):
-        return np.sqrt(max(self.inner(x, x), 0.0))
+        return np.sqrt(np.maximum(self.inner(x, x), 0.0))
 
 
 class TangentSpace(BlockSpace):
@@ -119,13 +121,14 @@ class TangentSpace(BlockSpace):
         return vec
 
     def unpack(self, vec):
-        """Return (b_links fullshape or None, v_sites array)."""
-        v = vec[self.n_links :].reshape(self.geom.dims + (4,)).copy()
+        """Return (b_links fullshape or None, v_sites array); leading axes of vec are kept."""
+        lead = vec.shape[:-1]
+        v = vec[..., self.n_links :].reshape(lead + self.geom.dims + (4,)).copy()
         if self.group is GaugeGroup.TRIVIAL:
             return None, v
-        b = np.zeros((self.n_sites, 4))
-        b[self.link_sites, self.link_axes] = vec[: self.n_links]
-        return b.reshape(self.geom.dims + (4,)), v
+        b = np.zeros(lead + (self.n_sites, 4))
+        b[..., self.link_sites, self.link_axes] = vec[..., : self.n_links]
+        return b.reshape(lead + self.geom.dims + (4,)), v
 
 
 class EquationSpace(BlockSpace):
@@ -289,6 +292,12 @@ class LinearMap:
     set decides the rank, full U and V are computed for the (co)kernel bases
     and pseudo-inverses, and LU inverts a square map of full rank.
     `lsqr_apply`, on a map given by triplets, reads them alone.
+
+    A map may also be a stack of maps between the same spaces, one per
+    configuration of a stacked `Configuration`: the dense matrix, or the
+    triplet values, then carry leading axes.  `matrix`, `apply`,
+    `range_basis` and `range_projector` act map by map; the factorisations
+    read a single map.
     """
 
     def __init__(self, matrix, row_space: BlockSpace, col_space: BlockSpace, blocks=None):
@@ -297,7 +306,7 @@ class LinearMap:
         self.shape = (row_space.dim, col_space.dim)
         self.blocks = blocks
         self._matrix = None if matrix is None else np.ascontiguousarray(matrix, dtype=float)
-        if self._matrix is not None and self._matrix.shape != self.shape:
+        if self._matrix is not None and self._matrix.shape[-2:] != self.shape:
             raise ValueError("matrix shape does not match block spaces")
         self._svd = None
         self._values = None
@@ -414,17 +423,51 @@ class LinearMap:
         LinAlgError (rank loss) unless lambda_min > RANK_MARGIN n eps lambda_max,
         n = max(shape): `eigh` resolves no singular value below about sqrt(n eps)
         s_max, above the `rank` cutoff, so when this returns `rank` keeps every column.
+        A stack of maps gives a stack of bases, and any map of it losing rank raises.
         """
+        m_hat, normal, sr = self._normal()
+        lam, vec = np.linalg.eigh(normal)
+        if (err := self._rank_loss(lam)) is not None:
+            raise err
+        return (m_hat @ (vec / np.sqrt(lam)[..., None, :])) / sr[:, None]
+
+    def range_projector(self):
+        """Callable t -> t - L L^+ t, the weighted projection off the range, t a vector or column stack.
+
+        Solves the normal system (L* L) z = L* t of each map of a stack, with
+        `range_basis`'s rank-loss rule on its eigenvalues; a stack of maps
+        projects the same t at each and returns a stack.
+        """
+        m_hat, normal, sr = self._normal()
+        if (err := self._rank_loss(np.linalg.eigvalsh(normal))) is not None:
+            raise err
+
+        def project(t):
+            cols = t[:, None] if np.ndim(t) == 1 else t
+            z = np.linalg.solve(normal, np.swapaxes(m_hat, -1, -2) @ (sr[:, None] * cols))
+            out = cols - (m_hat @ z) / sr[:, None]
+            return out[..., 0] if np.ndim(t) == 1 else out
+
+        return project
+
+    def _normal(self):
+        """(m_hat, m_hat* m_hat, sr) of the weight-normalised matrix m_hat = sr M / sc, map by map."""
         sr = np.sqrt(self.row_space.weights)
         m_hat = (self.matrix * sr[:, None]) / np.sqrt(self.col_space.weights)
-        lam, vec = np.linalg.eigh(m_hat.T @ m_hat)
-        floor = RANK_MARGIN * max(self.matrix.shape) * np.finfo(float).eps * lam.max(initial=0.0)
-        if lam.size and not lam[0] > floor:
-            raise np.linalg.LinAlgError(
-                "rank loss: the map is not injective (smallest normal-matrix eigenvalue "
-                "%.3e <= %.3e, %d columns)" % (lam[0], floor, lam.size)
-            )
-        return (m_hat @ (vec / np.sqrt(lam))) / sr[:, None]
+        return m_hat, np.swapaxes(m_hat, -1, -2) @ m_hat, sr
+
+    def _rank_loss(self, lam):
+        """The LinAlgError to raise unless each map's ascending normal-matrix eigenvalues
+        have lambda_min > RANK_MARGIN n eps lambda_max, else None."""
+        floor = RANK_MARGIN * max(self.shape) * np.finfo(float).eps * lam.max(axis=-1, initial=0.0)
+        lost = ~(lam[..., 0] > floor) if lam.shape[-1] else np.zeros(lam.shape[:-1], bool)
+        if not lost.any():
+            return None
+        k = np.argmax(lost.reshape(-1))
+        return np.linalg.LinAlgError(
+            "rank loss: the map is not injective (smallest normal-matrix eigenvalue "
+            "%.3e <= %.3e, %d columns)" % (lam[..., 0].reshape(-1)[k], floor.reshape(-1)[k], lam.shape[-1])
+        )
 
     def operator_norm(self):
         s = self.singular_values()
@@ -474,26 +517,39 @@ def _assemble(shape, blocks):
     """Dense matrix summed in one bincount from (rows, cols, values) blocks.
 
     The three arrays of a block broadcast together; entries named more
-    than once add up.
+    than once add up.  Axes of a block's values ahead of its index axes are
+    stack axes: the result is then one matrix per entry of their broadcast
+    shape, and a block without them adds to every matrix of the stack.
     """
-    flat, vals = zip(*(np.broadcast_arrays(r * shape[1] + c, v) for r, c, v in blocks))
+    size = shape[0] * shape[1]
+    index = [r * shape[1] + c for r, c, _ in blocks]
+    stack = np.broadcast_shapes(*(np.shape(v)[: max(np.ndim(v) - i.ndim, 0)]
+                                  for i, (_, _, v) in zip(index, blocks)))
+    offset = size * np.arange(int(np.prod(stack))).reshape(stack)
+    flat, vals = zip(*(np.broadcast_arrays(i + offset.reshape(stack + (1,) * i.ndim), v)
+                       for i, (_, _, v) in zip(index, blocks)))
     out = np.bincount(
         np.concatenate([f.ravel() for f in flat]),
         weights=np.concatenate([v.ravel() for v in vals]),
-        minlength=shape[0] * shape[1],
+        minlength=offset.size * size,
     )
-    return out.reshape(shape)
+    return out.reshape(stack + shape)
+
+
+def _site_rows(field):
+    """A lattice field (..., *dims, k) as (..., sites, k), leading stack axes kept."""
+    return field.reshape(field.shape[:-5] + (-1, field.shape[-1]))
 
 
 def lin_gauge(c: Configuration) -> LinearMap:
-    """Linearized gauge action: xi -> (d xi, -K_xi|_u)."""
+    """Linearized gauge action: xi -> (d xi, -K_xi|_u); a stack of maps for a stacked c."""
     geom = c.geom
     lay = layout(geom, c.group)
     cols, rows = lay.gauge, lay.tangent
     if c.group is GaugeGroup.TRIVIAL:
         return LinearMap(None, rows, cols, [(np.zeros(0, int), np.zeros(0, int), np.zeros(0))])
     links = np.arange(rows.n_links)
-    ku = quat.mul(c.u.values, quat.QI).reshape(-1, 4)  # K_1|_u = u i
+    ku = _site_rows(quat.mul(c.u.values, quat.QI))  # K_1|_u = u i
     return LinearMap(None, rows, cols, [
         (links, lay.nb[rows.link_axes, rows.link_sites], 1.0 / geom.h),
         (links, rows.link_sites, -1.0 / geom.h),
@@ -537,7 +593,7 @@ def linearize_fsw(c: Configuration) -> LinearMap:
     Every block is built as (row, col, value) triplets over the trusted
     sites, whose stencils only reach existing links, and kept on the map;
     the matrix is summed from them in one scatter when first read.  The
-    indices come from the layout.
+    indices come from the layout.  A stacked c gives a stack of maps.
     """
     h = c.geom.h
     lay = layout(c.geom, c.group)
@@ -549,7 +605,7 @@ def linearize_fsw(c: Configuration) -> LinearMap:
     if c.a.links is None:
         blk = quat.MUL_TABLE[:, None] / h
     else:
-        theta = h * c.a.links.reshape(-1, 4)[sites].T  # (i, n)
+        theta = h * np.swapaxes(_site_rows(c.a.links)[..., sites, :], -1, -2)  # (..., i, n)
         blk = quat.mul_exp_i(quat.MUL_TABLE[:, None], theta[..., None]) / h
     blocks = [
         (lay.dirac_r[:, None, :], lay.dirac_nb_c, blk),
@@ -558,8 +614,8 @@ def linearize_fsw(c: Configuration) -> LinearMap:
 
     if c.group is not GaugeGroup.TRIVIAL:
         # Dirac rows, one-form columns: e_i (T_i u(x+e_i)) i per link
-        u_flat = c.u.values.reshape(-1, 4)
-        w = quat.mul_exp_i(u_flat[nb[:, sites]], theta)
+        u_flat = _site_rows(c.u.values)
+        w = quat.mul_exp_i(u_flat[..., nb[:, sites], :], theta)
         blocks.append((lay.dirac_r, lay.dirac_link_c, w @ _DIRAC_LINK.transpose(0, 2, 1)))
 
         # self-dual rows, one-form columns: d^+ b, with
@@ -567,7 +623,7 @@ def linearize_fsw(c: Configuration) -> LinearMap:
         blocks.append((lay.plaq_r, lay.plaq_c, (0.5 / h) * np.array([[1.0], [-1.0], [-1.0], [1.0]])))
 
         # self-dual rows, spinor columns: d_u Phi_4(e_a) on the trusted sites
-        dphi = phi4_diff(u_flat[rows.sd_sites][:, None], quat.BASIS, c.group)  # (site, a, l)
+        dphi = phi4_diff(u_flat[..., rows.sd_sites, None, :], quat.BASIS, c.group)  # (..., site, a, l)
         blocks.append((lay.sd_r, lay.sd_spinor_c, dphi))
     return LinearMap(None, rows, cols, blocks)
 
@@ -597,30 +653,32 @@ def residual_rowvec(c: Configuration, s: Sources, space: EquationSpace):
     neighbour first flipped into the half-space of u(x) on cone targets;
     self-dual rows are the plaquette differences' self-dual part plus
     Phi_4(u) minus eta.  Agrees with space.pack of the full-field
-    reference `gsw.residual`.
+    reference `gsw.residual`.  A stacked c gives one row vector per configuration.
     """
     h = c.geom.h
     nb = layout(c.geom, c.group).nb
     sites = space.dirac_sites
-    u = c.u.values.reshape(-1, 4)
-    here = u[sites]
-    there = u[nb[:, sites]]  # (axis, site, 4)
+    u = _site_rows(c.u.values)
+    lead = u.shape[:-2]
+    here = u[..., None, sites, :]
+    there = u[..., nb[:, sites], :]  # (..., axis, site, 4)
     if c.u.kind is TargetKind.CONE_H_MOD_Z2:
         there = lat._cone_align(there, here)
     if c.a.links is not None:
-        there = quat.mul_exp_i(there, h * c.a.links.reshape(-1, 4)[sites].T)
+        there = quat.mul_exp_i(there, h * np.swapaxes(_site_rows(c.a.links)[..., sites, :], -1, -2))
     terms = ((there - here) / h) @ quat.MUL_TABLE  # e_i (d_A u)_i, exact signed permutations
-    dirac = terms[0] + terms[1] + terms[2] + terms[3] - s.psi.reshape(-1, 4)[sites]
+    dirac = terms[..., 0, :, :] + terms[..., 1, :, :] + terms[..., 2, :, :] + terms[..., 3, :, :]
+    dirac = (dirac - s.psi.reshape(-1, 4)[sites]).reshape(lead + (-1,))
     ss = space.sd_sites
     if not ss.size:
-        return dirac.reshape(-1)
+        return dirac
     # F_p = (b_j(x+e_i) - b_j(x)) / h - (b_i(x+e_j) - b_i(x)) / h for plaquette p = (i, j)
-    b = c.a.links.reshape(-1, 4)
+    b = _site_rows(c.a.links)
     pi, pj = _PLAQ_I[:, None], _PLAQ_J[:, None]
-    f = (b[nb[pi, ss], pj] - b[ss, pj]) / h - (b[nb[pj, ss], pi] - b[ss, pi]) / h
-    sd = 0.5 * (f[:3] + f[3:]).T + 0.5 * moment_values(u[ss], c.group)
+    f = (b[..., nb[pi, ss], pj] - b[..., ss, pj]) / h - (b[..., nb[pj, ss], pi] - b[..., ss, pi]) / h
+    sd = 0.5 * np.swapaxes(f[..., :3, :] + f[..., 3:, :], -1, -2) + 0.5 * moment_values(u[..., ss, :], c.group)
     sd -= s.eta.values.reshape(-1, 3)[ss]
-    return np.concatenate([dirac.reshape(-1), sd.reshape(-1)])
+    return np.concatenate([dirac, sd.reshape(lead + (-1,))], axis=-1)
 
 
 def second_derivative_rows(c: Configuration, t1: TangentConfig, t2: TangentConfig, space: EquationSpace):
@@ -742,24 +800,50 @@ def newton(rows_at, step, x, tol, max_iter, norm, step_norm):
     that iterate), and otherwise as "max_iter" after max_iter steps.
     Returns (x, r, records, status).  A LinAlgError raised by step leaves
     with the records so far as its `records`.
+
+    A stack x of shape (k, n) runs k independent iterations: the four
+    callables then take and return stacks (norms one per point), each
+    point stops by the rule above on its own and is not evaluated again,
+    and x, r, records and status come back one per point.
     """
-    records = []
+    single = np.ndim(x) == 1
+    x = np.array(x, dtype=float, ndmin=2)
+
+    def each(fn, *args):  # fn on the active stack, or on the single point as given
+        return fn(*args) if not single else np.asarray(fn(*(a[0] for a in args)))[None]
+
+    records = [[] for _ in x]
+    status = [None] * len(x)
+    last = np.zeros(len(x))
+    rows = None
+    active = np.arange(len(x))
     for it in range(max_iter + 1):
-        r = rows_at(x)
-        res = norm(r)
-        records.append({"iter": it, "residual_norm": res, "step_norm": step_norm(dx) if it else 0.0})
-        if res <= tol:
-            return x, r, records, "converged"
-        if not np.isfinite(res) or (it and res > records[-2]["residual_norm"]):
-            return x, r, records, "diverged"
-        if it == max_iter:
-            return x, r, records, "max_iter"
+        r = each(rows_at, x[active])
+        if rows is None:
+            rows = np.empty((len(x),) + r.shape[1:])
+        rows[active] = r
+        res = each(norm, r)
+        dx_norm = each(step_norm, dx) if it else np.zeros(active.size)
+        for p, rn, sn in zip(active, res, dx_norm):
+            records[p].append({"iter": it, "residual_norm": rn, "step_norm": sn})
+        done = res <= tol
+        grew = ~done & (~np.isfinite(res) | ((it > 0) & (res > last[active])))
+        stop = done | grew | (it == max_iter)
+        for p, ok, bad in zip(active[stop], done[stop], grew[stop]):
+            status[p] = "converged" if ok else "diverged" if bad else "max_iter"
+        last[active] = res
+        active, r = active[~stop], r[~stop]
+        if not active.size:
+            break
         try:
-            dx = step(x, r)
+            dx = each(step, x[active], r)
         except np.linalg.LinAlgError as err:
-            err.records = records
+            err.records = records[0] if single else records
             raise
-        x = x + dx
+        x[active] += dx
+    if single:
+        return x[0], rows[0], records[0], status[0]
+    return x, rows, records, status
 
 
 def chart_kernel(eq: LinearMap, slice_op: LinearMap, lead=None):
@@ -804,8 +888,8 @@ class ChartFrame:
         )
 
     def coker_coeffs(self, r):
-        """Cokernel coefficients of equation rows r."""
-        return self.coker.T @ (r * self.eq.row_space.weights)
+        """Cokernel coefficients of equation rows r (or of each row vector of a stack)."""
+        return (r * self.eq.row_space.weights) @ self.coker
 
     def solve(self, rows_at, base, tol, max_iter):
         """Chord Newton for base + w_basis @ y with rows_at = 0 off the cokernel.
@@ -814,20 +898,40 @@ class ChartFrame:
         of the rows projected off the cokernel.  Returns (vec, rows_at(vec),
         info); info holds the residual evaluations ("iters"), the
         convergence and divergence flags and the projected norm at vec.
+        A stack of bases (k, n) runs `newton` on the stack, rows_at then
+        takes stacks, and each entry of info is an array over the points.
         """
 
         def off_coker(r):
-            return r - self.coker @ self.coker_coeffs(r)
+            return r - self.coker_coeffs(r) @ self.coker.T
 
-        y, r, records, status = newton(
-            lambda y: rows_at(base + self.w_basis @ y),
-            lambda y, r: self._chord.pinv_apply(-off_coker(r)),
-            np.zeros(self.w_basis.shape[1]), tol, max_iter,
-            lambda r: self.eq.row_space.norm(off_coker(r)), self._chord.col_space.norm,
+        # the iterate is (base, y), so each point of a stack keeps its base as others stop
+        n = base.shape[-1]
+
+        def vec(x):
+            return x[..., :n] + x[..., n:] @ self.w_basis.T
+
+        def chord_step(x, r):
+            dy = self._chord.pinv_apply(-off_coker(r).T).T
+            return np.concatenate([np.zeros_like(x[..., :n]), dy], axis=-1)
+
+        x, r, records, status = newton(
+            lambda x: rows_at(vec(x)), chord_step,
+            np.concatenate([base, np.zeros(base.shape[:-1] + self.w_basis.shape[1:])], axis=-1),
+            tol, max_iter, lambda r: self.eq.row_space.norm(off_coker(r)),
+            lambda dx: self._chord.col_space.norm(dx[..., n:]),
         )
-        info = {"iters": len(records), "converged": status == "converged", "diverged": status == "diverged"}
-        info["proj_residual"] = records[-1]["residual_norm"]
-        return base + self.w_basis @ y, r, info
+        if np.ndim(base) == 1:
+            records, status = [records], [status]
+        info = {
+            "iters": np.array([len(rec) for rec in records]),
+            "converged": np.array([st == "converged" for st in status]),
+            "diverged": np.array([st == "diverged" for st in status]),
+            "proj_residual": np.array([rec[-1]["residual_norm"] for rec in records]),
+        }
+        if np.ndim(base) == 1:
+            info = {key: val[0].item() for key, val in info.items()}
+        return vec(x), r, info
 
 
 class KuranishiChart:

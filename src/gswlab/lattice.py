@@ -88,13 +88,15 @@ class LatticeGeom:
 
 @dataclass
 class SpinorField:
+    """Quaternion values dims + (4,), or a stack of fields (leading axes) on one lattice."""
+
     geom: LatticeGeom
     values: np.ndarray
     kind: TargetKind = TargetKind.FLAT_H
 
     def __post_init__(self):
         self.values = np.ascontiguousarray(self.values, dtype=float)
-        if self.values.shape != self.geom.dims + (4,):
+        if self.values.shape[-5:] != self.geom.dims + (4,):
             raise ValueError("spinor field shape does not match geometry")
         if self.kind is TargetKind.CONE_H_MOD_Z2:
             self.values = canonical_rep(self.values, self.kind)
@@ -105,6 +107,8 @@ class SpinorField:
 
 @dataclass
 class ConnectionField:
+    """Link angles dims + (4,), or a stack of them (leading axes); None for the trivial group."""
+
     geom: LatticeGeom
     group: GaugeGroup = GaugeGroup.TRIVIAL
     links: np.ndarray = None
@@ -116,7 +120,7 @@ class ConnectionField:
             if self.links is None:
                 self.links = np.zeros(self.geom.dims + (4,))
             self.links = np.ascontiguousarray(self.links, dtype=float)
-            if self.links.shape != self.geom.dims + (4,):
+            if self.links.shape[-5:] != self.geom.dims + (4,):
                 raise ValueError("link field shape does not match geometry")
 
     def copy(self):

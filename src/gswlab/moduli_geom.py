@@ -70,7 +70,9 @@ class QuotientSystem:
     Concrete systems provide the tangent/gauge/equation block spaces,
     the gauge linearization and its directional derivative, equation
     rows with exact first and mixed second derivatives, all at an
-    arbitrary configuration vector (flat chart coordinates).
+    arbitrary configuration vector (flat chart coordinates).  `gauge_map`,
+    `equation_rows` and `equation_map` also take a stack of configuration
+    vectors (k, n) and return the stack of their values or maps.
     """
 
     tan_space: BlockSpace
@@ -164,16 +166,16 @@ class HopfFixtureSystem(QuotientSystem):
 
     def gauge_map(self, cvec):
         col = -quat.mul(cvec, quat.QI)
-        return LinearMap(col[:, None], self.tan_space, self.gauge_space)
+        return LinearMap(col[..., None], self.tan_space, self.gauge_space)
 
     def gauge_map_diff(self, cvec, wvec):
         return -quat.mul(wvec, quat.QI)[:, None]
 
     def equation_rows(self, cvec):
-        return np.array([0.5 * (float(cvec @ cvec) - 1.0)])
+        return 0.5 * (np.sum(cvec * cvec, axis=-1, keepdims=True) - 1.0)
 
     def equation_map(self, cvec):
-        return LinearMap(cvec[None, :], self.eq_space, self.tan_space)
+        return LinearMap(cvec[..., None, :], self.eq_space, self.tan_space)
 
     def equation_second(self, cvec, t1, t2):
         return np.array([float(t1 @ t2)])
@@ -186,12 +188,12 @@ class HopfFixtureSystem(QuotientSystem):
 def horizontal_projector(system: QuotientSystem, cvec):
     """Return a callable projecting tangent columns onto ker(D*): t - D D^+ t.
 
-    D D^+ projects onto `D.range_basis()`: a reducible configuration (D not
-    injective) raises LinAlgError; the trivial group (no gauge columns) gives a copy.
+    It is `D.range_projector()`, one small normal system D* D per point: a
+    reducible configuration (D not injective) raises LinAlgError; the trivial
+    group (no gauge columns) gives a copy.  At a stack of points cvec (k, n)
+    the callable projects the same t at each point and returns a stack.
     """
-    q = system.gauge_map(cvec).range_basis()
-    qw = q.T * system.tan_space.weights
-    return lambda t: t - q @ (qw @ t)  # t is a vector or a column stack
+    return system.gauge_map(cvec).range_projector()
 
 
 def a_term(system: QuotientSystem, cvec, xvec, yvec):
@@ -284,23 +286,24 @@ def fd_oracle_curvature(metric_fn, dim, eps=1e-3):
     Richardson-combined; a large mismatch raises, flagging cancellation
     (step too small) or a too-coarse step.
 
-    metric_fn(xi, plane=False) is the dim x dim chart metric at xi, or
-    with plane=True only its leading 2x2 block.  The full matrix is read
-    at xi = 0, +-e_0 and +-e_1; the diagonal points +-e_0 +- e_1 and the
-    gradient points +-e_k (k >= 2) read only the plane block.
+    metric_fn(xi, plane=False) takes a stack of chart points xi (k, dim)
+    and returns their dim x dim chart metrics (k, dim, dim), or with
+    plane=True only the leading 2x2 blocks (k, 2, 2).  Each step size
+    makes two calls: the full matrices at xi = 0, +-e_0 and +-e_1 (5
+    points), and the plane blocks at the diagonal points +-e_0 +- e_1 and
+    the gradient points +-e_k, k >= 2 (4 + 2 (dim - 2) points).
     """
 
     def estimate(e):
-        g0 = np.asarray(metric_fn(np.zeros(dim)))
-        ginv = np.linalg.inv(g0)
         steps = e * np.eye(dim)
         ev, ew = steps[0], steps[1]
-
-        g_pv, g_mv = np.asarray(metric_fn(ev)), np.asarray(metric_fn(-ev))
-        g_pw, g_mw = np.asarray(metric_fn(ew)), np.asarray(metric_fn(-ew))
-        g_pp, g_pm, g_mp, g_mm = (
-            np.asarray(metric_fn(x, plane=True)) for x in (ev + ew, ev - ew, -ev + ew, -ev - ew)
-        )
+        full = np.asarray(metric_fn(np.stack([np.zeros(dim), ev, -ev, ew, -ew])))
+        g0, g_pv, g_mv, g_pw, g_mw = full
+        ginv = np.linalg.inv(g0)
+        grad_pts = np.stack([steps[2:], -steps[2:]], axis=1).reshape(-1, dim)
+        plane_pts = np.concatenate([np.stack([ev + ew, ev - ew, -ev + ew, -ev - ew]), grad_pts])
+        blocks = np.asarray(metric_fn(plane_pts, plane=True))[:, :2, :2]
+        g_pp, g_pm, g_mp, g_mm = blocks[:4]
 
         dg_v = (g_pv - g_mv) / (2 * e)
         dg_w = (g_pw - g_mw) / (2 * e)
@@ -309,10 +312,7 @@ def fd_oracle_curvature(metric_fn, dim, eps=1e-3):
         d2_vw = (g_pp - g_pm - g_mp + g_mm) / (4 * e**2)
 
         # plane block of the metric gradient along every direction
-        pairs = [(g_pv, g_mv), (g_pw, g_mw)] + [
-            (metric_fn(ek, plane=True), metric_fn(-ek, plane=True)) for ek in steps[2:]
-        ]
-        grad = np.array([np.asarray(gp)[:2, :2] - np.asarray(gm)[:2, :2] for gp, gm in pairs]) / (2 * e)
+        grad = np.concatenate([full[1:4:2, :2, :2] - full[2:5:2, :2, :2], blocks[4::2] - blocks[5::2]]) / (2 * e)
         grad_vv, grad_ww, grad_vw = grad[:, 0, 0], grad[:, 1, 1], grad[:, 0, 1]
 
         gamma_vv = dg_v[0, :] - 0.5 * grad_vv
@@ -341,24 +341,74 @@ def fd_oracle_curvature(metric_fn, dim, eps=1e-3):
     return richardson
 
 
+#: chunk budget of a stacked metric evaluation, in dense n x max(gauge, equation) maps
+#: of the system: no temporary of a chunk is larger than this many of them
+CHUNK_MAPS = 16
+
+
+def _in_chunks(chunk_metric, xi, system, n_cols):
+    """chunk_metric over a stack of chart points, cut into chunks.
+
+    A point's largest temporary is a dense tangent-by-k array, k the
+    widest of the gauge map, the equation map and the n_cols metric
+    columns; a chunk holds CHUNK_MAPS maps' worth of it, at least one
+    point.  A single point (dim,) is a stack of one and gives one matrix.
+    """
+    xi = np.asarray(xi, dtype=float)
+    pts = xi.reshape(-1, xi.shape[-1])
+    widest_map = max(system.gauge_space.dim, system.eq_space.dim, 1)
+    size = max(1, CHUNK_MAPS * widest_map // max(widest_map, n_cols))
+    out = []
+    for lo in range(0, len(pts), size):
+        g = chunk_metric(pts[lo : lo + size])
+        out.append(np.broadcast_to(g, (min(size, len(pts) - lo),) + g.shape[-2:]))
+    out = np.concatenate(out)
+    return out.reshape(xi.shape[:-1] + out.shape[1:])
+
+
+def _lstsq(a, b):
+    """Minimum-norm least-squares solutions of a stack of systems a x = b.
+
+    Singular values at or below `np.linalg.lstsq`'s default cutoff,
+    eps max(m, n) s_max, are dropped as it drops them.  A stack of square
+    systems that keeps every singular value is solved by LU; otherwise the
+    solution is read from one stacked SVD.
+    """
+    cutoff = np.finfo(float).eps * max(a.shape[-2:])
+    if a.shape[-1] == a.shape[-2]:
+        s = np.linalg.svd(a, compute_uv=False)
+        if np.all(s > cutoff * s[..., :1]):
+            return np.linalg.solve(a, b)
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    keep = s > cutoff * s[..., :1]
+    s_inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
+    return np.swapaxes(vt, -1, -2) @ (s_inv[..., None] * (np.swapaxes(u, -1, -2) @ b))
+
+
 def slice_chart_metric(system: QuotientSystem, cvec, v, w):
     """(metric_fn, dim) for the quotient pulled back to the gauge slice.
 
     The chart point xi maps to cvec + basis @ xi; the metric entry is
     the inner product of horizontally-projected basis vectors at the
     moved configuration.  Basis vector 0 is v, vector 1 is w; with
-    plane=True only those two.  A reducible cvec raises LinAlgError here,
-    a plane outside the gauge slice ker D* ValueError.
+    plane=True only those two.  metric_fn takes one point (dim,) or a
+    stack (k, dim), evaluated in chunks (see `solution_chart_metric`).
+    A reducible cvec raises LinAlgError here, a plane outside the gauge
+    slice ker D* ValueError; a reducible chart point raises it from metric_fn.
     """
-    horizontal_projector(system, cvec)  # rank loss ends the run before any oracle call
+    system.gauge_map(cvec).range_basis()  # rank loss ends the run before any oracle call
     wts = system.tan_space.weights
     slice_basis = system.gauge_map(cvec).adjoint().kernel_basis()
     basis = dfm._plane_led(slice_basis, wts, v, w, "gauge slice")
 
     def metric_fn(xi, plane=False):
-        cv = cvec + basis @ np.asarray(xi, dtype=float)
-        bh = horizontal_projector(system, cv)(basis[:, :2] if plane else basis)
-        return bh.T @ (bh * wts[:, None])
+        cols = basis[:, :2] if plane else basis
+
+        def chunk_metric(x):
+            bh = horizontal_projector(system, cvec + x @ basis.T)(cols)
+            return np.swapaxes(bh, -1, -2) @ (bh * wts[:, None])
+
+        return _in_chunks(chunk_metric, xi, system, cols.shape[1])
 
     return metric_fn, basis.shape[1]
 
@@ -375,22 +425,36 @@ def solution_chart_metric(system, cvec, v, w, newton_tol=1e-12, max_iter=80):
     LinAlgError here, a plane outside ker(elliptic operator) ValueError;
     metric_fn raises RuntimeError unless the chart Newton converges with
     the full equation rows within newton_tol.
+
+    metric_fn takes one point (dim,) or a stack of points (k, dim) and
+    returns (dim, dim) or (k, dim, dim) (2 x 2 with plane=True).  A stack
+    is evaluated in chunks whose largest temporary (a dense E, D or
+    projected column stack per point) stays within CHUNK_MAPS maps: one chord
+    Newton over the chunk (`ChartFrame.solve`, each point with its own
+    stop rule), the stacked equation and gauge maps, one stacked
+    least-squares solve for the differential and stacked projectors.
+    Any point that fails fails the call.
     """
-    horizontal_projector(system, cvec)  # rank loss ends the run before any oracle call
+    system.gauge_map(cvec).range_basis()  # rank loss ends the run before any oracle call
     frame = dfm.ChartFrame(system.equation_map(cvec), system.gauge_map(cvec), lead=(v, w))
     basis, w_basis = frame.kernel, frame.w_basis
     wts = system.tan_space.weights
+    n_w = w_basis.shape[1]
+    applied = {plane: np.hstack([w_basis, basis[:, :2] if plane else basis]) for plane in (False, True)}
 
     def metric_fn(xi, plane=False):
-        base = cvec + basis @ np.asarray(xi, dtype=float)
-        cv, r, info = frame.solve(system.equation_rows, base, newton_tol, max_iter)
-        if not info["converged"] or frame.eq.row_space.norm(r) > newton_tol:
-            raise RuntimeError("solution chart Newton did not converge")
-        e_here = system.equation_map(cv).matrix
-        cols = basis[:, :2] if plane else basis
-        dy, *_ = np.linalg.lstsq(e_here @ w_basis, -(e_here @ cols), rcond=None)
-        dphi_h = horizontal_projector(system, cv)(cols + w_basis @ dy)
-        return dphi_h.T @ (dphi_h * wts[:, None])
+        cols = applied[plane][:, n_w:]
+
+        def chunk_metric(x):
+            cv, r, info = frame.solve(system.equation_rows, cvec + x @ basis.T, newton_tol, max_iter)
+            if not info["converged"].all() or np.any(frame.eq.row_space.norm(r) > newton_tol):
+                raise RuntimeError("solution chart Newton did not converge")
+            e_here = system.equation_map(cv).apply(applied[plane])
+            dy = _lstsq(e_here[..., :n_w], -e_here[..., n_w:])
+            dphi_h = horizontal_projector(system, cv)(cols + w_basis @ dy)
+            return np.swapaxes(dphi_h, -1, -2) @ (dphi_h * wts[:, None])
+
+        return _in_chunks(chunk_metric, xi, system, cols.shape[1])
 
     return metric_fn, basis.shape[1]
 

@@ -767,3 +767,56 @@ def test_newton_step_forms_no_dense_matrix(monkeypatch):
     sol, diag = gsw.solve_newton(start, s, tol=1e-11)
     assert diag[-1]["residual_norm"] <= 1e-11
     assert diag[0]["lsqr_iters"] == 0 and all(d["lsqr_iters"] > 0 for d in diag[1:])
+
+
+# ---------------------------------------------------------------------------
+# stacked configurations and the stacked Newton loop
+
+
+@pytest.mark.parametrize("topology", [Topology.BOX, Topology.TORUS])
+@pytest.mark.parametrize("group", [GaugeGroup.U1, GaugeGroup.TRIVIAL])
+@pytest.mark.parametrize("kind", [TargetKind.FLAT_H, TargetKind.CONE_H_MOD_Z2])
+def test_stacked_configurations_match_one_at_a_time(topology, group, kind):
+    """residual_rowvec, linearize_fsw and lin_gauge on a stack of configurations give each one's value."""
+    geom = LatticeGeom((3, 2, 3, 2), 0.4, topology)
+    base = gsw.random_config(geom, group, seed=61, amplitude=0.3)
+    s = gsw.manufacture(base)
+    space = dfm.layout(geom, group).tangent
+    vecs = 0.05 * np.random.default_rng(62).normal(size=(3, space.dim))
+    singles = [dfm.moved(base, vec) for vec in vecs]
+    b, v = space.unpack(space.pack(None if base.a.links is None else base.a.links, base.u.values) + vecs)
+    stacked = Configuration(ConnectionField(geom, group, b), lat.SpinorField(geom, v, kind))
+    singles = [Configuration(c.a, lat.SpinorField(geom, c.u.values, kind)) for c in singles]
+    eq = dfm.layout(geom, group).equations
+
+    def close(got, want):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max(initial=0.0) <= 1e-14 * max(np.abs(want).max(initial=0.0), 1.0)
+
+    close(dfm.residual_rowvec(stacked, s, eq), np.stack([dfm.residual_rowvec(c, s, eq) for c in singles]))
+    if kind is TargetKind.FLAT_H:
+        for build in (dfm.linearize_fsw, dfm.lin_gauge):
+            got = np.broadcast_to(build(stacked).matrix, (3,) + build(singles[0]).shape)
+            close(got, np.stack([build(c).matrix for c in singles]))
+
+
+def test_newton_stack_runs_each_point_as_alone():
+    """Each point of a stacked `newton` stops by its own rule with the iterates, records and status of its own run."""
+
+    def rows_at(x):
+        return x**2 - 2.0
+
+    def step(x, r):
+        return -r / (2.0 * x)
+
+    def norm(r):
+        return np.abs(r[..., 0])
+
+    # converges, runs out of steps, and overshoots into a growing residual
+    starts = np.array([[1.0], [100.0], [1e-9]])
+    x, r, records, status = dfm.newton(rows_at, step, starts, 1e-12, 6, norm, norm)
+    assert status == ["converged", "max_iter", "diverged"]
+    for k, start in enumerate(starts):
+        xs, rs, recs, st = dfm.newton(rows_at, step, start, 1e-12, 6, norm, norm)
+        assert st == status[k] and recs == records[k]
+        assert np.array_equal(xs, x[k]) and np.array_equal(rs, r[k])

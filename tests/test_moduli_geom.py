@@ -31,11 +31,18 @@ def box_fueter_config(n=2):
 # the oracle on closed-form charts
 
 
+def _diag_metric(g00, g11):
+    """Stack of diagonal 2x2 metrics over the leading axes of g11."""
+    g = np.zeros(np.shape(g11) + (2, 2))
+    g[..., 0, 0], g[..., 1, 1] = g00, g11
+    return g
+
+
 def test_oracle_round_sphere():
     r0, th0 = 2.0, 1.1
 
     def metric(xi, plane=False):
-        return np.diag([r0**2, r0**2 * np.sin(th0 + xi[0]) ** 2])
+        return _diag_metric(r0**2, r0**2 * np.sin(th0 + xi[..., 0]) ** 2)
 
     k = mg.fd_oracle_curvature(metric, 2, eps=1e-3)
     assert abs(k - 1.0 / r0**2) <= 1e-4 / r0**2
@@ -43,7 +50,7 @@ def test_oracle_round_sphere():
 
 def test_oracle_flat_chart():
     def metric(xi, plane=False):
-        return np.diag([1.0, (1.5 + xi[0]) ** 2])
+        return _diag_metric(1.0, (1.5 + xi[..., 0]) ** 2)
 
     assert abs(mg.fd_oracle_curvature(metric, 2, eps=1e-3)) <= 1e-8
 
@@ -52,8 +59,8 @@ def test_oracle_step_sweep_flags_junk():
     rng = np.random.default_rng(0)
 
     def noisy(xi, plane=False):
-        base = np.diag([1.0, (1.5 + xi[0]) ** 2])
-        return base + 1e-4 * rng.normal(size=(2, 2))
+        base = _diag_metric(1.0, (1.5 + xi[..., 0]) ** 2)
+        return base + 1e-4 * rng.normal(size=base.shape)
 
     with pytest.raises(ArithmeticError):
         mg.fd_oracle_curvature(noisy, 2, eps=1e-6)
@@ -357,12 +364,12 @@ def test_plane_invariance():
 
 
 def _plane_case(case):
-    """(metric_fn, dim, eps) of an oracle chart."""
-    if case == "box_2":
-        c, s = box_fueter_config(2)
+    """(metric_fn, dim, eps) of an oracle chart; box_3 is criterion 5's lattice chart."""
+    if case in ("box_2", "box_3"):
+        c, s = box_fueter_config(int(case[-1]))
         sys_ = mg.LatticeSystem(c, s)
         c0 = sys_.center()
-        v, w = mg.sample_solution_plane(sys_, c0, seed=23)[0]
+        v, w = mg.sample_solution_plane(sys_, c0, seed=23 if case == "box_2" else 107)[0]
         return (*mg.solution_chart_metric(sys_, c0, v, w), 3e-3)
     sys_ = mg.HopfFixtureSystem()
     chart = mg.slice_chart_metric if case == "hopf_slice" else mg.solution_chart_metric
@@ -371,12 +378,15 @@ def _plane_case(case):
 
 @pytest.mark.parametrize("case", ["box_2", "hopf_slice", "hopf_solution"])
 def test_plane_block_is_the_full_metric_block(case):
-    """At every point the oracle visits, metric_fn(xi, plane=True) is metric_fn(xi)[:2, :2]."""
+    """At every point the oracle visits, metric_fn(xi, plane=True) is metric_fn(xi)[:2, :2].
+
+    The oracle passes its points in stacks; each stacked point counts as one visit.
+    """
     mf, dim, eps = _plane_case(case)
     visited = []
 
     def recording(xi, plane=False):
-        visited.append((np.array(xi), plane))
+        visited.extend((x, plane) for x in np.array(xi))
         return mf(xi, plane=plane)
 
     mg.fd_oracle_curvature(recording, dim, eps=eps)
@@ -389,6 +399,99 @@ def test_plane_block_is_the_full_metric_block(case):
         assert full.shape == (dim, dim) and block.shape == (2, 2)
         worst = max(worst, np.abs(block - full[:2, :2]).max() / np.abs(full[:2, :2]).max())
     assert worst <= 1e-12
+
+
+def _oracle_points(dim, e):
+    """The oracle's two stacks at step e: full-block points, then plane-block points."""
+    steps = e * np.eye(dim)
+    ev, ew = steps[0], steps[1]
+    grad = np.stack([steps[2:], -steps[2:]], axis=1).reshape(-1, dim)
+    return np.stack([0 * ev, ev, -ev, ew, -ew]), np.concatenate([[ev + ew, ev - ew, -ev + ew, -ev - ew], grad])
+
+
+@pytest.mark.parametrize("case", ["box_2", "hopf_slice", "hopf_solution", "box_3"])
+def test_stacked_metric_matches_single_points(case, monkeypatch):
+    """metric_fn on a stack of every oracle point is each point evaluated alone, within 1e-12;
+    each point's chord Newton takes as many iterations to the same verdict as alone."""
+    mf, dim, eps = _plane_case(case)
+    infos = []
+    real_solve = dfm.ChartFrame.solve
+
+    def recording_solve(self, *args):
+        out = real_solve(self, *args)
+        infos.append(out[2])
+        return out
+
+    monkeypatch.setattr(dfm.ChartFrame, "solve", recording_solve)
+    def solved(key):  # per point, over the chunks the recorded solves ran
+        return np.concatenate([info[key] for info in infos])
+
+    worst = 0.0
+    for pts, plane in zip(_oracle_points(dim, eps), (False, True)):
+        infos.clear()
+        stacked = mf(pts, plane=plane)
+        chunks = len(infos)
+        if chunks:
+            iters, converged = solved("iters"), solved("converged")
+        infos.clear()
+        singles = np.array([mf(x, plane=plane) for x in pts])
+        assert stacked.shape == singles.shape == (len(pts),) + ((2, 2) if plane else (dim, dim))
+        worst = max(worst, np.abs(stacked - singles).max() / np.abs(singles).max())
+        if case.startswith("box"):
+            assert len(infos) == len(pts) and (chunks > 1 or not plane)  # the plane stack spans chunks
+            assert np.array_equal(iters, solved("iters")) and np.array_equal(converged, solved("converged"))
+            assert converged.all() and iters.max() > 1
+    assert worst <= 1e-12
+
+
+def test_stacked_lstsq_is_lstsq():
+    """The chart differential's stacked solve is `np.linalg.lstsq(rcond=None)` system by system:
+    square of full rank (LU), and square rank-deficient, tall and wide (SVD)."""
+    rng = np.random.default_rng(63)
+    square = rng.normal(size=(3, 6, 6))
+    deficient = square.copy()
+    deficient[1, :, -1] = deficient[1, :, 0]
+    for a in (square, deficient, rng.normal(size=(3, 8, 5)), rng.normal(size=(3, 4, 7))):
+        b = rng.normal(size=a.shape[:-1] + (2,))
+        want = np.array([np.linalg.lstsq(x, y, rcond=None)[0] for x, y in zip(a, b)])
+        assert np.abs(mg._lstsq(a, b) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_stacked_metric_fails_with_any_failing_point():
+    """One point whose chord Newton stops short, or whose gauge map loses rank, fails the whole stack."""
+    sys_ = mg.HopfFixtureSystem()
+    mf, dim = mg.solution_chart_metric(sys_, sys_.center(), quat.QJ.copy(), quat.QK.copy(), max_iter=1)
+    assert mf(np.zeros((3, dim))).shape == (3, 2, 2)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        mf(np.array([[0.0, 0.0], [0.1, 0.0], [0.0, 0.0]]))
+
+    # the noisy 3^4 box of the divergence test: 30 e_0 diverges, the centre converges
+    geom = LatticeGeom((3,) * 4, 1.0 / 3, Topology.BOX)
+    c = gsw.random_config(geom, GaugeGroup.U1, seed=0, amplitude=0.3)
+    s = gsw.manufacture(c)
+    c.u.values = c.u.values + 0.01 * np.random.default_rng(0).normal(size=c.u.values.shape)
+    lattice = mg.LatticeSystem(c, s)
+    v, w = mg.sample_solution_plane(lattice, lattice.center(), seed=0)[0]
+    mf, dim = mg.solution_chart_metric(lattice, lattice.center(), v, w)
+    assert mf(np.zeros((2, dim)), plane=True).shape == (2, 2, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match="did not converge"):
+            mf(np.stack([np.zeros(dim), 30.0 * np.eye(dim)[0]]), plane=True)
+
+    # a slice chart point with u = 0 (reachable: (0, u) lies in ker D* at every u)
+    geom = torus()
+    sys_ = mg.LatticeSystem(gsw.random_config(geom, GaugeGroup.U1, seed=1), Sources.zero(geom))
+    c0 = sys_.center()
+    v, w = mg.sample_horizontal_plane(sys_, c0, seed=2)
+    mf, dim = mg.slice_chart_metric(sys_, c0, v, w)
+    wts = sys_.tan_space.weights
+    basis = dfm._plane_led(sys_.gauge_map(c0).adjoint().kernel_basis(), wts, v, w, "gauge slice")
+    to_zero_spinor = -c0 * (np.arange(c0.size) >= sys_.tan_space.n_links)
+    xi = basis.T @ (wts * to_zero_spinor)
+    assert mf(np.stack([np.zeros(dim), 0.5 * xi]), plane=True).shape == (2, 2, 2)
+    with pytest.raises(np.linalg.LinAlgError, match="rank loss"):
+        mf(np.stack([np.zeros(dim), xi, 0.5 * xi]), plane=True)
 
 
 def test_lattice_dual_path_small():
