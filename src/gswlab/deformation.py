@@ -295,9 +295,8 @@ class LinearMap:
 
     A map may also be a stack of maps between the same spaces, one per
     configuration of a stacked `Configuration`: the dense matrix, or the
-    triplet values, then carry leading axes.  `matrix`, `apply`,
-    `range_basis` and `range_projector` act map by map; the factorisations
-    read a single map.
+    triplet values, then carry leading axes.  `matrix`, `apply` and
+    `range_projector` act map by map; the factorisations read a single map.
     """
 
     def __init__(self, matrix, row_space: BlockSpace, col_space: BlockSpace, blocks=None):
@@ -423,7 +422,6 @@ class LinearMap:
         LinAlgError (rank loss) unless lambda_min > RANK_MARGIN n eps lambda_max,
         n = max(shape): `eigh` resolves no singular value below about sqrt(n eps)
         s_max, above the `rank` cutoff, so when this returns `rank` keeps every column.
-        A stack of maps gives a stack of bases, and any map of it losing rank raises.
         """
         m_hat, normal, sr = self._normal()
         lam, vec = np.linalg.eigh(normal)

@@ -365,6 +365,14 @@ def test_plane_invariance():
 
 def _plane_case(case):
     """(metric_fn, dim, eps) of an oracle chart; box_3 is criterion 5's lattice chart."""
+    if case == "trivial_2":  # the trivial group: E(cv) and D(cv) do not vary over the chart
+        from gswlab import frequency as fq
+
+        geom = LatticeGeom((2,) * 4, 0.5, Topology.BOX)
+        c = Configuration(ConnectionField(geom), fq.fueter_library(geom, "z1"))
+        sys_ = mg.LatticeSystem(c, gsw.manufacture(c))
+        v, w = mg.sample_solution_plane(sys_, sys_.center(), seed=20)[0]
+        return (*mg.solution_chart_metric(sys_, sys_.center(), v, w), 3e-3)
     if case in ("box_2", "box_3"):
         c, s = box_fueter_config(int(case[-1]))
         sys_ = mg.LatticeSystem(c, s)
@@ -409,7 +417,7 @@ def _oracle_points(dim, e):
     return np.stack([0 * ev, ev, -ev, ew, -ew]), np.concatenate([[ev + ew, ev - ew, -ev + ew, -ev - ew], grad])
 
 
-@pytest.mark.parametrize("case", ["box_2", "hopf_slice", "hopf_solution", "box_3"])
+@pytest.mark.parametrize("case", ["box_2", "hopf_slice", "hopf_solution", "trivial_2", "box_3"])
 def test_stacked_metric_matches_single_points(case, monkeypatch):
     """metric_fn on a stack of every oracle point is each point evaluated alone, within 1e-12;
     each point's chord Newton takes as many iterations to the same verdict as alone."""
@@ -437,10 +445,11 @@ def test_stacked_metric_matches_single_points(case, monkeypatch):
         singles = np.array([mf(x, plane=plane) for x in pts])
         assert stacked.shape == singles.shape == (len(pts),) + ((2, 2) if plane else (dim, dim))
         worst = max(worst, np.abs(stacked - singles).max() / np.abs(singles).max())
-        if case.startswith("box"):
-            assert len(infos) == len(pts) and (chunks > 1 or not plane)  # the plane stack spans chunks
+        if chunks:
+            assert len(infos) == len(pts)
             assert np.array_equal(iters, solved("iters")) and np.array_equal(converged, solved("converged"))
-            assert converged.all() and iters.max() > 1
+        if case.startswith("box"):  # the plane stack spans chunks, and the chord Newton iterates
+            assert (chunks > 1 or not plane) and converged.all() and iters.max() > 1
     assert worst <= 1e-12
 
 
