@@ -8,8 +8,11 @@ when a dense reader first asks for it.  Adjoints are exact weighted
 transposes; ranks come from the singular values of the weight-normalized
 matrix, with the cutoff  max(shape) * sigma_max * 1e-10  and a 10x margin
 warning, and kernels and cokernels from its full SVD, computed only
-where read.  The Newton step of `gsw.solve_newton` never densifies: it
-runs `lsqr` on the weight-normalized triplets.
+where read.  A map whose blocks decouple is factored part by part: at
+u = 0, E is the Dirac operator on spinors beside d^+ on one-forms, and D*
+is d* on one-forms with every spinor in its kernel.  The Newton step of
+`gsw.solve_newton` never densifies: it runs `lsqr` on the
+weight-normalized triplets.
 
 Equation rows are restricted to the trusted stencil support
 (`gsw.row_masks`); on a box this leaves the faces unconstrained, which
@@ -290,7 +293,10 @@ class LinearMap:
     `matrix` is summed by `_assemble` when first read.  Its weight-normalised
     matrix is factored only as far as it is read: one cached singular-value
     set decides the rank, full U and V are computed for the (co)kernel bases
-    and pseudo-inverses, and LU inverts a square map of full rank.
+    and pseudo-inverses, and LU inverts a square map of full rank.  A map
+    whose named blocks fall into independent parts (`_parts`) takes one SVD
+    per part, no global U or V, and the readers gather their columns part by
+    part; a coupled map takes the one SVD of the whole matrix.
     `lsqr_apply`, on a map given by triplets, reads them alone.
 
     A map may also be a stack of maps between the same spaces, one per
@@ -308,7 +314,7 @@ class LinearMap:
         if self._matrix is not None and self._matrix.shape[-2:] != self.shape:
             raise ValueError("matrix shape does not match block spaces")
         self._svd = None
-        self._values = None
+        self._values = self._owner = None  # singular values, descending; of a decoupled map, each one's part
         self._rank = None
 
     @property
@@ -350,17 +356,60 @@ class LinearMap:
         sc = np.sqrt(self.col_space.weights)
         return (self.matrix * sr[:, None]) / sc[None, :], sr, sc
 
-    def _weighted(self):
+    def _parts(self, m_hat):
+        """[(rows, cols)] index arrays of the decoupled parts of m_hat, or [(:, :)] for a coupled map.
+
+        A part is a connected component of the nonempty named blocks, a block
+        pair with a nonzero entry (at most one `any` each) joining a row and a column.
+        """
+        rb, cb = ([sp.block(name) for name, n, _ in sp.blocks if n] for sp in (self.row_space, self.col_space))
+        part = list(range(len(rb) + len(cb)))  # each block's part, named by its first block, rows first
+        for i, r in enumerate(rb):
+            for j, c in enumerate(cb, len(rb)):
+                if part[i] != part[j] and m_hat[r, c].any():
+                    old, new = max(part[i], part[j]), min(part[i], part[j])
+                    part = [new if p == old else p for p in part]
+        leads = sorted(set(part))
+        if len(leads) < 2:
+            return [(slice(None), slice(None))]
+        sizes, m = [b.stop - b.start for b in rb + cb], self.shape[0]
+        dofs = [np.flatnonzero(np.repeat(np.equal(part, lead), sizes)) for lead in leads]  # rows, then columns
+        return [(d[d < m], d[d >= m] - m) for d in dofs]
+
+    def _factors(self, compute_uv):
+        """([(rows, cols, u, s, vt)] per part, sr, sc): full SVDs, or values only (u, vt None)."""
+        m_hat, sr, sc = self._normalised()
+        parts, out = self._parts(m_hat), []
+        for rows, cols in parts:
+            sub = m_hat if len(parts) == 1 else m_hat[np.ix_(rows, cols)]
+            if len(parts) > 1 and not sub.size:  # no rows (all kernel) or no columns (all cokernel): no SVD
+                u, s, vt = np.eye(len(rows)), np.zeros(0), np.eye(len(cols))
+            elif compute_uv:
+                u, s, vt = np.linalg.svd(sub, full_matrices=True)
+            else:
+                u, s, vt = None, np.linalg.svd(sub, compute_uv=False), None
+            out.append((rows, cols, u, s, vt))
+        return out, sr, sc
+
+    def _factored(self):
+        """(parts, ranks, sr, sc): the cached full factors of each part, and its share of the rank."""
         if self._svd is None:
-            m_hat, sr, sc = self._normalised()
-            self._svd = (*np.linalg.svd(m_hat, full_matrices=True), sr, sc)
-        return self._svd
+            self._svd = self._factors(True)  # before a first rank(), which then reads these values
+        parts, sr, sc = self._svd
+        r = self.rank()[0]
+        ranks = [r] if len(parts) == 1 else np.bincount(self._owner[:r], minlength=len(parts))
+        return parts, ranks, sr, sc
 
     def singular_values(self):
-        """Values-only, unless the full factors came first."""
+        """Values-only, unless the full factors came first: all parts' values, descending, padded with zeros."""
         if self._values is None:
-            self._values = (self._svd[1] if self._svd is not None
-                            else np.linalg.svd(self._normalised()[0], compute_uv=False))
+            parts = (self._svd or self._factors(False))[0]
+            self._values = parts[0][3]
+            if len(parts) > 1:
+                s = np.concatenate([part[3] for part in parts])
+                order = np.argsort(-s, kind="stable")
+                self._owner = np.repeat(np.arange(len(parts)), [part[3].size for part in parts])[order]
+                self._values = np.concatenate([s[order], np.zeros(min(self.shape) - s.size)])
         return self._values
 
     def rank(self):
@@ -380,14 +429,25 @@ class LinearMap:
             self._rank = r, (retained, discarded)
         return self._rank
 
+    def _null_columns(self, side):
+        """Columns of a weighted-orthonormal kernel (side 1) or cokernel (side 0) basis, part by part."""
+        parts, ranks, sr, sc = self._factored()
+        found = [(cols, vt[r:].T) if side else (rows, u[:, r:])
+                 for (rows, cols, u, s, vt), r in zip(parts, ranks)]
+        out = found[0][1]
+        if len(found) > 1:  # each part's columns, zero off its own rows
+            ends = np.cumsum([basis.shape[1] for _, basis in found])
+            out = np.zeros((self.shape[side], ends[-1]))
+            for (idx, basis), end in zip(found, ends):
+                out[idx, end - basis.shape[1]:end] = basis
+        return out / (sc if side else sr)[:, None]
+
     def kernel_basis(self):
         """Columns: an orthonormal kernel basis in the weighted metric."""
-        u, s, vt, sr, sc = self._weighted()
-        return vt[self.rank()[0]:].T / sc[:, None]
+        return self._null_columns(1)
 
     def cokernel_basis(self):
-        u, s, vt, sr, sc = self._weighted()
-        return u[:, self.rank()[0]:] / sr[:, None]
+        return self._null_columns(0)
 
     def pinv_apply(self, y):
         """Weighted least-squares solution of minimal norm; y is a vector or a column stack."""
@@ -396,10 +456,11 @@ class LinearMap:
         if m == n and self.rank()[0] == n:  # square of full rank: LU, whatever is cached
             m_hat, sr, sc = self._normalised()
             return np.linalg.solve(m_hat, sr[col] * y) / sc[col]
-        u, s, vt, sr, sc = self._weighted()  # a non-square map: before a first rank(), which reads these
-        r, _ = self.rank()
-        coeff = (u[:, :r].T @ (sr[col] * y)) / s[:r][col]
-        return (vt[:r].T @ coeff) / sc[col]
+        parts, ranks, sr, sc = self._factored()
+        y_hat, x = sr[col] * y, np.zeros((n,) + np.shape(y)[1:])
+        for (rows, cols, u, s, vt), r in zip(parts, ranks):
+            x[cols] = vt[:r].T @ ((u[:, :r].T @ y_hat[rows]) / s[:r][col])
+        return x / sc[col]
 
     def lsqr_apply(self, y):
         """`pinv_apply` of the vector y by `lsqr`, matrix-free: returns (x, LSQR iterations).

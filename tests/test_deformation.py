@@ -190,6 +190,122 @@ def test_dense_size_limit_raised_before_any_svd(monkeypatch):
         lm.pinv_apply(np.zeros(big.dim))
 
 
+def zero_point(topology):
+    """u = 0 and the zero connection on a 3^4 U(1) lattice: the reducible point where E and D* decouple."""
+    geom = LatticeGeom((3,) * 4, 0.4 if topology is Topology.TORUS else 1.0 / 3, topology)
+    return Configuration(ConnectionField(geom, GaugeGroup.U1), SpinorField(geom, np.zeros(geom.dims + (4,))))
+
+
+def weighted_projector(basis, weights):
+    return basis @ (basis.T * weights)
+
+
+def recorded_svd(monkeypatch):
+    """Record (shape, args, kwargs) of every np.linalg.svd call."""
+    calls, real_svd = [], np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        calls.append((a.shape, args, kwargs))
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    return calls
+
+
+@pytest.mark.parametrize("topology", [Topology.TORUS, Topology.BOX])
+@pytest.mark.parametrize("name", ["E", "D*", "[E; D*]"])
+def test_decoupled_map_matches_one_svd(name, topology):
+    """At u = 0 each map splits into a spinor and a one-form part, read as by one SVD of the whole map."""
+    c = zero_point(topology)
+    lm = {"E": dfm.linearize_fsw, "D*": lambda c: dfm.lin_gauge(c).adjoint(), "[E; D*]": dfm.elliptic_op}[name](c)
+    m_hat, sr, sc = lm._normalised()
+    parts = lm._parts(m_hat)
+    spinor = np.arange(lm.col_space.dim)[lm.col_space.block("spinor")]
+    assert len(parts) == 2 and any(np.array_equal(cols, spinor) for _, cols in parts)
+    u, s, vt = np.linalg.svd(m_hat)
+    cutoff = max(lm.shape) * s[0] * dfm.RANK_REL_CUTOFF
+    r = int(np.sum(s > cutoff))
+    assert np.abs(lm.singular_values() - s).max() <= 1e-14 * s[0]
+    rank, margins = lm.rank()
+    assert rank == r
+    assert np.abs(np.subtract(margins, (s[r - 1], s[r] if r < s.size else 0.0))).max() <= 1e-14 * s[0]
+    for got, want, w in ((lm.kernel_basis(), vt[r:].T / sc[:, None], lm.col_space.weights),
+                         (lm.cokernel_basis(), u[:, r:] / sr[:, None], lm.row_space.weights)):
+        assert got.shape == want.shape
+        assert np.abs(got.T @ (got * w[:, None]) - np.eye(got.shape[1])).max(initial=0.0) <= 1e-12
+        assert np.abs(weighted_projector(got, w) - weighted_projector(want, w)).max() <= 1e-12
+    pinv = np.linalg.pinv(m_hat, rcond=max(lm.shape) * dfm.RANK_REL_CUTOFF)
+    ys = np.random.default_rng(67).normal(size=(lm.shape[0], 3))
+    ref = (pinv @ (sr[:, None] * ys)) / sc[:, None]
+    assert np.abs(lm.pinv_apply(ys) - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.abs(lm.pinv_apply(ys[:, 0]) - ref[:, 0]).max() <= 1e-12 * np.abs(ref[:, 0]).max()
+    if name == "D*":  # the spinor block has no rows: it lies wholly in the kernel
+        x = np.zeros(lm.col_space.dim)
+        x[spinor] = np.random.default_rng(68).normal(size=spinor.size)
+        assert np.abs(weighted_projector(lm.kernel_basis(), lm.col_space.weights) @ x - x).max() <= 1e-12
+
+
+def test_decoupled_map_warns_one_margin_once():
+    """A block-diagonal map with retained 4e-9 and discarded 5e-10 in different parts warns once."""
+    rng = np.random.default_rng(69)
+    rows = dfm.BlockSpace([("a", 3, 0.3), ("b", 3, 2.5)])
+    cols = dfm.BlockSpace([("c", 3, 1.7), ("d", 3, 0.05)])
+    m_hat = np.zeros((6, 6))
+    for block, sing in ((slice(0, 3), [1.0, 0.7, 4e-9]), (slice(3, 6), [0.4, 0.1, 5e-10])):
+        u, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        v, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        m_hat[block, block] = (u * sing) @ v.T
+    lm = dfm.LinearMap(m_hat / np.sqrt(rows.weights)[:, None] * np.sqrt(cols.weights), rows, cols)
+    assert len(lm._parts(lm._normalised()[0])) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        lm.pinv_apply(np.ones(6))
+        lm.kernel_basis(), lm.cokernel_basis(), lm.rank()
+    assert [w.category for w in caught] == [dfm.RankMarginWarning]
+    assert lm.rank()[0] == 5 and lm.kernel_basis().shape == (6, 1) and lm.cokernel_basis().shape == (6, 1)
+    ker = lm.kernel_basis()[3:, 0] * np.sqrt(0.05)  # the discarded value's right vector, in part (b, d)
+    assert np.abs(lm.kernel_basis()[:3]).max() == 0.0 and abs(np.linalg.norm(ker) - 1.0) <= 1e-12
+
+
+def test_coupled_map_takes_one_svd_as_before(monkeypatch):
+    """A map that does not decouple is factored by today's single SVD call, with the same results bit for bit."""
+    eq = dfm.linearize_fsw(gsw.random_config(torus(), GaugeGroup.U1, seed=70, amplitude=0.3))
+    m_hat, sr, sc = eq._normalised()
+    assert len(eq._parts(m_hat)) == 1
+    u, s, vt = np.linalg.svd(m_hat, full_matrices=True)
+    values = np.linalg.svd(m_hat, compute_uv=False)
+    r = int(np.sum(s > max(eq.shape) * s[0] * dfm.RANK_REL_CUTOFF))
+    y = np.random.default_rng(71).normal(size=eq.shape[0])
+    calls = recorded_svd(monkeypatch)
+    assert np.array_equal(eq.kernel_basis(), vt[r:].T / sc[:, None])
+    assert np.array_equal(eq.cokernel_basis(), u[:, r:] / sr[:, None])
+    assert np.array_equal(eq.pinv_apply(y), (vt[:r].T @ ((u[:, :r].T @ (sr * y)) / s[:r])) / sc)
+    assert np.array_equal(eq.singular_values(), s) and eq.rank()[0] == r
+    assert calls == [(eq.shape, (), {"full_matrices": True})]
+    values_only = dfm.linearize_fsw(gsw.random_config(torus(), GaugeGroup.U1, seed=70, amplitude=0.3))
+    del calls[:]
+    assert np.array_equal(values_only.singular_values(), values)
+    assert calls == [(eq.shape, (), {"compute_uv": False})]
+
+
+def test_chart_at_the_reducible_point_factors_by_parts(monkeypatch):
+    """At u = 0 the chart factors E and D* part by part, with the h-dims and kernel of the whole maps."""
+    c = zero_point(Topology.TORUS)
+    s = gsw.manufacture(c)
+    calls = recorded_svd(monkeypatch)
+    chart = dfm.KuranishiChart(c, s)
+    largest = max(len(rows) * len(cols) for rows, cols in chart.eq._parts(chart.eq._normalised()[0]))
+    assert calls and all(np.prod(shape) <= largest for shape, _, _ in calls)
+    assert (567, 648) not in [shape for shape, _, _ in calls]
+    monkeypatch.undo()
+    rep = dfm.cohomology(c)
+    assert chart.h_dims() == (1, 8, 7) == (rep.h0, rep.h1, rep.h2)
+    assert chart.kappa_norm(np.zeros(chart.h1_dim))[0] == 0.0
+    kernel = chart.frame.kernel
+    assert np.abs(chart.eq.matrix @ kernel).max() <= 1e-12
+    assert np.abs(chart.gauge.adjoint().matrix @ kernel).max() <= 1e-12
+
+
 def test_trivial_group_empty_map():
     geom = torus()
     c = gsw.random_config(geom, GaugeGroup.TRIVIAL, seed=4)
