@@ -314,7 +314,7 @@ class LinearMap:
         if self._matrix is not None and self._matrix.shape[-2:] != self.shape:
             raise ValueError("matrix shape does not match block spaces")
         self._svd = None
-        self._values = self._owner = None  # singular values, descending; of a decoupled map, each one's part
+        self._values = self._owner = None  # singular values, descending, and each one's part
         self._rank = None
 
     @property
@@ -382,8 +382,8 @@ class LinearMap:
         parts, out = self._parts(m_hat), []
         for rows, cols in parts:
             sub = m_hat if len(parts) == 1 else m_hat[np.ix_(rows, cols)]
-            if len(parts) > 1 and not sub.size:  # no rows (all kernel) or no columns (all cokernel): no SVD
-                u, s, vt = np.eye(len(rows)), np.zeros(0), np.eye(len(cols))
+            if not sub.size:  # no rows (all kernel) or no columns (all cokernel): no SVD
+                u, s, vt = np.eye(sub.shape[0]), np.zeros(0), np.eye(sub.shape[1])
             elif compute_uv:
                 u, s, vt = np.linalg.svd(sub, full_matrices=True)
             else:
@@ -396,20 +396,17 @@ class LinearMap:
         if self._svd is None:
             self._svd = self._factors(True)  # before a first rank(), which then reads these values
         parts, sr, sc = self._svd
-        r = self.rank()[0]
-        ranks = [r] if len(parts) == 1 else np.bincount(self._owner[:r], minlength=len(parts))
-        return parts, ranks, sr, sc
+        r = self.rank()[0]  # sets _owner
+        return parts, np.bincount(self._owner[:r], minlength=len(parts)), sr, sc
 
     def singular_values(self):
         """Values-only, unless the full factors came first: all parts' values, descending, padded with zeros."""
         if self._values is None:
             parts = (self._svd or self._factors(False))[0]
-            self._values = parts[0][3]
-            if len(parts) > 1:
-                s = np.concatenate([part[3] for part in parts])
-                order = np.argsort(-s, kind="stable")
-                self._owner = np.repeat(np.arange(len(parts)), [part[3].size for part in parts])[order]
-                self._values = np.concatenate([s[order], np.zeros(min(self.shape) - s.size)])
+            s = np.concatenate([part[3] for part in parts])
+            order = np.argsort(-s, kind="stable")
+            self._owner = np.repeat(np.arange(len(parts)), [part[3].size for part in parts])[order]
+            self._values = np.concatenate([s[order], np.zeros(min(self.shape) - s.size)])
         return self._values
 
     def rank(self):
@@ -434,13 +431,12 @@ class LinearMap:
         parts, ranks, sr, sc = self._factored()
         found = [(cols, vt[r:].T) if side else (rows, u[:, r:])
                  for (rows, cols, u, s, vt), r in zip(parts, ranks)]
-        out = found[0][1]
-        if len(found) > 1:  # each part's columns, zero off its own rows
-            ends = np.cumsum([basis.shape[1] for _, basis in found])
-            out = np.zeros((self.shape[side], ends[-1]))
-            for (idx, basis), end in zip(found, ends):
-                out[idx, end - basis.shape[1]:end] = basis
-        return out / (sc if side else sr)[:, None]
+        ends = np.cumsum([basis.shape[1] for _, basis in found])
+        out = np.zeros((self.shape[side], ends[-1]))
+        for (idx, basis), end in zip(found, ends):  # each part's columns, zero off its own rows
+            out[idx, end - basis.shape[1]:end] = basis
+        out /= (sc if side else sr)[:, None]
+        return out
 
     def kernel_basis(self):
         """Columns: an orthonormal kernel basis in the weighted metric."""
