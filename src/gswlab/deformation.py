@@ -1066,9 +1066,11 @@ def kuranishi(
     """Sample the local chart on a ball in ker(elliptic operator).
 
     Classification: regular iff h2 = 0; smooth iff additionally the
-    stabilizer Lie algebra is trivial (h0 = 0).  Per-sample records
-    carry the kappa norm, Newton iterations and the convergence and
-    divergence flags.
+    stabilizer Lie algebra is trivial (h0 = 0).  Each sample direction is
+    xi = K^T W g for a tangent-space Gaussian g, K the kernel basis and W
+    the weights, so a change of kernel basis moves the chart points only
+    by rounding.  Per-sample records carry the kappa norm, Newton
+    iterations and the convergence and divergence flags.
     """
     chart = KuranishiChart(c, s, tol=tol)
     h0, h1, h2 = chart.h_dims()
@@ -1076,7 +1078,7 @@ def kuranishi(
     rng = np.random.default_rng(seed)
     samples = []
     for k in range(n_samples):
-        xi = rng.normal(size=h1)
+        xi = chart.frame.kernel.T @ (chart.space.weights * rng.normal(size=chart.space.dim))
         nrm = np.linalg.norm(xi)
         if nrm > 0:
             xi *= radius * rng.uniform() ** (1.0 / max(h1, 1)) / nrm

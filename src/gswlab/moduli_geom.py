@@ -480,15 +480,16 @@ def omega_form(c: Configuration, v, w):
 
 
 def sample_solution_plane(system: QuotientSystem, cvec, seed, n_planes=1):
-    """Orthonormal plane pairs tangent to the solution set at cvec, from the chart's kernel basis."""
-    h1 = dfm.chart_kernel(system.equation_map(cvec), system.gauge_map(cvec).adjoint())
-    if h1.shape[1] < 2:
+    """Orthonormal plane pairs tangent to the solution set at cvec: tangent-space Gaussians
+    projected onto the chart's kernel, so a change of kernel basis moves them only by rounding."""
+    kernel = dfm.chart_kernel(system.equation_map(cvec), system.gauge_map(cvec).adjoint())
+    if kernel.shape[1] < 2:
         raise ValueError("solution-set tangent space has dimension < 2")
     rng = np.random.default_rng(seed)
+    wts = system.tan_space.weights
     planes = []
     for _ in range(n_planes):
-        x = h1 @ rng.normal(size=h1.shape[1])
-        y = h1 @ rng.normal(size=h1.shape[1])
+        x, y = (kernel @ (kernel.T @ (rng.normal(size=(2, wts.size)) * wts).T)).T
         planes.append(_orthonormal_pair(system.tan_space, x, y))
     return planes
 

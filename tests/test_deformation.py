@@ -509,6 +509,33 @@ def test_sampling_reads_only_the_chart_kernel(monkeypatch):
         assert np.sqrt(weights @ (x - kernel @ (kernel.T @ (x * weights))) ** 2) <= 1e-12
 
 
+def test_samples_do_not_depend_on_the_kernel_basis(monkeypatch):
+    """A rotated kernel basis moves sampled planes and kuranishi's kappa_norm only by rounding."""
+    from gswlab import moduli_geom as mg
+
+    c = zero_point(Topology.TORUS)
+    s = gsw.manufacture(c)
+    system = mg.LatticeSystem(c, s)
+
+    def samples():
+        planes = mg.sample_solution_plane(system, system.center(), seed=3, n_planes=2)
+        return np.array(planes), np.array([r["kappa_norm"] for r in dfm.kuranishi(c, s, n_samples=3).samples])
+
+    planes, kappas = samples()
+    real_kernel = dfm.chart_kernel
+
+    def rotated_kernel(*args, **kwargs):
+        kernel = real_kernel(*args, **kwargs)
+        q, _ = np.linalg.qr(np.random.default_rng(72).normal(size=(kernel.shape[1],) * 2))
+        return kernel @ q
+
+    monkeypatch.setattr(dfm, "chart_kernel", rotated_kernel)
+    rot_planes, rot_kappas = samples()
+    assert kappas.min() > 1e-8  # the obstructed point: kappa is not rounding
+    assert np.abs(rot_planes - planes).max() <= 1e-12 * np.abs(planes).max()
+    assert np.abs(rot_kappas - kappas).max() <= 1e-12 * kappas.max()
+
+
 def test_kuranishi_reports_the_h1_it_samples(monkeypatch):
     """Where the two rank routes part, kuranishi's h1 is the chart's and the index is kept.
 
