@@ -426,11 +426,14 @@ class LinearMap:
             self._rank = r, (retained, discarded)
         return self._rank
 
-    def _null_columns(self, side):
-        """Columns of a weighted-orthonormal kernel (side 1) or cokernel (side 0) basis, part by part."""
+    def _gathered(self, side, null=True):
+        """Kernel (side 1) or cokernel (side 0) basis, weighted-orthonormal, gathered part by part;
+        with null=False the coimage or range basis."""
         parts, ranks, sr, sc = self._factored()
-        found = [(cols, vt[r:].T) if side else (rows, u[:, r:])
-                 for (rows, cols, u, s, vt), r in zip(parts, ranks)]
+        found = []
+        for (rows, cols, u, s, vt), r in zip(parts, ranks):
+            vectors = vt.T if side else u
+            found.append((cols if side else rows, vectors[:, r:] if null else vectors[:, :r]))
         ends = np.cumsum([basis.shape[1] for _, basis in found])
         out = np.zeros((self.shape[side], ends[-1]))
         for (idx, basis), end in zip(found, ends):  # each part's columns, zero off its own rows
@@ -440,10 +443,19 @@ class LinearMap:
 
     def kernel_basis(self):
         """Columns: an orthonormal kernel basis in the weighted metric."""
-        return self._null_columns(1)
+        return self._gathered(1)
 
     def cokernel_basis(self):
-        return self._null_columns(0)
+        return self._gathered(0)
+
+    def coimage_basis(self):
+        """Columns: the leading right singular vectors, the kernel's weighted-orthonormal complement."""
+        return self._gathered(1, null=False)
+
+    def kernel_space(self):
+        """Unit-weight coordinates on `kernel_basis`, one named block per part, so a map on them splits as this one."""
+        parts, ranks = self._factored()[:2]
+        return BlockSpace([("part %d" % k, part[4].shape[0] - r, 1.0) for k, (part, r) in enumerate(zip(parts, ranks))])
 
     def pinv_apply(self, y):
         """Weighted least-squares solution of minimal norm; y is a vector or a column stack."""
@@ -791,27 +803,23 @@ class CohomologyReport:
 
 
 def cohomology(c: Configuration) -> CohomologyReport:
-    """Dimensions of the deformation cohomology at c.
+    """Dimensions of the deformation cohomology at c, from the chart's two rank decisions.
 
-    h0 = dim ker(gauge linearization), h1 = dim ker(elliptic operator),
-    h2 = dim coker(equations restricted to the slice), computed as
-    coker(elliptic) minus coker(slice operator).
+    h0 = dim gauge - rank D*, h1 = dim ker(E S), h2 = dim coker(E S), E S
+    from `on_slice`; D*'s values are D's, and E S is ranked from its values
+    alone.  `margins` holds "lin_gauge" from D* and "elliptic_op" from E S.
     """
     margins = {}
-    warns = []
     with warnings.catch_warnings(record=True) as wlist:
         warnings.simplefilter("always", RankMarginWarning)
-        d = lin_gauge(c)
-        rank_d, margins["lin_gauge"] = d.rank()
-        h0 = d.col_space.dim - rank_d
-        op = elliptic_op(c)
-        rank_op, margins["elliptic_op"] = op.rank()
-        h1 = op.col_space.dim - rank_op
-        coker_op = op.row_space.dim - rank_op
-        h2 = coker_op - h0
+        slice_op = lin_gauge(c).adjoint()
+        reduced = on_slice(linearize_fsw(c), slice_op)[1]
+        rank_d, margins["lin_gauge"] = slice_op.rank()
+        rank_e, margins["elliptic_op"] = reduced.rank()
         warns = [str(w.message) for w in wlist]
-    index = h1 - h0 - h2
-    return CohomologyReport(h0, h1, h2, index, margins, warns)
+    h0 = slice_op.row_space.dim - rank_d
+    h1, h2 = reduced.shape[1] - rank_e, reduced.shape[0] - rank_e
+    return CohomologyReport(h0, h1, h2, h1 - h0 - h2, margins, warns)
 
 
 def complex_check(c: Configuration, s: Sources):
@@ -831,18 +839,13 @@ def complex_check(c: Configuration, s: Sources):
     return comp.operator_norm()
 
 
-def _completed(q):
-    """Orthonormal columns q followed by their exact complement: the trailing columns of q's complete QR."""
-    return np.hstack([q, np.linalg.qr(q, mode="complete")[0][:, q.shape[1]:]])
-
-
 def _plane_led(basis, weights, v, w, span):
-    """Weighted-orthonormal `basis` turned to start with the orthonormal plane (v, w) in its `span`."""
+    """Weighted-orthonormal `basis` turned to start with the orthonormal plane (v, w) in its `span` (complete QR)."""
     plane = np.stack([v, w], axis=1)
     coef = basis.T @ (plane * weights[:, None])
     if np.sqrt(weights @ (plane - basis @ coef) ** 2).max() > 1e-8:
         raise ValueError("plane vectors must lie in the %s" % span)
-    return np.hstack([plane, basis @ _completed(coef)[:, 2:]])
+    return np.hstack([plane, basis @ np.linalg.qr(coef, mode="complete")[0][:, 2:]])
 
 
 def newton(rows_at, step, x, tol, max_iter, norm, step_norm):
@@ -901,80 +904,63 @@ def newton(rows_at, step, x, tol, max_iter, norm, step_norm):
     return x, rows, records, status
 
 
-def chart_kernel(eq: LinearMap, slice_op: LinearMap, lead=None):
-    """Weighted-orthonormal basis of ker [E; D*] = ker E ∩ ker D*, the chart's tangent space.
+def on_slice(eq: LinearMap, slice_op: LinearMap):
+    """(S, E S): a weighted-orthonormal basis S of the gauge slice ker D* (`slice_op`), and E on it.
 
-    ker E, from the full SVD of E, times the kernel of D* (`slice_op`) on
-    ker E, led by the orthonormal plane (v, w) when `lead` is given.
+    E S acts on coordinates on S, one block per part of D*, so it splits
+    where E and D* do.  ker [E; D*] = S ker(E S); rank [E; D*] = rank D* + rank(E S).
     """
-    ker_e = eq.kernel_basis()
-    on_ker_e = BlockSpace([("ker E", ker_e.shape[1], 1.0)])
-    kernel = ker_e @ LinearMap(slice_op.matrix @ ker_e, slice_op.row_space, on_ker_e).kernel_basis()
-    if lead is not None:
-        kernel = _plane_led(kernel, eq.col_space.weights, *lead, "solution-set tangent space")
-    return kernel
+    basis = slice_op.kernel_basis()
+    return basis, LinearMap(eq.matrix @ basis, eq.row_space, slice_op.kernel_space())
+
+
+def chart_kernel(slice_basis, reduced: LinearMap):
+    """S ker(E S), from `on_slice`'s S and E S: a weighted-orthonormal basis of ker [E; D*], the chart's tangent."""
+    return slice_basis @ reduced.kernel_basis()
 
 
 class ChartFrame:
-    """Linear data of the solution-set chart over ker [E; D*] at a point.
+    """Linear data of the solution-set chart at a point, all from one factored map, E S (`on_slice`).
 
-    `kernel` is `chart_kernel`; `coker` (coker E) comes from the same SVD
-    of E.  `w_basis` completes the kernel inside the slice: with S a
-    weighted-orthonormal basis of ker D*, S times the complete-QR
-    complement of the kernel's coordinates on S.  The chord matrix is E on
-    `w_basis`, projected off the cokernel.
+    `kernel` is `chart_kernel`, led by the plane (v, w) of `lead`; `coker` is coker(E S); `w_basis`,
+    S coimage(E S), completes the kernel in the slice (for the oracle).  A chord step is S (E S)^+ (-r).
     """
 
     def __init__(self, eq: LinearMap, gauge: LinearMap, lead=None):
         self.eq = eq
-        weights = eq.col_space.weights
-        slice_op = gauge.adjoint()
-        self.kernel = kernel = chart_kernel(eq, slice_op, lead)
-        self.coker = eq.cokernel_basis()
-        slice_basis = slice_op.kernel_basis()
-        coords = slice_basis.T @ (kernel * weights[:, None])
-        self.w_basis = slice_basis @ _completed(coords)[:, kernel.shape[1]:]
-        red = eq.matrix @ self.w_basis
-        red = red - self.coker @ (
-            self.coker.T @ (red * eq.row_space.weights[:, None])
-        )
-        self._chord = LinearMap(
-            red, eq.row_space, BlockSpace([("w", self.w_basis.shape[1], 1.0)])
-        )
+        self.slice_op = gauge.adjoint()
+        self.slice_basis, self.reduced = on_slice(eq, self.slice_op)
+        self.kernel = chart_kernel(self.slice_basis, self.reduced)
+        if lead is not None:
+            self.kernel = _plane_led(self.kernel, eq.col_space.weights, *lead, "solution-set tangent space")
+        self.coker = self.reduced.cokernel_basis()
+
+    @functools.cached_property
+    def w_basis(self):
+        return self.slice_basis @ self.reduced.coimage_basis()
 
     def coker_coeffs(self, r):
         """Cokernel coefficients of equation rows r (or of each row vector of a stack)."""
         return (r * self.eq.row_space.weights) @ self.coker
 
     def solve(self, rows_at, base, tol, max_iter):
-        """Chord Newton for base + w_basis @ y with rows_at = 0 off the cokernel.
+        """Chord Newton from base, inside base + ker D*, with rows_at = 0 off the cokernel.
 
-        Runs `newton` on y with the fixed chord step, stopping on the norm
-        of the rows projected off the cokernel.  Returns (vec, rows_at(vec),
-        info); info holds the residual evaluations ("iters"), the
-        convergence and divergence flags and the projected norm at vec.
-        A stack of bases (k, n) runs `newton` on the stack, rows_at then
-        takes stacks, and each entry of info is an array over the points.
+        Runs `newton` on the tangent vector with the fixed chord step
+        S (E S)^+ (-r), stopping on the norm of the rows projected off the
+        cokernel.  Returns (vec, rows_at(vec), info); info holds the residual
+        evaluations ("iters"), the convergence and divergence flags and the
+        projected norm at vec.  A stack of bases (k, n) runs `newton` on the
+        stack, rows_at then takes stacks, and each entry of info is an array
+        over the points.
         """
 
         def off_coker(r):
             return r - self.coker_coeffs(r) @ self.coker.T
 
-        # the iterate is (base, y), so each point of a stack keeps its base as others stop
-        n = base.shape[-1]
-
-        def vec(x):
-            return x[..., :n] + x[..., n:] @ self.w_basis.T
-
-        def chord_step(x, r):
-            dy = self._chord.pinv_apply(-off_coker(r).T).T
-            return np.concatenate([np.zeros_like(x[..., :n]), dy], axis=-1)
-
         x, r, records, status = newton(
-            lambda x: rows_at(vec(x)), chord_step,
-            np.concatenate([base, np.zeros(base.shape[:-1] + self.w_basis.shape[1:])], axis=-1),
-            tol, max_iter, lambda r: self.eq.row_space.norm(off_coker(r)),
-            lambda dx: self._chord.col_space.norm(dx[..., n:]),
+            rows_at, lambda x, r: (self.slice_basis @ self.reduced.pinv_apply(-r.T)).T, base, tol, max_iter,
+            lambda r: self.eq.row_space.norm(off_coker(r)), self.eq.col_space.norm,
         )
         if np.ndim(base) == 1:
             records, status = [records], [status]
@@ -986,7 +972,7 @@ class ChartFrame:
         }
         if np.ndim(base) == 1:
             info = {key: val[0].item() for key, val in info.items()}
-        return vec(x), r, info
+        return x, r, info
 
 
 class KuranishiChart:
@@ -1015,10 +1001,8 @@ class KuranishiChart:
         return self.frame.coker.shape[1]
 
     def h_dims(self):
-        """(h0, h1, h2) as in `cohomology`, h1 the dimension sampled: rank [E; D*] = cols - h1."""
-        h0 = self.gauge.col_space.dim - self.gauge.rank()[0]
-        coker_op = self.eq.row_space.dim + self.gauge.col_space.dim - (self.space.dim - self.h1_dim)
-        return h0, self.h1_dim, coker_op - h0
+        """`cohomology`'s (h0, h1, h2) = (dim gauge - rank D*, dim ker(E S), dim coker(E S)), with no SVD."""
+        return self.gauge.col_space.dim - self.frame.slice_op.rank()[0], self.h1_dim, self.h2_dim
 
     def solve(self, xi):
         """Return (phi_vec, kappa_coeffs, info) for chart coordinates xi."""
@@ -1066,11 +1050,10 @@ def kuranishi(
     """Sample the local chart on a ball in ker(elliptic operator).
 
     Classification: regular iff h2 = 0; smooth iff additionally the
-    stabilizer Lie algebra is trivial (h0 = 0).  Each sample direction is
-    xi = K^T W g for a tangent-space Gaussian g, K the kernel basis and W
-    the weights, so a change of kernel basis moves the chart points only
-    by rounding.  Per-sample records carry the kappa norm, Newton
-    iterations and the convergence and divergence flags.
+    stabilizer Lie algebra is trivial (h0 = 0).  A sample is xi = K^T W g for a
+    tangent-space Gaussian g (kernel basis K, weights W), radially rescaled:
+    a change of kernel basis moves it only by rounding.  Per-sample records
+    carry the kappa norm, Newton iterations and the convergence and divergence flags.
     """
     chart = KuranishiChart(c, s, tol=tol)
     h0, h1, h2 = chart.h_dims()

@@ -249,9 +249,12 @@ def second_fundamental_vec(system: QuotientSystem, cvec, v, w):
 
     Pi(v, w) = -E^+ B(v, w) = -E* (E E*)^+ B(v, w) with E the
     linearized equations and B the exact mixed second derivative of the
-    equation map; without equation rows it is zero.
+    equation map; without equation rows it is zero.  Column stacks v, w
+    (n, k) give one column per pair (v[:, j], w[:, j]), in one solve.
     """
-    return -system.equation_map(cvec).pinv_apply(system.equation_second(cvec, v, w))
+    b = (np.stack([system.equation_second(cvec, x, y) for x, y in zip(v.T, w.T)], axis=1) if np.ndim(v) == 2
+         else system.equation_second(cvec, v, w))
+    return -system.equation_map(cvec).pinv_apply(b)
 
 
 def gauss_sectional_vec(system: QuotientSystem, cvec, v, w):
@@ -264,9 +267,7 @@ def gauss_sectional_vec(system: QuotientSystem, cvec, v, w):
     """
     det = _plane_normalize(system.tan_space, v, w)
     base = oneill_sectional_vec(system, cvec, v, w)
-    pairs = ((v, v), (w, w), (v, w))
-    b = np.stack([system.equation_second(cvec, x, y) for x, y in pairs], axis=1)
-    pi_vv, pi_ww, pi_vw = (-system.equation_map(cvec).pinv_apply(b)).T
+    pi_vv, pi_ww, pi_vw = second_fundamental_vec(system, cvec, np.stack([v, w, v], 1), np.stack([v, w, w], 1)).T
     inner = system.tan_space.inner
     gauss = inner(pi_vv, pi_ww) - inner(pi_vw, pi_vw)
     return dict(base, gauss_terms=gauss / det, K_M=base["K_B"] + gauss / det)
@@ -396,10 +397,10 @@ def slice_chart_metric(system: QuotientSystem, cvec, v, w):
     A reducible cvec raises LinAlgError here, a plane outside the gauge
     slice ker D* ValueError; a reducible chart point raises it from metric_fn.
     """
-    system.gauge_map(cvec).range_basis()  # rank loss ends the run before any oracle call
+    d = system.gauge_map(cvec)
+    d.range_basis()  # rank loss ends the run before any oracle call
     wts = system.tan_space.weights
-    slice_basis = system.gauge_map(cvec).adjoint().kernel_basis()
-    basis = dfm._plane_led(slice_basis, wts, v, w, "gauge slice")
+    basis = dfm._plane_led(d.adjoint().kernel_basis(), wts, v, w, "gauge slice")
 
     def metric_fn(xi, plane=False):
         cols = basis[:, :2] if plane else basis
@@ -435,8 +436,9 @@ def solution_chart_metric(system, cvec, v, w, newton_tol=1e-12, max_iter=80):
     least-squares solve for the differential and stacked projectors.
     Any point that fails fails the call.
     """
-    system.gauge_map(cvec).range_basis()  # rank loss ends the run before any oracle call
-    frame = dfm.ChartFrame(system.equation_map(cvec), system.gauge_map(cvec), lead=(v, w))
+    d = system.gauge_map(cvec)
+    d.range_basis()  # rank loss ends the run before any oracle call
+    frame = dfm.ChartFrame(system.equation_map(cvec), d, lead=(v, w))
     basis, w_basis = frame.kernel, frame.w_basis
     wts = system.tan_space.weights
     n_w = w_basis.shape[1]
@@ -482,7 +484,7 @@ def omega_form(c: Configuration, v, w):
 def sample_solution_plane(system: QuotientSystem, cvec, seed, n_planes=1):
     """Orthonormal plane pairs tangent to the solution set at cvec: tangent-space Gaussians
     projected onto the chart's kernel, so a change of kernel basis moves them only by rounding."""
-    kernel = dfm.chart_kernel(system.equation_map(cvec), system.gauge_map(cvec).adjoint())
+    kernel = dfm.chart_kernel(*dfm.on_slice(system.equation_map(cvec), system.gauge_map(cvec).adjoint()))
     if kernel.shape[1] < 2:
         raise ValueError("solution-set tangent space has dimension < 2")
     rng = np.random.default_rng(seed)

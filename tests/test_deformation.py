@@ -453,11 +453,18 @@ def test_chart_frame_completes_the_kernel_inside_the_slice(name):
         assert info["converged"] and not info["diverged"]
 
 
+def part_shapes(lm):
+    """Shapes of the nonempty parts of lm, one SVD each."""
+    parts = lm._parts(lm._normalised()[0])
+    shapes = [tuple(np.arange(k)[idx].size for k, idx in zip(lm.shape, part)) for part in parts]
+    return [shape for shape in shapes if 0 not in shape]
+
+
 @pytest.mark.parametrize("name", ["zero_torus", "fueter_box", "random_torus"])
 def test_chart_kernel_from_e_matches_the_stacked_kernel(name, monkeypatch):
-    """ker E ∩ ker D* through the SVD of E is ker [E; D*], and no SVD of [E; D*] is taken.
+    """ker E ∩ ker D* through the SVD of E S is ker [E; D*], and no SVD of [E; D*] is taken.
 
-    Away from the rank cutoff the chart's h-dims are `cohomology`'s.
+    `cohomology` takes no SVD of [E; D*] and no full SVD of E S, and its h-dims are the chart's.
     """
     c = chart_points()[name]
     s = gsw.manufacture(c)
@@ -475,7 +482,9 @@ def test_chart_kernel_from_e_matches_the_stacked_kernel(name, monkeypatch):
     assert calls and stacked_shape not in [shape for shape, _ in calls]
     del calls[:]
     rep = dfm.cohomology(c)
-    assert calls and not any(uv for _, uv in calls)
+    reduced_shapes = part_shapes(chart.frame.reduced)
+    assert calls and stacked_shape not in [shape for shape, _ in calls]
+    assert not any(uv and shape in reduced_shapes for shape, uv in calls)
     monkeypatch.undo()
 
     w = chart.space.weights
@@ -488,6 +497,68 @@ def test_chart_kernel_from_e_matches_the_stacked_kernel(name, monkeypatch):
     assert chart.h2_dim == eq.row_space.dim - eq.rank()[0]
 
 
+def stacked_chart_reference(eq, gauge):
+    """(kernel, coker, w_basis, chord step) of the chart as built from E before E S was factored.
+
+    The kernel is ker E times the kernel of D* on ker E, the cokernel coker E;
+    w_basis completes the kernel's slice coordinates by a complete QR, and the
+    chord step is w_basis times the pseudo-inverse of E w_basis projected off
+    the cokernel, applied to -r projected off the cokernel.
+    """
+    w_tan, w_eq = eq.col_space.weights, eq.row_space.weights
+    slice_op = gauge.adjoint()
+    ker_e = eq.kernel_basis()
+    on_ker_e = dfm.BlockSpace([("ker E", ker_e.shape[1], 1.0)])
+    kernel = ker_e @ dfm.LinearMap(slice_op.matrix @ ker_e, slice_op.row_space, on_ker_e).kernel_basis()
+    coker = eq.cokernel_basis()
+    slice_basis = slice_op.kernel_basis()
+    coords = slice_basis.T @ (kernel * w_tan[:, None])
+    w_basis = slice_basis @ np.linalg.qr(coords, mode="complete")[0][:, kernel.shape[1]:]
+    red = eq.matrix @ w_basis
+    red = red - coker @ (coker.T @ (red * w_eq[:, None]))
+    chord = dfm.LinearMap(red, eq.row_space, dfm.BlockSpace([("w", w_basis.shape[1], 1.0)]))
+
+    def step(r):
+        return w_basis @ chord.pinv_apply(-(r - coker @ (coker.T @ (r * w_eq))))
+
+    return kernel, coker, w_basis, step
+
+
+@pytest.mark.parametrize("name", ["zero_torus", "fueter_box", "random_torus", "noisy_box"])
+def test_chart_from_e_s_matches_the_stacked_reference(name):
+    """Kernel, cokernel, w_basis and chord step from E S agree with the reference from E to 1e-12."""
+    c = noisy_box()[0] if name == "noisy_box" else chart_points()[name]
+    frame = dfm.ChartFrame(dfm.linearize_fsw(c), dfm.lin_gauge(c))
+    kernel, coker, w_basis, step = stacked_chart_reference(dfm.linearize_fsw(c), dfm.lin_gauge(c))
+    for got, want, w in ((frame.kernel, kernel, frame.eq.col_space.weights),
+                         (frame.coker, coker, frame.eq.row_space.weights),
+                         (frame.w_basis, w_basis, frame.eq.col_space.weights)):
+        assert got.shape == want.shape
+        assert np.abs(weighted_projector(got, w) - weighted_projector(want, w)).max(initial=0.0) <= 1e-12
+    r = np.random.default_rng(73).normal(size=frame.eq.shape[0])
+    base = np.zeros(frame.eq.shape[1])
+    got = frame.solve(lambda t: r, base, 0.0, 1)[0]  # one chord step from base = 0
+    assert np.abs(got - step(r)).max() <= 1e-12 * np.abs(step(r)).max()
+
+
+@pytest.mark.parametrize("name", ["zero_torus", "fueter_box", "random_torus"])
+def test_chart_takes_one_svd_of_d_star_and_of_e_s_per_part(name, monkeypatch):
+    """A chart factors D* and E S once each, part by part, and no E, [E; D*] or chord map; h_dims takes no SVD."""
+    c = chart_points()[name]
+    calls = recorded_svd(monkeypatch)
+    chart = dfm.KuranishiChart(c, gsw.manufacture(c))
+    chart.solve(np.full(chart.h1_dim, 1e-3))
+    factored = [shape for shape, args, kwargs in calls]
+    assert all(kwargs == {"full_matrices": True} for _, _, kwargs in calls)
+    del calls[:]
+    chart.h_dims()
+    assert not calls
+    monkeypatch.undo()
+    frame = chart.frame
+    assert sorted(factored) == sorted(part_shapes(frame.slice_op) + part_shapes(frame.reduced))
+    assert chart.eq.shape not in factored and dfm.elliptic_op(c).shape not in factored
+
+
 def test_sampling_reads_only_the_chart_kernel(monkeypatch):
     """`sample_solution_plane` draws from `chart_kernel`, bit for bit the chart's kernel, with no slice basis."""
     from gswlab import moduli_geom as mg
@@ -495,7 +566,7 @@ def test_sampling_reads_only_the_chart_kernel(monkeypatch):
     c, s = box_fueter_config(3)
     system = mg.LatticeSystem(c, s)
     c0 = system.center()
-    kernel = dfm.chart_kernel(system.equation_map(c0), system.gauge_map(c0).adjoint())
+    kernel = dfm.chart_kernel(*dfm.on_slice(system.equation_map(c0), system.gauge_map(c0).adjoint()))
     assert np.array_equal(kernel, dfm.ChartFrame(system.equation_map(c0), system.gauge_map(c0)).kernel)
 
     def no_frame(*args, **kwargs):
@@ -537,12 +608,12 @@ def test_samples_do_not_depend_on_the_kernel_basis(monkeypatch):
 
 
 def test_kuranishi_reports_the_h1_it_samples(monkeypatch):
-    """Where the two rank routes part, kuranishi's h1 is the chart's and the index is kept.
+    """`cohomology`, the chart and `kuranishi` make the same rank decisions, also at a marginal cutoff.
 
-    The least singular value of [E; D*] on the 3^4 Fueter box, 0.881, is also
-    that of D* on ker E.  A cutoff of 1.6e-4 relative puts it below the stacked
-    map's cutoff (540 * 12.25 * 1.6e-4 = 1.06) and above the small map's
-    (428 * 10.43 * 1.6e-4 = 0.71), so `cohomology` counts it in h1 and the chart does not.
+    On the 3^4 Fueter box the least singular value of D* is 0.881.  A cutoff
+    of 1.6e-4 relative drops it (540 * 10.43 * 1.6e-4 = 0.90), less than 10x
+    below the retained 3.13, so D* has rank 80: all three report (1, 348, 0)
+    where the default cutoff gives (0, 347, 0), with the same index.
     """
     c, s = box_fueter_config(3)
     monkeypatch.setattr(dfm, "RANK_REL_CUTOFF", 1.6e-4)
@@ -550,10 +621,12 @@ def test_kuranishi_reports_the_h1_it_samples(monkeypatch):
         rep = dfm.cohomology(c)
         chart = dfm.KuranishiChart(c, s)
         kur = dfm.kuranishi(c, s, n_samples=1)
-    assert (rep.h1, chart.h1_dim) == (348, 347)
-    h0, h1, h2 = kur.h_dims
-    assert (h0, h1) == (rep.h0, chart.h1_dim)
-    assert h1 - h0 - h2 == rep.index
+    assert len(rep.warnings_) == 1
+    assert (rep.h0, rep.h1, rep.h2) == chart.h_dims() == kur.h_dims == (1, 348, 0)
+    assert chart.h1_dim == 348 and rep.index == 347
+    monkeypatch.undo()
+    default = dfm.cohomology(c)
+    assert (default.h0, default.h1, default.h2, default.index) == (0, 347, 0, 347)
 
 
 # ---------------------------------------------------------------------------
