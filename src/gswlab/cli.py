@@ -133,7 +133,12 @@ def validate_config(cfg, experiment):
     _check_keys(params, allowed, "params")
     if experiment == "curvature":
         _require(params.get("mode", "lattice") in ("lattice", "fixture"), "bad params.mode")
+        eps = params.get("oracle_eps", 3e-3)
+        _require(isinstance(eps, (int, float)) and np.isfinite(eps) and eps > 0, "bad params.oracle_eps")
+    if experiment == "sequence":
+        _require(params.get("kind", "fueter_dilation") in ("fueter_dilation", "vanishing"), "bad params.kind")
     if experiment == "frequency":
+        _require(params.get("field", "z1") in ("z1", "z2", "z3", "sym_product"), "bad params.field")
         _require(params.get("stencil", "centered") in ("forward", "centered"), "bad params.stencil")
         try:  # the balls are known before any work
             _frequency_grid(params, build_geometry(cfg))

@@ -327,14 +327,6 @@ class LinearMap:
     def apply(self, x):
         return self.matrix @ x
 
-    def adjoint_apply(self, y):
-        y = np.asarray(y, dtype=float)
-        w_r = self.row_space.weights
-        w_c = self.col_space.weights
-        if y.ndim == 1:
-            return (self.matrix.T @ (w_r * y)) / w_c
-        return (self.matrix.T @ (w_r[:, None] * y)) / w_c[:, None]
-
     def adjoint(self):
         w_r = self.row_space.weights
         w_c = self.col_space.weights
@@ -485,29 +477,27 @@ class LinearMap:
                         lambda u: np.bincount(cols, vals * u[rows], n), sr * y)
         return z / sc, iters
 
-    def range_basis(self):
-        """Columns: a weighted-orthonormal basis of the range, from `eigh` of the normal matrix.
-
-        LinAlgError (rank loss) unless lambda_min > RANK_MARGIN n eps lambda_max,
-        n = max(shape): `eigh` resolves no singular value below about sqrt(n eps)
-        s_max, above the `rank` cutoff, so when this returns `rank` keeps every column.
-        """
-        m_hat, normal, sr = self._normal()
-        lam, vec = np.linalg.eigh(normal)
-        if (err := self._rank_loss(lam)) is not None:
-            raise err
-        return (m_hat @ (vec / np.sqrt(lam)[..., None, :])) / sr[:, None]
-
     def range_projector(self):
         """Callable t -> t - L L^+ t, the weighted projection off the range, t a vector or column stack.
 
-        Solves the normal system (L* L) z = L* t of each map of a stack, with
-        `range_basis`'s rank-loss rule on its eigenvalues; a stack of maps
-        projects the same t at each and returns a stack.
+        Solves the normal system (L* L) z = L* t of each map of a stack.
+        LinAlgError (rank loss) unless each map's normal-matrix eigenvalues have
+        lambda_min > RANK_MARGIN n eps lambda_max, n = max(shape): `eigvalsh`
+        resolves no singular value below about sqrt(n eps) s_max, above the
+        `rank` cutoff, so when this returns `rank` keeps every column.  A stack
+        of maps projects the same t at each and returns a stack.
         """
-        m_hat, normal, sr = self._normal()
-        if (err := self._rank_loss(np.linalg.eigvalsh(normal))) is not None:
-            raise err
+        m_hat, sr, _ = self._normalised()
+        normal = np.swapaxes(m_hat, -1, -2) @ m_hat
+        lam = np.linalg.eigvalsh(normal)
+        floor = RANK_MARGIN * max(self.shape) * np.finfo(float).eps * lam.max(axis=-1, initial=0.0)
+        lost = ~(lam[..., 0] > floor) if lam.shape[-1] else np.zeros(lam.shape[:-1], bool)
+        if lost.any():
+            k = np.argmax(lost.reshape(-1))
+            raise np.linalg.LinAlgError(
+                "rank loss: the map is not injective (smallest normal-matrix eigenvalue "
+                "%.3e <= %.3e, %d columns)" % (lam[..., 0].reshape(-1)[k], floor.reshape(-1)[k], lam.shape[-1])
+            )
 
         def project(t):
             cols = t[:, None] if np.ndim(t) == 1 else t
@@ -516,25 +506,6 @@ class LinearMap:
             return out[..., 0] if np.ndim(t) == 1 else out
 
         return project
-
-    def _normal(self):
-        """(m_hat, m_hat* m_hat, sr) of the weight-normalised matrix m_hat = sr M / sc, map by map."""
-        sr = np.sqrt(self.row_space.weights)
-        m_hat = (self.matrix * sr[:, None]) / np.sqrt(self.col_space.weights)
-        return m_hat, np.swapaxes(m_hat, -1, -2) @ m_hat, sr
-
-    def _rank_loss(self, lam):
-        """The LinAlgError to raise unless each map's ascending normal-matrix eigenvalues
-        have lambda_min > RANK_MARGIN n eps lambda_max, else None."""
-        floor = RANK_MARGIN * max(self.shape) * np.finfo(float).eps * lam.max(axis=-1, initial=0.0)
-        lost = ~(lam[..., 0] > floor) if lam.shape[-1] else np.zeros(lam.shape[:-1], bool)
-        if not lost.any():
-            return None
-        k = np.argmax(lost.reshape(-1))
-        return np.linalg.LinAlgError(
-            "rank loss: the map is not injective (smallest normal-matrix eigenvalue "
-            "%.3e <= %.3e, %d columns)" % (lam[..., 0].reshape(-1)[k], floor.reshape(-1)[k], lam.shape[-1])
-        )
 
     def operator_norm(self):
         s = self.singular_values()
@@ -554,15 +525,6 @@ class TangentConfig:
 
     def copy(self):
         return TangentConfig(None if self.b is None else self.b.copy(), self.v.copy())
-
-
-def pack_tangent(space: TangentSpace, t: TangentConfig):
-    return space.pack(t.b, t.v)
-
-
-def unpack_tangent(space: TangentSpace, vec):
-    b, v = space.unpack(vec)
-    return TangentConfig(b, v)
 
 
 def random_tangent(c: Configuration, seed, amplitude=1.0) -> TangentConfig:
@@ -627,8 +589,8 @@ def lin_gauge(c: Configuration) -> LinearMap:
 def lin_gauge_adjoint_formula(c: Configuration, zeta) -> LinearMap:
     """Slice operator from the moment-map formula d_u mu_zeta(I_zeta v).
 
-    Provided for the zeta-independence and dual-pairing cross-checks;
-    zeta must be a unit imaginary quaternion.
+    The reference side of D* = d mu_zeta(I_zeta .): for every unit imaginary
+    quaternion zeta it equals `lin_gauge(c).adjoint()`.
     """
     from .targets import moment_values_diff
 
@@ -914,23 +876,18 @@ def on_slice(eq: LinearMap, slice_op: LinearMap):
     return basis, LinearMap(eq.matrix @ basis, eq.row_space, slice_op.kernel_space())
 
 
-def chart_kernel(slice_basis, reduced: LinearMap):
-    """S ker(E S), from `on_slice`'s S and E S: a weighted-orthonormal basis of ker [E; D*], the chart's tangent."""
-    return slice_basis @ reduced.kernel_basis()
-
-
 class ChartFrame:
     """Linear data of the solution-set chart at a point, all from one factored map, E S (`on_slice`).
 
-    `kernel` is `chart_kernel`, led by the plane (v, w) of `lead`; `coker` is coker(E S); `w_basis`,
-    S coimage(E S), completes the kernel in the slice (for the oracle).  A chord step is S (E S)^+ (-r).
+    `kernel` is S ker(E S), a basis of ker [E; D*], led by the plane (v, w) of `lead`; `coker` is coker(E S);
+    `w_basis`, S coimage(E S), completes the kernel in the slice (for the oracle).  A chord step is S (E S)^+ (-r).
     """
 
     def __init__(self, eq: LinearMap, gauge: LinearMap, lead=None):
         self.eq = eq
         self.slice_op = gauge.adjoint()
         self.slice_basis, self.reduced = on_slice(eq, self.slice_op)
-        self.kernel = chart_kernel(self.slice_basis, self.reduced)
+        self.kernel = self.slice_basis @ self.reduced.kernel_basis()
         if lead is not None:
             self.kernel = _plane_led(self.kernel, eq.col_space.weights, *lead, "solution-set tangent space")
         self.coker = self.reduced.cokernel_basis()

@@ -11,7 +11,7 @@ formed with the same stencils as the operators they test and converge
 under refinement at first order for the forward stencil and second
 order for the centered one.  Vector-field calculus here assumes the
 flat target chart; the cone target is supported by the scalar radial
-machinery and the key chart identity.
+machinery.
 """
 
 from collections import Counter
@@ -92,7 +92,8 @@ def fueter_library(geom: LatticeGeom, kind, center=None, multiset=(1, 2)):
 
 
 def fueter_corpus(geom: LatticeGeom, count=20):
-    """A corpus of Fueter fields centred in the box: variables, right-multiples, products."""
+    """A corpus of Fueter fields centred in the box: variables, right-multiples, products, each
+    Fueter-regular; criterion 6 checks that the frequency is monotone on each."""
     fields = []
     for k in ("z1", "z2", "z3"):
         fields.append(fueter_library(geom, k))
@@ -210,26 +211,18 @@ def energy_identity(c: Configuration, stencil=Stencil.FORWARD):
     return float(np.sum(lat.grad_energy_density(c.u, c.a, stencil)) * c.geom.h**4)
 
 
-def key_identity_check(c: Configuration, stencil=Stencil.FORWARD):
-    """sup |d_A u - d_A^{TM}(chi0 o u)|: exact for the identity chart field."""
-    # chi0 o u has the values of u (chi0 is the Euler field), as a tangent field
-    chi0 = SpinorField(c.geom, c.u.values, c.u.kind)
-    worst = 0.0
-    for i in range(4):
-        du = lat.cov_diff_component(c.u, c.a, i, stencil)
-        dchi = lat.cov_diff_component(chi0, c.a, i, stencil)
-        worst = max(worst, float(np.abs(du - dchi).max()))
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # stress tensor and Bochner residual
 
 
 def stress_tensor(c: Configuration, stencil=Stencil.CENTERED):
     """T_ij = <d_i u, d_j u> - (1/2) delta_ij |d_A u|^2, sitewise."""
-    geom = c.geom
     comps = [lat.cov_diff_component(c.u, c.a, i, stencil) for i in range(4)]
+    return _stress_tensor(c.geom, comps)
+
+
+def _stress_tensor(geom, comps):
+    """`stress_tensor` from the four covariant differences d_i u."""
     t = np.zeros(geom.dims + (4, 4))
     energy = np.zeros(geom.dims)
     for i in range(4):
@@ -251,8 +244,8 @@ def stress_div_residual(c: Configuration, stencil=Stencil.CENTERED):
     div T directly (zero to stencil order on harmonic data).
     """
     geom = c.geom
-    t = stress_tensor(c, stencil)
     comps = [lat.cov_diff_component(c.u, c.a, i, stencil) for i in range(4)]
+    t = _stress_tensor(geom, comps)
     div = np.zeros(geom.dims + (4,))
     for i in range(4):
         for j in range(4):

@@ -25,7 +25,6 @@ from .lattice import (
     LatticeGeom,
     SelfDualForm,
     SpinorField,
-    Stencil,
 )
 from .targets import GaugeGroup, TargetKind, moment_values
 
@@ -106,17 +105,17 @@ def row_masks(geom: LatticeGeom):
     return m, m
 
 
-def residual(c: Configuration, s: Sources, stencil=Stencil.FORWARD):
-    """(D_A u - psi, F^+ + Phi_4(u) - eta), evaluated at every site."""
-    dirac_row = lat.dirac(c.u, c.a, stencil) - s.psi
+def residual(c: Configuration, s: Sources):
+    """(D_A u - psi, F^+ + Phi_4(u) - eta), evaluated at every site (forward Dirac stencil)."""
+    dirac_row = lat.dirac(c.u, c.a) - s.psi
     fplus = lat.selfdual(lat.plaquette_curvature(c.a))
     sd_row = fplus.values + phi4(c.u, c.group).values - s.eta.values
     return dirac_row, SelfDualForm(c.geom, sd_row)
 
 
-def residual_norm(c: Configuration, s: Sources, stencil=Stencil.FORWARD):
+def residual_norm(c: Configuration, s: Sources):
     """L2 norm of the residual over the trusted equation rows."""
-    dirac_row, sd_row = residual(c, s, stencil)
+    dirac_row, sd_row = residual(c, s)
     dm, sm = row_masks(c.geom)
     h4 = c.geom.h**4
     total = float(np.sum((dirac_row**2) * dm[..., None]) * h4)
@@ -124,37 +123,12 @@ def residual_norm(c: Configuration, s: Sources, stencil=Stencil.FORWARD):
     return np.sqrt(total)
 
 
-def manufacture(c: Configuration, stencil=Stencil.FORWARD) -> Sources:
+def manufacture(c: Configuration) -> Sources:
     """Sources that make c an exact solution: psi = D_A u, eta = F^+ + Phi_4."""
-    psi = lat.dirac(c.u, c.a, stencil)
+    psi = lat.dirac(c.u, c.a)
     fplus = lat.selfdual(lat.plaquette_curvature(c.a))
     eta = SelfDualForm(c.geom, fplus.values + phi4(c.u, c.group).values)
     return Sources(psi, eta)
-
-
-def sources_save(path, s: Sources, geom: LatticeGeom):
-    """Write sources in the snapshot JSON format (header + flat arrays)."""
-    import json
-
-    payload = {
-        "header": {"dims": list(geom.dims), "h": geom.h, "topology": geom.topology.value},
-        "psi": s.psi.reshape(-1).tolist(),
-        "eta": s.eta.values.reshape(-1).tolist(),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-
-
-def sources_load(path, geom: LatticeGeom) -> Sources:
-    import json
-
-    with open(path) as fh:
-        payload = json.load(fh)
-    if tuple(payload["header"]["dims"]) != geom.dims:
-        raise ValueError("sources snapshot dims mismatch")
-    psi = np.array(payload["psi"], dtype=float).reshape(geom.dims + (4,))
-    eta = np.array(payload["eta"], dtype=float).reshape(geom.dims + (3,))
-    return Sources(psi, SelfDualForm(geom, eta))
 
 
 # ---------------------------------------------------------------------------
@@ -172,14 +146,15 @@ def gauge_apply(g: GaugeElement, c: Configuration) -> Configuration:
 
 
 def gauge_apply_sources(g: GaugeElement, c: Configuration, s: Sources) -> Sources:
-    """Sources rotate with the configuration: psi as an E- spinor, eta fixed."""
+    """Sources rotate with the configuration: psi as an E- spinor, eta fixed.  With `gauge_apply_spinor_row`,
+    the reference side of the residual's gauge equivariance: residual(g c, g s) = g residual(c, s)."""
     if c.group is GaugeGroup.TRIVIAL:
         return s.copy()
     return Sources(quat.mul_exp_i(s.psi, -g.theta), SelfDualForm(s.eta.geom, s.eta.values.copy()))
 
 
 def gauge_apply_spinor_row(g: GaugeElement, row):
-    """Rotate an E--valued site field (e.g. a Dirac-row residual)."""
+    """Rotate an E--valued site field (e.g. a Dirac-row residual), as `gauge_apply_sources` rotates psi."""
     return quat.mul_exp_i(row, -g.theta)
 
 

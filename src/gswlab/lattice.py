@@ -482,7 +482,7 @@ def selfdual(f: TwoForm) -> SelfDualForm:
 
 
 def d_cube(f: TwoForm):
-    """Exterior derivative of a plaquette field on cubes (Bianchi check)."""
+    """Exterior derivative of a plaquette field on cubes: d_cube(F(a)) = 0 is the discrete Bianchi identity."""
     geom = f.geom
     comp = {pair: f.values[..., p] for p, pair in enumerate(PLAQ_PAIRS)}
 

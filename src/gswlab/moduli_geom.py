@@ -141,8 +141,8 @@ class LatticeSystem(QuotientSystem):
 
     def equation_second(self, cvec, t1, t2):
         cfg = self.config_at(cvec)
-        tc1 = dfm.unpack_tangent(self.tan_space, t1)
-        tc2 = dfm.unpack_tangent(self.tan_space, t2)
+        tc1 = dfm.TangentConfig(*self.tan_space.unpack(t1))
+        tc2 = dfm.TangentConfig(*self.tan_space.unpack(t2))
         return dfm.second_derivative_rows(cfg, tc1, tc2, self.eq_space)
 
 
@@ -334,7 +334,7 @@ def fd_oracle_curvature(metric_fn, dim, eps=1e-3):
     richardson = (4 * k2 - k1) / 3.0
     spread = abs(k1 - k2)
     scale = max(abs(richardson), 1.0)
-    if spread > 0.2 * scale:
+    if not spread <= 0.2 * scale:  # NaN fails too
         raise ArithmeticError(
             "finite-difference curvature did not converge under step halving "
             "(%.3e vs %.3e); adjust eps" % (k1, k2)
@@ -345,6 +345,8 @@ def fd_oracle_curvature(metric_fn, dim, eps=1e-3):
 #: chunk budget of a stacked metric evaluation, in dense n x max(gauge, equation) maps
 #: of the system: no temporary of a chunk is larger than this many of them
 CHUNK_MAPS = 16
+#: full equation-row norm every solution-chart point must reach
+CHART_NEWTON_TOL = 1e-12
 
 
 def _in_chunks(chunk_metric, xi, system, n_cols):
@@ -398,7 +400,7 @@ def slice_chart_metric(system: QuotientSystem, cvec, v, w):
     slice ker D* ValueError; a reducible chart point raises it from metric_fn.
     """
     d = system.gauge_map(cvec)
-    d.range_basis()  # rank loss ends the run before any oracle call
+    d.range_projector()  # rank loss ends the run before any oracle call
     wts = system.tan_space.weights
     basis = dfm._plane_led(d.adjoint().kernel_basis(), wts, v, w, "gauge slice")
 
@@ -414,7 +416,7 @@ def slice_chart_metric(system: QuotientSystem, cvec, v, w):
     return metric_fn, basis.shape[1]
 
 
-def solution_chart_metric(system, cvec, v, w, newton_tol=1e-12, max_iter=80):
+def solution_chart_metric(system, cvec, v, w, max_iter=80):
     """(metric_fn, dim) for the solution set in its kernel chart.
 
     Chart coordinates xi run over ker(elliptic operator) with v, w as
@@ -425,7 +427,7 @@ def solution_chart_metric(system, cvec, v, w, newton_tol=1e-12, max_iter=80):
     plane=True only the leading two columns.  A reducible cvec raises
     LinAlgError here, a plane outside ker(elliptic operator) ValueError;
     metric_fn raises RuntimeError unless the chart Newton converges with
-    the full equation rows within newton_tol.
+    the full equation rows within CHART_NEWTON_TOL.
 
     metric_fn takes one point (dim,) or a stack of points (k, dim) and
     returns (dim, dim) or (k, dim, dim) (2 x 2 with plane=True).  A stack
@@ -437,7 +439,7 @@ def solution_chart_metric(system, cvec, v, w, newton_tol=1e-12, max_iter=80):
     Any point that fails fails the call.
     """
     d = system.gauge_map(cvec)
-    d.range_basis()  # rank loss ends the run before any oracle call
+    d.range_projector()  # rank loss ends the run before any oracle call
     frame = dfm.ChartFrame(system.equation_map(cvec), d, lead=(v, w))
     basis, w_basis = frame.kernel, frame.w_basis
     wts = system.tan_space.weights
@@ -448,8 +450,8 @@ def solution_chart_metric(system, cvec, v, w, newton_tol=1e-12, max_iter=80):
         cols = applied[plane][:, n_w:]
 
         def chunk_metric(x):
-            cv, r, info = frame.solve(system.equation_rows, cvec + x @ basis.T, newton_tol, max_iter)
-            if not info["converged"].all() or np.any(frame.eq.row_space.norm(r) > newton_tol):
+            cv, r, info = frame.solve(system.equation_rows, cvec + x @ basis.T, CHART_NEWTON_TOL, max_iter)
+            if not info["converged"].all() or np.any(frame.eq.row_space.norm(r) > CHART_NEWTON_TOL):
                 raise RuntimeError("solution chart Newton did not converge")
             e_here = system.equation_map(cv).apply(applied[plane])
             dy = _lstsq(e_here[..., :n_w], -e_here[..., n_w:])
@@ -470,7 +472,8 @@ def omega_form(c: Configuration, v, w):
 
     <Omega_u(w, v), xi> = g(nabla_w K_xi|_u, v); for U(1) on the flat
     chart the value at a site is <w i, v>.  Antisymmetric, independent
-    of u, zero for the trivial group.
+    of u, zero for the trivial group.  It is `a_term` in closed form:
+    a_term(x, y) = -omega_form(c, y_v, x_v) at every site.
     """
     if c.group is GaugeGroup.TRIVIAL:
         return np.zeros(c.geom.dims)
@@ -484,7 +487,7 @@ def omega_form(c: Configuration, v, w):
 def sample_solution_plane(system: QuotientSystem, cvec, seed, n_planes=1):
     """Orthonormal plane pairs tangent to the solution set at cvec: tangent-space Gaussians
     projected onto the chart's kernel, so a change of kernel basis moves them only by rounding."""
-    kernel = dfm.chart_kernel(*dfm.on_slice(system.equation_map(cvec), system.gauge_map(cvec).adjoint()))
+    kernel = dfm.ChartFrame(system.equation_map(cvec), system.gauge_map(cvec)).kernel
     if kernel.shape[1] < 2:
         raise ValueError("solution-set tangent space has dimension < 2")
     rng = np.random.default_rng(seed)

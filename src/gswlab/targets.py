@@ -84,16 +84,6 @@ def _require_same_base(v, w):
         raise ValueError("tangent vectors live at different base points")
 
 
-def scalar_action(zeta, v: TangentM) -> TangentM:
-    """I_zeta v = zeta * v (left multiplication), linear in zeta and v."""
-    return TangentM(quat.mul(zeta, v.vec), v.base)
-
-
-def hk_metric(v: TangentM, w: TangentM) -> float:
-    _require_same_base(v, w)
-    return float(quat.inner(v.vec, w.vec))
-
-
 def omega(zeta, v: TangentM, w: TangentM) -> float:
     """HyperKaehler two-form omega_zeta(v, w) = g(v, I_zeta w)."""
     _require_same_base(v, w)
@@ -201,7 +191,8 @@ def _segment_min_norm(p, v):
 
 
 def exp_map(p: TargetPoint, v: TangentM) -> TargetPoint:
-    """Flat exponential exp_p(v) = p + v, canonicalized on the cone."""
+    """Flat exponential exp_p(v) = p + v, canonicalized on the cone; a segment through the tip raises.
+    With `log_map`, the reference side of log_p(exp_p(v)) = v, on the cone by its sign identification."""
     if p.kind is TargetKind.CONE_H_MOD_Z2:
         if _segment_min_norm(p.rep, v.vec) <= CONE_GUARD_RADIUS:
             raise ConeSingularityError("segment passes through the cone tip")

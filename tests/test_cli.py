@@ -489,6 +489,38 @@ def test_curvature_cli_fixture(tmp_path):
     assert float(vals[7]) <= 1e-6
 
 
+@pytest.mark.parametrize("eps", [0, -1e-3, float("nan"), float("inf"), "1e-3"])
+def test_curvature_rejects_a_bad_oracle_eps_before_output(tmp_path, eps):
+    """oracle_eps 0 once wrote oracle_K = nan and exited 0, even with --strict: now exit 2, no outputs."""
+    out = tmp_path / "c_eps"
+    payload = {"experiment": "curvature", "output_dir": str(out),
+               "params": {"mode": "fixture", "n_samples": 1, "oracle_eps": eps}}
+    assert cli.run("curvature", write_cfg(tmp_path, "curv_eps.json", payload), strict=True) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["bogus", "custom"])
+def test_sequence_rejects_an_unknown_kind_before_output(tmp_path, kind):
+    """`custom` needs fields a config cannot give: only fueter_dilation and vanishing run."""
+    out = tmp_path / "q_kind"
+    payload = {"experiment": "sequence", "output_dir": str(out),
+               "geometry": {"dims": [8, 8, 8, 8], "h": 0.125}, "params": {"n_terms": 4, "kind": kind}}
+    assert cli.run("sequence", write_cfg(tmp_path, "seq_kind.json", payload)) == 2
+    assert not out.exists()
+
+
+def test_frequency_rejects_an_unknown_field_before_output(tmp_path):
+    out = tmp_path / "f_field"
+    payload = {
+        "experiment": "frequency",
+        "output_dir": str(out),
+        "geometry": {"dims": [17, 17, 17, 17], "h": 0.0625, "topology": "box"},
+        "params": {"field": "z4", "r_cells": [4, 6, 8]},
+    }
+    assert cli.run("frequency", write_cfg(tmp_path, "freq_field.json", payload)) == 2
+    assert not out.exists()
+
+
 def test_curvature_cli_reducible_configuration_exits_before_the_oracle(tmp_path):
     # u = 0 on a U(1) box: the gauge map loses the constants, so the horizontal
     # projector has no full column rank; the chart metric refuses at its centre
@@ -510,6 +542,6 @@ def test_curvature_cli_reducible_configuration_exits_before_the_oracle(tmp_path)
     assert manifest["exit_code"] == 3
     assert manifest["error"].startswith("LinAlgError: rank loss")
     frames = [line for line in manifest["traceback"].splitlines() if line.startswith('  File "')]
-    assert frames[-1].endswith("in range_basis")
+    assert frames[-1].endswith("in range_projector")
     assert any(f.endswith("in solution_chart_metric") for f in frames)
     assert not any(f.endswith("in fd_oracle_curvature") for f in frames)

@@ -9,7 +9,7 @@ import gswlab.quaternion as quat
 from gswlab import frequency as fq, lattice as lat
 from gswlab.gsw import Configuration
 from gswlab.lattice import ConnectionField, LatticeGeom, SpinorField, Stencil, Topology
-from gswlab.targets import GaugeGroup, TargetKind
+from gswlab.targets import GaugeGroup
 from tests_helpers import full_distances, full_window_sum
 
 
@@ -97,20 +97,6 @@ def test_constant_field_zero_residual():
 
 # ---------------------------------------------------------------------------
 # identities
-
-
-def test_key_identity_flat_and_cone():
-    geom = box(7)
-    rng = np.random.default_rng(0)
-    vals = rng.normal(size=geom.dims + (4,)) + np.array([3.0, 0, 0, 0])
-    for kind in (TargetKind.FLAT_H, TargetKind.CONE_H_MOD_Z2):
-        u = SpinorField(geom, vals, kind)
-        c = Configuration(ConnectionField(geom), u)
-        assert fq.key_identity_check(c) <= 1e-12
-    zero = Configuration(
-        ConnectionField(geom), SpinorField(geom, np.zeros(geom.dims + (4,)))
-    )
-    assert fq.key_identity_check(zero) == 0.0
 
 
 def test_energy_identity_degenerate_closed():
@@ -201,6 +187,24 @@ def test_stress_divergence_order():
         sups.append(interior_sup(geom, np.sqrt(np.sum(res * res, -1)), 0.25))
     orders = [np.log2(sups[k] / sups[k + 1]) for k in range(2)]
     assert min(orders) >= 1.9
+
+
+def test_stress_div_takes_each_covariant_difference_once(monkeypatch):
+    """T and the curvature source of `stress_div_residual` read one set of the four d_i u."""
+    geom = box(5)
+    rng = np.random.default_rng(4)
+    links = rng.normal(size=geom.dims + (4,))
+    c = Configuration(ConnectionField(geom, GaugeGroup.U1, links), SpinorField(geom, rng.normal(size=geom.dims + (4,))))
+    want = fq.stress_div_residual(c)
+    axes, real = [], lat.cov_diff_component
+
+    def counted(u, a, axis, stencil):
+        axes.append(axis)
+        return real(u, a, axis, stencil)
+
+    monkeypatch.setattr(lat, "cov_diff_component", counted)
+    assert np.array_equal(fq.stress_div_residual(c), want)
+    assert axes == [0, 1, 2, 3]
 
 
 @pytest.mark.parametrize("axis", range(4))

@@ -66,6 +66,16 @@ def test_oracle_step_sweep_flags_junk():
         mg.fd_oracle_curvature(noisy, 2, eps=1e-6)
 
 
+def test_oracle_gate_flags_a_nan_estimate():
+    """eps = 0 makes every difference quotient NaN: the step-halving gate raises, it returns no NaN."""
+
+    def metric(xi, plane=False):
+        return _diag_metric(1.0, (1.5 + xi[..., 0]) ** 2)
+
+    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(ArithmeticError, match="step halving"):
+        mg.fd_oracle_curvature(metric, 2, eps=0.0)
+
+
 # ---------------------------------------------------------------------------
 # the flat C^2 / U(1) fixture
 
@@ -173,7 +183,7 @@ def test_horizontal_projector_identities():
     pt = proj(t)
     assert np.abs(proj(pt) - pt).max() <= 1e-9
     d = sys_.gauge_map(c0)
-    assert np.abs(d.adjoint_apply(pt)).max() <= 1e-9
+    assert np.abs(d.adjoint().apply(pt)).max() <= 1e-9
     # vertical input is annihilated
     xi = rng.normal(size=d.col_space.dim)
     assert np.abs(proj(d.apply(xi))).max() <= 1e-9
@@ -188,7 +198,7 @@ def test_horizontal_projector_idempotent_on_tangent_configs():
     proj = mg.horizontal_projector(sys_, sys_.center())
 
     def project(t):
-        return dfm.unpack_tangent(sys_.tan_space, proj(dfm.pack_tangent(sys_.tan_space, t)))
+        return TangentConfig(*sys_.tan_space.unpack(proj(sys_.tan_space.pack(t.b, t.v))))
 
     ht = project(dfm.random_tangent(c, 4))
     again = project(ht)
@@ -209,12 +219,12 @@ def _gauge_case(case):
 
 
 @pytest.mark.parametrize("case", ["hopf", "box_2", "box_3", "u1_torus"])
-def test_range_basis_projector_matches_pinv(case):
-    """The eigh projector keeps every column exactly where `rank` does, and is t - D D^+ t."""
+def test_range_projector_matches_pinv(case):
+    """The normal-system projector accepts D where `rank` keeps every column, and is t - D D^+ t."""
     sys_, c0 = _gauge_case(case)
     d = sys_.gauge_map(c0)
     rank, _ = d.rank()
-    assert rank == d.col_space.dim == d.range_basis().shape[1]
+    assert rank == d.col_space.dim
     proj = mg.horizontal_projector(sys_, c0)
     t = np.random.default_rng(57).normal(size=(sys_.tan_space.dim, 3))
     for x in (t, t[:, 0]):
@@ -222,7 +232,7 @@ def test_range_basis_projector_matches_pinv(case):
         assert np.abs(proj(x) - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def test_range_basis_raises_on_zero_spinor():
+def test_range_projector_raises_on_zero_spinor():
     """u = 0: D = (d xi, 0) loses the constants; the projector refuses instead of guessing."""
     geom = torus()
     c = Configuration(ConnectionField(geom, GaugeGroup.U1), SpinorField(geom, np.zeros(geom.dims + (4,))))
@@ -231,6 +241,27 @@ def test_range_basis_raises_on_zero_spinor():
     assert d.rank()[0] < d.col_space.dim
     with pytest.raises(np.linalg.LinAlgError, match="rank loss"):
         mg.horizontal_projector(sys_, sys_.center())
+
+
+def test_slice_chart_refuses_a_reducible_centre():
+    """u = 0 on a U(1) torus: `slice_chart_metric` raises rank loss at its centre, before it returns metric_fn."""
+    geom = torus()
+    c = Configuration(ConnectionField(geom, GaugeGroup.U1), SpinorField(geom, np.zeros(geom.dims + (4,))))
+    sys_ = mg.LatticeSystem(c, Sources.zero(geom))
+    v, w = np.eye(sys_.tan_space.dim)[sys_.tan_space.n_links + np.arange(2)]  # spinor dofs: in ker D* at u = 0
+    with pytest.raises(np.linalg.LinAlgError, match="rank loss"):
+        mg.slice_chart_metric(sys_, sys_.center(), v, w)
+
+
+def test_a_term_is_omega_form_in_closed_form():
+    """a_term(x, y) = -omega_form(c, y_v, x_v) at every site of a U(1) torus."""
+    geom = torus(3, 0.4)
+    c = gsw.random_config(geom, GaugeGroup.U1, seed=58)
+    sys_ = mg.LatticeSystem(c, Sources.zero(geom))
+    x, y = np.random.default_rng(59).normal(size=(2, sys_.tan_space.dim))
+    (_, x_v), (_, y_v) = sys_.tan_space.unpack(x), sys_.tan_space.unpack(y)
+    closed = mg.omega_form(c, y_v, x_v).reshape(-1)
+    assert np.abs(mg.a_term(sys_, sys_.center(), x, y) + closed).max() <= 1e-12 * np.abs(closed).max()
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +551,7 @@ def test_l2_inner_gauge_invariance():
     space = dfm.layout(geom, c.group).tangent
 
     def l2_inner(t1, t2):
-        return space.inner(dfm.pack_tangent(space, t1), dfm.pack_tangent(space, t2))
+        return space.inner(space.pack(t1.b, t1.v), space.pack(t2.b, t2.v))
 
     t1 = dfm.random_tangent(c, 25)
     t2 = dfm.random_tangent(c, 26)
@@ -543,7 +574,7 @@ def test_green_solver_invariants():
     rng = np.random.default_rng(29)
     xi = rng.normal(size=d.col_space.dim)
     # normal operator applied after the Green solve restores range components
-    normal = lambda y: d.adjoint_apply(d.apply(y))
+    normal = lambda y: d.adjoint().apply(d.apply(y))
     y = normal(xi)  # lies in range(D* D)
     assert np.abs(normal(green.solve(y)) - y).max() <= 1e-9 * max(np.abs(y).max(), 1.0)
 
@@ -574,11 +605,11 @@ def test_pseudo_inverse_pipeline_matches_green_formulas(case):
     def close(got, want):
         assert np.abs(got - want).max() <= 1e-10 * max(np.abs(want).max(), 1.0)
 
-    close(mg.horizontal_projector(sys_, c0)(t), t - d.apply(g0 @ d.adjoint_apply(t)))
+    close(mg.horizontal_projector(sys_, c0)(t), t - d.apply(g0 @ d.adjoint().apply(t)))
     omega = mg.a_term(sys_, c0, w, v) - mg.a_term(sys_, c0, v, w)
     close(mg.vertical_bracket_vec(sys_, c0, v, w), d.apply(g0 @ omega))
     b = sys_.equation_second(c0, v, w)
-    close(mg.second_fundamental_vec(sys_, c0, v, w), -eq.adjoint_apply(g @ b))
+    close(mg.second_fundamental_vec(sys_, c0, v, w), -eq.adjoint().apply(g @ b))
     # the thin GreenSolver composes L^+ and (L*)^+ into the same Green operators
     close(mg.GreenSolver(d, side="cols").solve(omega), g0 @ omega)
     close(mg.GreenSolver(eq, side="rows").solve(b), g @ b)

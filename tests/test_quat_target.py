@@ -51,29 +51,6 @@ def test_permuting_identity(q, v):
     assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(v).max())
 
 
-def test_scalar_action_examples():
-    p = TargetPoint(np.array([1.0, 0, 0, 0]))
-    v = TangentM(np.array([0.0, 0, 1, 0]), p)  # j
-    assert np.allclose(tg.scalar_action(quat.ONE, v).vec, v.vec)
-    assert np.allclose(tg.scalar_action(quat.QI, v).vec, quat.QK)
-    twice = tg.scalar_action(quat.QI, tg.scalar_action(quat.QI, v))
-    assert np.allclose(twice.vec, -v.vec)
-
-
-def test_hk_metric_examples():
-    p = TargetPoint(np.array([1.0, 0, 0, 0]))
-    vi = TangentM(quat.QI, p)
-    vj = TangentM(quat.QJ, p)
-    assert tg.hk_metric(vi, vi) == pytest.approx(1.0)
-    assert tg.hk_metric(vi, vj) == 0.0
-    a = TangentM(quat.ONE + quat.QI, p)
-    b = TangentM(quat.ONE - quat.QI, p)
-    assert tg.hk_metric(a, b) == pytest.approx(0.0)
-    other = TargetPoint(np.array([2.0, 0, 0, 0]))
-    with pytest.raises(ValueError):
-        tg.hk_metric(vi, TangentM(quat.QI, other))
-
-
 def test_omega_examples():
     p = TargetPoint(np.array([1.0, 0, 0, 0]))
     one = TangentM(quat.ONE, p)
@@ -81,6 +58,9 @@ def test_omega_examples():
     assert tg.omega(quat.QI, one, vi) == pytest.approx(-1.0)
     assert tg.omega(quat.QI, vi, vi) == pytest.approx(0.0)
     assert tg.omega(np.zeros(4), one, vi) == 0.0
+    other = TargetPoint(np.array([2.0, 0, 0, 0]))
+    with pytest.raises(ValueError):
+        tg.omega(quat.QI, vi, TangentM(quat.QI, other))
 
 
 def test_fundamental_vectors():

@@ -42,7 +42,8 @@ def test_iteration_counters_read_the_solver_results():
     c = gsw.random_config(geom, GaugeGroup.U1, seed=3, amplitude=0.3)
     s = gsw.manufacture(c)
     tangent = dfm.layout(geom, c.group).tangent
-    start = dfm.moved(c, dfm.pack_tangent(tangent, dfm.random_tangent(c, 4, 1e-3)))
+    t = dfm.random_tangent(c, 4, 1e-3)
+    start = dfm.moved(c, tangent.pack(t.b, t.v))
     solved = gsw.solve_newton(start, s, tol=1e-11)
     steps = solved[1][-1]["iter"]
     assert steps >= 1 and spans._newton_iters((start, s), {}, solved) == (steps, 0)
