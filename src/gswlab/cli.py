@@ -3,33 +3,37 @@
 Usage: gswlab <experiment> --config cfg.json [--strict] [--threads N]
 
 Experiments: target-check, solve, deform, kuranishi, curvature,
-frequency, sequence.  Configs are JSON with a fixed schema (unknown
-keys rejected); every run emits a manifest.json carrying the config
-hash, package version and wall time.  The dense experiments (solve,
-deform, kuranishi, lattice curvature) use the forward stencil, whose
-matrix transposes are the exact discrete adjoints, so `solve` takes no
-`stencil`; `frequency` takes `stencil` "centered" (default) or
-"forward".  Exit codes: 0 success, 2 config validation failure,
-including a dense problem over the size limit (no outputs), 3 numerical
-failure (and, with --strict, any rank-margin warning or failed internal
-check).
+frequency, sequence.  SCHEMA gives every config key its default (or
+marks it required) and its accepted values: numbers are finite JSON
+numbers in range (integers where they count, never bools), flags JSON
+booleans, names one of their listed strings, and null is accepted only
+where the default is null.  Any other value, an unknown key, a missing
+required key, a frequency grid that leaves the lattice, an unreadable
+snapshot or a dense problem over the size limit exits 2 with no outputs.
+The dense experiments (solve, deform, kuranishi, lattice curvature) use
+the forward stencil, whose matrix transposes are the exact discrete
+adjoints, and take no `stencil`.  Every run writes a manifest.json with
+the config hash, package version and wall time.  Exit codes: 0 success,
+2 config error, 3 numerical failure (and, with --strict, any rank-margin
+warning or failed internal check).
 
 The same config, seed and BLAS thread count produce byte-identical
 CSV/JSON outputs (different OpenBLAS thread counts can change the last
-bit of a dense solve); all floats are written with repr (shortest
-round-trip form).
+bit of a dense solve); floats are written with repr (shortest round trip).
 """
 
 import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import time
 import traceback
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -44,29 +48,9 @@ from . import targets as tg
 from .lattice import LatticeGeom, Stencil, Topology
 from .targets import GaugeGroup, TargetKind
 
-EXPERIMENTS = (
-    "target-check",
-    "solve",
-    "deform",
-    "kuranishi",
-    "curvature",
-    "frequency",
-    "sequence",
-)
-
 
 class ConfigError(ValueError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# config validation
-
-
-def _check_keys(d, allowed, where):
-    unknown = set(d) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
 
 
 def _require(cond, msg):
@@ -74,110 +58,198 @@ def _require(cond, msg):
         raise ConfigError(msg)
 
 
+# ---------------------------------------------------------------------------
+# config schema: each key maps to (default, check), a check being a Check or,
+# for an object, the schema of its keys
+
+
+class Check(NamedTuple):
+    accepts: str  # the accepted values, as the README tables state them
+    test: Callable
+
+
+def _number(lo=None, strict=False, integer=False):
+    """A finite JSON number (never a bool), an integer if asked, >= lo (> lo if strict)."""
+    kinds = int if integer else (int, float)
+
+    def test(v):
+        if isinstance(v, bool) or not isinstance(v, kinds) or not -math.inf < v < math.inf:
+            return False
+        return lo is None or (v > lo if strict else v >= lo)
+
+    bound = "" if lo is None else f" {'>' if strict else '>='} {lo}"
+    return Check(("an integer" if integer else "a number" if bound else "a finite number") + bound, test)
+
+
+def _one_of(*values):
+    names = [json.dumps(v) for v in values]
+    accepts = names[0] if len(names) == 1 else ", ".join(names[:-1]) + " or " + names[-1]
+    return Check(accepts, lambda v: any(type(v) is type(a) and v == a for a in values))
+
+
+def _list(entry, accepts, length=None):
+    """A non-empty JSON list, of `length` entries if given, each passing entry."""
+    return Check(accepts, lambda v: isinstance(v, list) and 0 < len(v) == (length or len(v))
+                 and all(map(entry.test, v)))
+
+
+def _nullable(check):
+    return Check("null or " + check.accepts, lambda v: v is None or check.test(v))
+
+
+REQUIRED = object()  # no default: the key must be given
+OPTIONAL = object()  # no default: an absent key stays absent
+FLAG = Check("true or false", lambda v: isinstance(v, bool))
+TEXT = Check("a string", lambda v: isinstance(v, str))
+FINITE = _number()
+POSITIVE = _number(0, strict=True)
+NONNEGATIVE = _number(0)
+COUNT = _number(0, integer=True)
+POSITIVE_COUNT = _number(1, integer=True)
+POINT = _list(FINITE, "four finite numbers", 4)
+
+GEOMETRY = {
+    "dims": (REQUIRED, _list(_number(2, integer=True), "four integers >= 2", 4)),
+    "h": (REQUIRED, POSITIVE),
+    "topology": ("torus", _one_of("torus", "box")),
+}
+INIT = {
+    "kind": ("random", _one_of("random", "constant", "zero", "fueter_z1", "pure_gauge_constant",
+                               "snapshot")),
+    "amplitude": (0.3, FINITE),
+    "offset": (1.0, FINITE),
+    "path": (None, _nullable(TEXT)),
+    "gauge_seed": (None, _nullable(_number(integer=True))),  # null: seed + 1
+}
+PARAMS = {
+    "target-check": {
+        "samples": (100, POSITIVE_COUNT),
+        "fd_step": (1e-4, POSITIVE),
+        "fd_tol": (1e-6, NONNEGATIVE),
+        "alg_tol": (1e-12, NONNEGATIVE),
+    },
+    "solve": {
+        "init": ({}, INIT),
+        "perturb_amplitude": (1e-3, FINITE),
+        "tol": (1e-10, POSITIVE),
+        "max_iter": (20, COUNT),
+    },
+    "deform": {
+        "init": ({}, INIT),
+        "complex_check": (True, FLAG),
+        "export_matrix": (False, FLAG),
+    },
+    "kuranishi": {
+        "init": ({}, INIT),
+        "radius": (1e-2, NONNEGATIVE),
+        "tol": (1e-11, POSITIVE),
+        "n_samples": (20, COUNT),
+    },
+    "curvature": {
+        "mode": ("lattice", _one_of("lattice", "fixture")),
+        "init": ({}, INIT),
+        "n_samples": (1, COUNT),
+        "oracle": (True, FLAG),
+        "oracle_eps": (3e-3, POSITIVE),
+    },
+    "frequency": {
+        "field": ("z1", _one_of("z1", "z2", "z3", "sym_product")),
+        "multiset": ([1, 2], _list(_one_of(1, 2, 3), "a non-empty list of 1s, 2s and 3s")),
+        "centers": (None, _nullable(_list(POINT, "a non-empty list of four-number points"))),
+        "r_cells": (list(range(8, 25, 2)), _list(FINITE, "a non-empty list of finite numbers")),
+        "monotonicity_c0": (0.0, FINITE),
+        "stencil": ("centered", _one_of("centered", "forward")),
+        "probe_eps0": (1e-2, FINITE),
+        "probe": (False, FLAG),
+    },
+    "sequence": {
+        "kind": ("fueter_dilation", _one_of("fueter_dilation", "vanishing")),
+        "n_terms": (6, POSITIVE_COUNT),
+        "lambda0": (None, _nullable(POSITIVE)),  # null: 0.75 / h
+        "growth": (2.0, POSITIVE),
+        "base_offset": ([1.0, 0.0, 0.0, 0.0], POINT),
+        "dip_residue": (0.25, FINITE),
+        "c1": (4.0, POSITIVE),
+        "c0_bound": (10.0, FINITE),
+        "tail_window": (3, POSITIVE_COUNT),
+    },
+}
+SCHEMA = {
+    name: {
+        "experiment": (REQUIRED, _one_of(name)),
+        "seed": (0, _number(integer=True)),
+        "output_dir": (".", TEXT),
+        "geometry": (OPTIONAL, GEOMETRY),  # required where the run has a lattice
+        "target": ("flat_h", _one_of("flat_h", "cone_h_mod_z2")),
+        "group": ("trivial", _one_of("trivial", "u1")),
+        "params": ({}, params),
+    }
+    for name, params in PARAMS.items()
+}
+EXPERIMENTS = tuple(SCHEMA)
+
+
+def _fill(value, schema, prefix=""):
+    """A copy of the object `value` with every absent key's default, each object filled by
+    its own schema; ConfigError on an unknown key, a missing required key or a refused value."""
+    where = prefix.rstrip(".") or "the config"
+    _require(isinstance(value, dict), f"{where} must be a JSON object")
+    unknown = set(value) - set(schema)
+    _require(not unknown, f"unknown keys {sorted(unknown)} in {where}")
+    full = {}
+    for key, (default, check) in schema.items():
+        item = value.get(key, default)
+        _require(item is not REQUIRED, f"{prefix}{key} is required")
+        if item is OPTIONAL:
+            continue
+        if isinstance(check, dict):
+            full[key] = _fill(item, check, f"{prefix}{key}.")
+        else:
+            _require(check.test(item), f"{prefix}{key} must be {check.accepts}, got {json.dumps(item)}")
+            full[key] = item
+    return full
+
+
 def validate_config(cfg, experiment):
-    _require(isinstance(cfg, dict), "config must be a JSON object")
-    _check_keys(
-        cfg,
-        {"experiment", "seed", "output_dir", "geometry", "target", "group", "params"},
-        "top level",
-    )
-    _require(cfg.get("experiment") == experiment, "config experiment mismatch")
-    _require(isinstance(cfg.get("seed", 0), int), "seed must be an integer")
-    params = cfg.get("params", {})
-    _require(isinstance(params, dict), "params must be an object")
-    geo = cfg.get("geometry", {})
-    fixture = experiment == "curvature" and params.get("mode", "lattice") == "fixture"
-    _require(geo or experiment == "target-check" or fixture, f"{experiment} needs a geometry")
-    if geo:
-        _check_keys(geo, {"dims", "h", "topology"}, "geometry")
-        dims = geo.get("dims")
-        _require(
-            isinstance(dims, list) and len(dims) == 4 and all(isinstance(n, int) and n >= 2 for n in dims),
-            "geometry.dims must be four integers >= 2",
-        )
-        _require(
-            isinstance(geo.get("h"), (int, float)) and geo["h"] > 0,
-            "geometry.h must be a positive number",
-        )
-        _require(geo.get("topology", "torus") in ("torus", "box"), "bad topology")
-    _require(cfg.get("target", "flat_h") in ("flat_h", "cone_h_mod_z2"), "bad target")
-    _require(cfg.get("group", "trivial") in ("trivial", "u1"), "bad group")
-    allowed = {
-        "target-check": {"samples", "fd_step", "fd_tol", "alg_tol"},
-        "solve": {"init", "perturb_amplitude", "tol", "max_iter"},
-        "deform": {"init", "complex_check", "export_matrix"},
-        "kuranishi": {"init", "radius", "tol", "n_samples"},
-        "curvature": {"mode", "init", "n_samples", "oracle", "oracle_eps"},
-        "frequency": {
-            "field",
-            "multiset",
-            "centers",
-            "r_cells",
-            "monotonicity_c0",
-            "stencil",
-            "probe_eps0",
-            "probe",
-        },
-        "sequence": {
-            "kind",
-            "n_terms",
-            "lambda0",
-            "growth",
-            "base_offset",
-            "dip_residue",
-            "c1",
-            "c0_bound",
-            "tail_window",
-        },
-    }[experiment]
-    _check_keys(params, allowed, "params")
-    if experiment == "curvature":
-        _require(params.get("mode", "lattice") in ("lattice", "fixture"), "bad params.mode")
-        eps = params.get("oracle_eps", 3e-3)
-        _require(isinstance(eps, (int, float)) and np.isfinite(eps) and eps > 0, "bad params.oracle_eps")
-    if experiment == "sequence":
-        _require(params.get("kind", "fueter_dilation") in ("fueter_dilation", "vanishing"), "bad params.kind")
+    """Check cfg as a config of `experiment` (ConfigError if refused); returns cfg unchanged."""
+    _filled(cfg, experiment)
+    return cfg
+
+
+def _filled(cfg, experiment):
+    """cfg with every default filled in, after one pass over the schema and the checks that
+    need the lattice: the frequency grid, a snapshot's lattice and the dense limit."""
+    full = _fill(cfg, SCHEMA[experiment])
+    params = full["params"]
+    lattice_free = experiment == "target-check" or (experiment == "curvature" and params["mode"] == "fixture")
+    _require("geometry" in full or lattice_free, f"{experiment} needs a geometry")
+    dense = not lattice_free and experiment not in ("frequency", "sequence")
     if experiment == "frequency":
-        _require(params.get("field", "z1") in ("z1", "z2", "z3", "sym_product"), "bad params.field")
-        _require(params.get("stencil", "centered") in ("forward", "centered"), "bad params.stencil")
         try:  # the balls are known before any work
-            _frequency_grid(params, build_geometry(cfg))
-        except (TypeError, ValueError, IndexError) as err:
+            _frequency_grid(params, build_geometry(full))
+        except ValueError as err:
             raise ConfigError(f"bad frequency grid: {err}") from err
-    init = params.get("init")
-    if init is not None:
-        _check_keys(
-            init,
-            {"kind", "amplitude", "offset", "path", "gauge_seed"},
-            "params.init",
-        )
-        _require(
-            init.get("kind")
-            in ("random", "constant", "zero", "fueter_z1", "pure_gauge_constant", "snapshot"),
-            "bad init.kind",
-        )
-    lattice = geo and (build_geometry(cfg), GaugeGroup(cfg.get("group", "trivial")))
-    if init is not None and init.get("kind") == "snapshot":
-        try:  # the run's lattice is the snapshot's, whatever geometry says
-            u, a = lat.snapshot_load(init.get("path"))
+    snapshot = "init" in params and params["init"]["kind"] == "snapshot"
+    if snapshot:
+        path = params["init"]["path"]
+        try:
+            u, a = lat.snapshot_load(path)
         except (OSError, ValueError, KeyError, TypeError) as err:
-            raise ConfigError(f"unreadable snapshot {init.get('path')!r}: {err}") from err
-        lattice = (u.geom, a.group)
-    dense = experiment in ("solve", "deform", "kuranishi") or (experiment == "curvature" and not fixture)
-    if lattice and dense:
-        geom, group = lattice
-        lay = dfm.layout(geom, group)
+            raise ConfigError(f"unreadable snapshot {path!r}: {err}") from err
+    if dense:  # the run's lattice is the snapshot's, whatever geometry says
+        lattice = (u.geom, a.group) if snapshot else (build_geometry(full), GaugeGroup(full["group"]))
+        lay = dfm.layout(*lattice)
         dim = max(lay.equations.dim + lay.gauge.dim, lay.tangent.dim)
         _require(dim <= dfm.MAX_DENSE_DIM, f"elliptic operator dimension {dim} is over "
                  f"the dense limit {dfm.MAX_DENSE_DIM}; use a smaller lattice")
-    return cfg
+    return full
 
 
 def _frequency_grid(params, geom):
     """(radii, centers) of a frequency run: radii > 0 spaced >= 2h, balls in delta0 and the
     box, and with the probe a 4h ball at every centre."""
-    radii = np.array(params.get("r_cells", range(8, 25, 2)), dtype=float) * geom.h
-    centers = params.get("centers")
+    radii = np.array(params["r_cells"], dtype=float) * geom.h
+    centers = params["centers"]
     centers = [[0.5 * w for w in geom.widths()]] if centers is None else centers
     gaps = np.diff(np.sort(radii))
     _require(np.all(radii > 0) and np.all(gaps >= 2 * geom.h - 1e-12), "radii > 0, spaced >= 2h")
@@ -185,58 +257,42 @@ def _frequency_grid(params, geom):
     _require(r <= geom.delta0() + 1e-12, f"radius {r:g} passes delta0 {geom.delta0():g}")
     for x in centers:
         _require(r <= lat.max_ball_radius(geom, x) + 1e-12, f"ball B({x}, {r:g}) leaves the box")
-    if params.get("probe", False):
+    if params["probe"]:
         fq.check_probe_centres(geom, centers)
     return radii, centers
 
 
 def build_geometry(cfg):
     geo = cfg["geometry"]
-    return LatticeGeom(tuple(geo["dims"]), float(geo["h"]), Topology(geo.get("topology", "torus")))
+    return LatticeGeom(tuple(geo["dims"]), float(geo["h"]), Topology(geo["topology"]))
 
 
 def build_configuration(cfg):
     geom = build_geometry(cfg)
-    group = GaugeGroup(cfg.get("group", "trivial"))
-    kind = TargetKind(cfg.get("target", "flat_h"))
-    init = cfg.get("params", {}).get("init", {"kind": "random"})
-    seed = cfg.get("seed", 0)
-    k = init.get("kind", "random")
-    amp = float(init.get("amplitude", 0.3))
-    off = float(init.get("offset", 1.0))
+    group = GaugeGroup(cfg["group"])
+    kind = TargetKind(cfg["target"])
+    init = cfg["params"]["init"]
+    seed = cfg["seed"]
+    k = init["kind"]
+    amp = float(init["amplitude"])
+    off = float(init["offset"])
     if k == "random":
         return gsw.random_config(geom, group, kind, seed, amp, off)
-    if k == "constant":
-        vals = np.zeros(geom.dims + (4,))
-        vals[..., 0] = off
-        return gsw.Configuration(
-            lat.ConnectionField(geom, group), lat.SpinorField(geom, vals, kind)
-        )
-    if k == "zero":
-        return gsw.Configuration(
-            lat.ConnectionField(geom, group),
-            lat.SpinorField(geom, np.zeros(geom.dims + (4,)), kind),
-        )
-    if k == "fueter_z1":
-        u = fq.fueter_library(geom, "z1")
-        vals = u.values.copy()
-        vals[..., 0] += off
-        vals[..., 1] += 0.1 * off
-        return gsw.Configuration(
-            lat.ConnectionField(geom, group), lat.SpinorField(geom, vals, kind)
-        )
-    if k == "pure_gauge_constant":
-        vals = np.zeros(geom.dims + (4,))
-        vals[..., 0] = off
-        c = gsw.Configuration(
-            lat.ConnectionField(geom, group), lat.SpinorField(geom, vals, kind)
-        )
-        g = gsw.random_gauge(geom, init.get("gauge_seed", seed + 1))
-        return gsw.gauge_apply(g, c) if group is GaugeGroup.U1 else c
     if k == "snapshot":
         u, a = lat.snapshot_load(init["path"])
         return gsw.Configuration(a, u)
-    raise ConfigError(f"unhandled init kind {k}")
+    vals = np.zeros(geom.dims + (4,))
+    if k == "fueter_z1":
+        vals = fq.fueter_library(geom, "z1").values.copy()
+        vals[..., 0] += off
+        vals[..., 1] += 0.1 * off
+    elif k != "zero":  # constant, pure_gauge_constant
+        vals[..., 0] = off
+    c = gsw.Configuration(lat.ConnectionField(geom, group), lat.SpinorField(geom, vals, kind))
+    if k == "pure_gauge_constant" and group is GaugeGroup.U1:
+        g = gsw.random_gauge(geom, seed + 1 if init["gauge_seed"] is None else init["gauge_seed"])
+        return gsw.gauge_apply(g, c)
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +343,10 @@ def _failure(err):
 
 
 def run_target_check(cfg, out, opts):
-    params = cfg.get("params", {})
-    n = int(params.get("samples", 100))
-    fd_step = float(params.get("fd_step", 1e-4))
-    rng = np.random.default_rng(cfg.get("seed", 0))
+    params = cfg["params"]
+    n = params["samples"]
+    fd_step = float(params["fd_step"])
+    rng = np.random.default_rng(cfg["seed"])
     margins = {}
 
     def record(name, value):
@@ -304,10 +360,7 @@ def run_target_check(cfg, out, opts):
         zu /= np.linalg.norm(zu)
         zeta = quat.from_imag(zu)
         v = rng.normal(size=4)
-        record(
-            "complex_structure_square",
-            np.abs(quat.mul(zeta, quat.mul(zeta, v)) + v).max(),
-        )
+        record("complex_structure_square", np.abs(quat.mul(zeta, quat.mul(zeta, v)) + v).max())
         record(
             "ij_is_k",
             np.abs(quat.mul(quat.QI, quat.mul(quat.QJ, v)) - quat.mul(quat.QK, v)).max(),
@@ -321,14 +374,8 @@ def run_target_check(cfg, out, opts):
         diag, anti, tracefree = tg.chi_components(point)
         record("chi2_vanishes", np.abs(tracefree).max())
         record("chi0_is_euler", np.abs(tg.chi0(point).vec - point.rep).max())
-        record(
-            "rho0_potential",
-            abs(tg.rho0(point) - 0.5 * quat.norm2(tg.chi0(point).vec)),
-        )
-        record(
-            "grad_rho0_squared",
-            abs(quat.norm2(tg.grad_rho0(point).vec) - 2.0 * tg.rho0(point)),
-        )
+        record("rho0_potential", abs(tg.rho0(point) - 0.5 * quat.norm2(tg.chi0(point).vec)))
+        record("grad_rho0_squared", abs(quat.norm2(tg.grad_rho0(point).vec) - 2.0 * tg.rho0(point)))
         # moment map FD oracle
         xi = rng.normal()
         vv = rng.normal(size=4)
@@ -341,45 +388,37 @@ def run_target_check(cfg, out, opts):
         record("moment_map_fd", abs(fd - pairing))
         # isometry of both actions
         w = rng.normal(size=4)
-        record(
-            "sp1_isometry",
-            abs(quat.inner(quat.mul(qq, v), quat.mul(qq, w)) - quat.inner(v, w)),
-        )
+        record("sp1_isometry", abs(quat.inner(quat.mul(qq, v), quat.mul(qq, w)) - quat.inner(v, w)))
         theta = rng.normal()
         e = quat.exp_i(theta)
-        record(
-            "u1_isometry",
-            abs(quat.inner(quat.mul(v, e), quat.mul(w, e)) - quat.inner(v, w)),
-        )
+        record("u1_isometry", abs(quat.inner(quat.mul(v, e), quat.mul(w, e)) - quat.inner(v, w)))
         record(
             "actions_commute",
             np.abs(quat.mul(quat.mul(qq, pp), e) - quat.mul(qq, quat.mul(pp, e))).max(),
         )
     path = os.path.join(out, "target_check.json")
-    alg_tol = float(params.get("alg_tol", 1e-12))
-    fd_tol = float(params.get("fd_tol", 1e-6))
-    passed = all(
-        v <= (fd_tol if k == "moment_map_fd" else alg_tol) for k, v in margins.items()
-    )
+    alg_tol = float(params["alg_tol"])
+    fd_tol = float(params["fd_tol"])
+    passed = all(v <= (fd_tol if k == "moment_map_fd" else alg_tol) for k, v in margins.items())
     _write_json(path, {"margins": margins, "passed": passed, "samples": n})
     return (0 if passed or not opts.strict else 3), [path], {"passed": passed}
 
 
 def run_solve(cfg, out, opts):
-    params = cfg.get("params", {})
+    params = cfg["params"]
     c = build_configuration(cfg)
     s = gsw.manufacture(c)
-    pert = float(params.get("perturb_amplitude", 1e-3))
+    pert = float(params["perturb_amplitude"])
     if pert:
-        t = dfm.random_tangent(c, cfg.get("seed", 0) + 17, pert)
+        t = dfm.random_tangent(c, cfg["seed"] + 17, pert)
         if c.group is not GaugeGroup.TRIVIAL:
             c.a.links = c.a.links + t.b
         c.u.values = c.u.values + t.v
-    tol = float(params.get("tol", 1e-10))
+    tol = float(params["tol"])
     files = []
     extra = {}
     try:
-        sol, diag = gsw.solve_newton(c, s, tol, int(params.get("max_iter", 20)))
+        sol, diag = gsw.solve_newton(c, s, tol, params["max_iter"])
     except gsw.NewtonError as err:
         sol, diag = None, err.diagnostics
         extra["failure"] = _failure(err)
@@ -396,14 +435,14 @@ def run_solve(cfg, out, opts):
 
 
 def run_deform(cfg, out, opts):
-    params = cfg.get("params", {})
+    params = cfg["params"]
     c = build_configuration(cfg)
     s = gsw.manufacture(c)
     with warnings.catch_warnings(record=True) as wlist:
         warnings.simplefilter("always")
         rep = dfm.cohomology(c)
         payload = rep.as_dict()
-        if params.get("complex_check", True):
+        if params["complex_check"]:
             payload["complex_norm"] = dfm.complex_check(c, s)
             payload["residual_norm"] = gsw.residual_norm(c, s)
         warn_msgs = [str(w.message) for w in wlist]
@@ -411,7 +450,7 @@ def run_deform(cfg, out, opts):
     path = os.path.join(out, "cohomology.json")
     _write_json(path, payload)
     files.append(path)
-    if params.get("export_matrix", False):
+    if params["export_matrix"]:
         mpath = os.path.join(out, "elliptic_op.txt")
         dfm.export_triplets(mpath, dfm.elliptic_op(c))
         files.append(mpath)
@@ -420,16 +459,16 @@ def run_deform(cfg, out, opts):
 
 
 def run_kuranishi(cfg, out, opts):
-    params = cfg.get("params", {})
+    params = cfg["params"]
     c = build_configuration(cfg)
     s = gsw.manufacture(c)
     rep = dfm.kuranishi(
         c,
         s,
-        radius=float(params.get("radius", 1e-2)),
-        tol=float(params.get("tol", 1e-11)),
-        n_samples=int(params.get("n_samples", 20)),
-        seed=cfg.get("seed", 0),
+        radius=float(params["radius"]),
+        tol=float(params["tol"]),
+        n_samples=params["n_samples"],
+        seed=cfg["seed"],
     )
     path = os.path.join(out, "kuranishi.json")
     _write_json(path, rep.as_dict())
@@ -456,12 +495,12 @@ def _curvature_sample_rows(system, cvec, seed, n_samples, with_oracle, eps):
 
 
 def run_curvature(cfg, out, opts):
-    params = cfg.get("params", {})
-    mode = params.get("mode", "lattice")
-    n = int(params.get("n_samples", 1))
-    with_oracle = bool(params.get("oracle", True))
-    eps = float(params.get("oracle_eps", 3e-3))
-    seed = cfg.get("seed", 0)
+    params = cfg["params"]
+    mode = params["mode"]
+    n = params["n_samples"]
+    with_oracle = params["oracle"]
+    eps = float(params["oracle_eps"])
+    seed = cfg["seed"]
     if mode == "fixture":
         system = mg.HopfFixtureSystem()
         cvec = system.center()
@@ -479,11 +518,11 @@ def run_curvature(cfg, out, opts):
 
 
 def run_frequency(cfg, out, opts):
-    params = cfg.get("params", {})
+    params = cfg["params"]
     geom = build_geometry(cfg)
-    stencil = Stencil(params.get("stencil", "centered"))
-    kind = params.get("field", "z1")
-    u = fq.fueter_library(geom, kind, multiset=tuple(params.get("multiset", (1, 2))))
+    stencil = Stencil(params["stencil"])
+    kind = params["field"]
+    u = fq.fueter_library(geom, kind, multiset=tuple(params["multiset"]))
     c = gsw.Configuration(lat.ConnectionField(geom), u)
     fields = fq.profile_fields(c, stencil)
     radii, centers = _frequency_grid(params, geom)
@@ -496,22 +535,14 @@ def run_frequency(cfg, out, opts):
             checks = fq.ode_checks(prof)
         else:
             nanarr = np.full(radii.size, np.nan)
-            checks = {
-                "fprime_max_rel_dev": float("nan"),
-                "eq14_max_rel_dev": float("nan"),
-                "fprime_dev": nanarr,
-                "eq14_dev": nanarr,
-            }
+            checks = {"fprime_max_rel_dev": np.nan, "eq14_max_rel_dev": np.nan,
+                      "fprime_dev": nanarr, "eq14_dev": nanarr}
         rows = []
         for k, row in enumerate(prof.rows()):
-            row["f_prime_check"] = float(checks["fprime_dev"][k]) if np.isfinite(
-                checks["fprime_dev"][k]
-            ) else float("nan")
-            row["eq14_check"] = float(checks["eq14_dev"][k]) if np.isfinite(
-                checks["eq14_dev"][k]
-            ) else float("nan")
+            for key, dev in (("f_prime_check", "fprime_dev"), ("eq14_check", "eq14_dev")):
+                row[key] = float(checks[dev][k]) if np.isfinite(checks[dev][k]) else np.nan
             rows.append(row)
-        mono = fq.monotonicity_scan(prof, float(params.get("monotonicity_c0", 0.0)))
+        mono = fq.monotonicity_scan(prof, float(params["monotonicity_c0"]))
         return idx, rows, mono, checks
 
     with ThreadPoolExecutor(max_workers=max(1, opts.threads)) as pool:
@@ -520,11 +551,7 @@ def run_frequency(cfg, out, opts):
     all_ok = True
     for idx, rows, mono, checks in results:
         path = os.path.join(out, f"profile_{idx:03d}.csv")
-        _write_csv(
-            path,
-            ("r", "F", "f", "N", "sigma", "kappa", "f_prime_check", "eq14_check"),
-            rows,
-        )
+        _write_csv(path, ("r", "F", "f", "N", "sigma", "kappa", "f_prime_check", "eq14_check"), rows)
         files.append(path)
         summary[f"center_{idx:03d}"] = {
             "monotonicity": mono,
@@ -532,10 +559,8 @@ def run_frequency(cfg, out, opts):
             "eq14_max_rel_dev": checks["eq14_max_rel_dev"],
         }
         all_ok = all_ok and mono["passed"]
-    if params.get("probe", False):
-        probe = fq.regularity_probe(
-            c, centers, float(params.get("probe_eps0", 1e-2)), stencil, fields
-        )
+    if params["probe"]:
+        probe = fq.regularity_probe(c, centers, float(params["probe_eps0"]), stencil, fields)
         ppath = os.path.join(out, "regularity_probe.json")
         _write_json(ppath, probe)
         files.append(ppath)
@@ -546,40 +571,19 @@ def run_frequency(cfg, out, opts):
 
 
 def run_sequence(cfg, out, opts):
-    params = cfg.get("params", {})
+    params = cfg["params"]
     geom = build_geometry(cfg)
     spec = fq.SequenceSpec(
-        geom,
-        kind=params.get("kind", "fueter_dilation"),
-        n_terms=int(params.get("n_terms", 6)),
-        lambda0=params.get("lambda0"),
-        growth=float(params.get("growth", 2.0)),
-        base_offset=tuple(params.get("base_offset", (1.0, 0.0, 0.0, 0.0))),
-        dip_residue=float(params.get("dip_residue", 0.25)),
-        c0_bound=float(params.get("c0_bound", 10.0)),
-        c1=float(params.get("c1", 4.0)),
-        tail_window=int(params.get("tail_window", 3)),
+        geom, kind=params["kind"], n_terms=params["n_terms"], lambda0=params["lambda0"],
+        growth=float(params["growth"]), base_offset=tuple(params["base_offset"]),
+        dip_residue=float(params["dip_residue"]), c0_bound=float(params["c0_bound"]),
+        c1=float(params["c1"]), tail_window=params["tail_window"],
     )
     rep = fq.sequence_harness(spec)
     path = os.path.join(out, "sequence_report.csv")
-    _write_csv(
-        path,
-        (
-            "n",
-            "sup_diff_Xprime",
-            "sup_diff_center",
-            "L1_diff",
-            "L2_diff",
-            "L4_diff",
-            "integral_rho",
-        ),
-        rep["rows"],
-    )
-    meta = {
-        "empty_xprime": rep["empty_xprime"],
-        "xprime_sites": rep["xprime_sites"],
-        "bound_satisfied": rep["bound_satisfied"],
-    }
+    fields = ("n", "sup_diff_Xprime", "sup_diff_center", "L1_diff", "L2_diff", "L4_diff", "integral_rho")
+    _write_csv(path, fields, rep["rows"])
+    meta = {key: rep[key] for key in ("empty_xprime", "xprime_sites", "bound_satisfied")}
     mpath = os.path.join(out, "sequence_flags.json")
     _write_json(mpath, meta)
     return 0, [path, mpath], meta
@@ -603,29 +607,22 @@ RUNNERS = {
 def run(experiment, config_path, strict=False, threads=1):
     """Execute one experiment; returns the exit code."""
 
-    class Opts:
-        pass
-
-    opts = Opts()
-    opts.strict = strict
-    opts.threads = threads
-
+    opts = argparse.Namespace(strict=strict, threads=threads)
     try:
         with open(config_path) as fh:
             raw = fh.read()
-        cfg = json.loads(raw)
-        validate_config(cfg, experiment)
+        cfg = _filled(json.loads(raw), experiment)
     except (OSError, json.JSONDecodeError, ConfigError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
 
-    out = os.environ.get("GSWLAB_OUT", cfg.get("output_dir", "."))
+    out = os.environ.get("GSWLAB_OUT", cfg["output_dir"])
     os.makedirs(out, exist_ok=True)
     manifest = {
         "experiment": experiment,
         "config_sha256": hashlib.sha256(raw.encode()).hexdigest(),
         "version": __version__,
-        "seed": cfg.get("seed", 0),
+        "seed": cfg["seed"],
         "strict": strict,
     }
     t0 = time.time()

@@ -60,10 +60,10 @@ class LatticeGeom:
     topology: Topology = Topology.TORUS
 
     def __post_init__(self):
-        if len(self.dims) != 4 or any(n < 2 for n in self.dims):
-            raise ValueError("dims must be four integers >= 2")
-        if self.h <= 0:
-            raise ValueError("spacing h must be positive")
+        if len(self.dims) != 4 or not all(isinstance(n, (int, np.integer)) and n >= 2 for n in self.dims):
+            raise ValueError(f"dims must be four integers >= 2, got {self.dims}")
+        if not 0 < self.h < np.inf:
+            raise ValueError(f"spacing h must be a finite number > 0, got {self.h}")
         object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
 
     @property
@@ -535,8 +535,8 @@ class BallSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if not 0 < self.radius < np.inf:
+            raise ValueError(f"radius must be a finite number > 0, got {self.radius}")
 
 
 def max_ball_radius(geom: LatticeGeom, center):

@@ -1,10 +1,14 @@
+import dataclasses
+import importlib.util
+import inspect
 import json
 import os
+import pathlib
 
 import numpy as np
 import pytest
 
-from gswlab import cli, deformation as dfm, frequency as fq, lattice as lat
+from gswlab import cli, deformation as dfm, frequency as fq, gsw, lattice as lat
 from gswlab.lattice import ConnectionField, LatticeGeom, SpinorField
 from gswlab.targets import GaugeGroup
 
@@ -545,3 +549,214 @@ def test_curvature_cli_reducible_configuration_exits_before_the_oracle(tmp_path)
     assert frames[-1].endswith("in range_projector")
     assert any(f.endswith("in solution_chart_metric") for f in frames)
     assert not any(f.endswith("in fd_oracle_curvature") for f in frames)
+
+
+# ---------------------------------------------------------------------------
+# the schema: one default and one check per key
+
+_BASE = {
+    "target-check": {},
+    "solve": {"geometry": {"dims": [2, 2, 2, 2], "h": 0.4}, "group": "u1"},
+    "deform": {"geometry": {"dims": [2, 2, 2, 2], "h": 0.4}, "group": "u1"},
+    "kuranishi": {"geometry": {"dims": [2, 2, 2, 2], "h": 0.5, "topology": "box"}, "group": "u1",
+                  "params": {"init": {"kind": "fueter_z1"}}},
+    "curvature": {"params": {"mode": "fixture"}},
+    "frequency": {"geometry": {"dims": [9, 9, 9, 9], "h": 0.125, "topology": "box"},
+                  "params": {"r_cells": [2, 4]}},
+    "sequence": {"geometry": {"dims": [8, 8, 8, 8], "h": 0.125}},
+}
+
+
+def _config(experiment, **params):
+    """A small valid config of `experiment` with `params` laid over its base params."""
+    payload = json.loads(json.dumps(_BASE[experiment]))
+    payload["experiment"] = experiment
+    payload["params"] = {**payload.get("params", {}), **params}
+    return payload
+
+
+@pytest.mark.parametrize("experiment, params", [
+    ("kuranishi", {"n_samples": "abc"}),
+    ("target-check", {"samples": "x"}),
+    ("deform", {"init": {"kind": "random", "amplitude": "big"}}),
+    ("sequence", {"n_terms": 0}),
+    ("sequence", {"c1": 0}),
+    ("sequence", {"tail_window": 0}),
+    ("frequency", {"field": "sym_product", "multiset": [1, 4]}),
+    ("kuranishi", {"n_samples": -1}),
+    ("kuranishi", {"radius": -1}),
+    ("solve", {"max_iter": 2.5}),
+    ("solve", {"tol": "1e-10"}),
+    ("deform", {"complex_check": "no"}),
+])
+def test_refused_values_exit2_before_output(tmp_path, experiment, params):
+    """Each of these once passed validation and then exited 3 after making the output
+    directory, or exited 0 (max_iter 2.5 ran as 2, complex_check "no" as true)."""
+    out = tmp_path / "out"
+    payload = {**_config(experiment, **params), "output_dir": str(out)}
+    assert cli.run(experiment, write_cfg(tmp_path, "bad.json", payload)) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment, path, good, bad", [
+    ("target-check", "params.samples", [1, 100], [0, 1.0, True]),
+    ("sequence", "params.n_terms", [1], [0, 2.5]),
+    ("sequence", "params.tail_window", [1], [0]),
+    ("kuranishi", "params.n_samples", [0, 3], [-1, 2.0]),
+    ("solve", "params.max_iter", [0], [-1, 2.5, False]),
+    ("solve", "params.tol", [1e-10, 1], [0, -1e-10, "1e-10", np.nan, np.inf, None]),
+    ("target-check", "params.fd_step", [1e-4], [0]),
+    ("curvature", "params.oracle_eps", [1e-3, 1], [0, -1e-3]),
+    ("sequence", "params.growth", [2, 2.5], [0]),
+    ("sequence", "params.c1", [4], [0, -4.0]),
+    ("sequence", "params.lambda0", [None, 6, 6.0], [0, -1.0, np.nan]),
+    ("kuranishi", "params.radius", [0, 5e-3], [-1, np.inf]),
+    ("target-check", "params.fd_tol", [0], [-1e-6]),
+    ("target-check", "params.alg_tol", [0, 1e-12], [-1.0]),
+    ("solve", "params.perturb_amplitude", [-1e-3, 0, 2], [np.nan, -np.inf, None, True]),
+    ("frequency", "params.probe_eps0", [3.0, -1], [np.inf]),
+    ("frequency", "params.multiset", [[1], [3, 3, 1]], [[], [0, 1], [1, 4], [True], [1.0], 12]),
+    ("frequency", "params.centers", [None, [[0.5, 0.5, 0.5, 0.5]]], [[], [[0.5, 0.5]], [0.5] * 4]),
+    ("frequency", "params.r_cells", [[2, 4], [1.5, 3.5]], [[], ["2", "4"], [2, np.nan]]),
+    ("sequence", "params.base_offset", [[1, 0, 0, 0]], [[1, 0, 0], [1, 0, 0, np.nan], None]),
+    ("deform", "params.complex_check", [True, False], ["no", 0, None]),
+    ("curvature", "params.oracle", [True, False], [1, "yes"]),
+    ("frequency", "params.stencil", ["forward"], ["Forward", None]),
+    ("deform", "params.init.kind", ["zero", "snapshot"], ["bogus", None]),
+    ("solve", "params.init.gauge_seed", [None, 4], [4.0, True]),
+    ("solve", "seed", [0, 7], [True, 1.5, "7", None]),
+    ("solve", "geometry.dims", [[2, 3, 2, 2]], [[1, 2, 2, 2], [2, 2, 2], [2.0, 2, 2, 2], [True] * 4]),
+    ("solve", "geometry.h", [0.4, 1], [0, -0.4, np.nan, "0.4"]),
+    ("solve", "geometry.topology", ["box"], ["Box", None]),
+    ("solve", "group", ["trivial"], ["U1", None]),
+    ("solve", "target", ["cone_h_mod_z2"], ["cone", None]),
+    ("solve", "output_dir", ["out"], [3, None]),
+    ("sequence", "geometry", [{"dims": [8] * 4, "h": 0.125}], [None, {}, {"h": 0.125}, []]),
+    ("target-check", "geometry", [{"dims": [2] * 4, "h": 0.5}], [None, {}]),
+    ("deform", "params", [{}], [None, []]),
+    ("deform", "params.init", [{}], [None]),
+])
+def test_schema_accepts_exactly_its_range(tmp_path, experiment, path, good, bad):
+    """Each check accepts finite JSON numbers in range (integers where they count, never
+    bools), JSON booleans for flags, listed strings for names, and null only where the
+    default is null; a value outside is a ConfigError naming the key."""
+    *parents, key = path.split(".")
+
+    def payload_with(value):
+        payload = _config(experiment)
+        node = payload
+        for name in parents:
+            node = node.setdefault(name, {})
+        node[key] = value
+        if value == "snapshot":
+            geom = LatticeGeom((2,) * 4, 0.4)
+            node["path"] = str(tmp_path / "snap.json")
+            lat.snapshot_save(node["path"], SpinorField(geom, np.zeros(geom.dims + (4,))),
+                              ConnectionField(geom, GaugeGroup.U1))
+        return payload
+
+    for value in good:
+        payload = payload_with(value)
+        assert cli.validate_config(payload, experiment) is payload
+    for value in bad:
+        with pytest.raises(cli.ConfigError, match=key):
+            cli.validate_config(payload_with(value), experiment)
+
+
+def test_filled_config_holds_every_default():
+    """The runners read the filled config: every schema key is there, defaults included,
+    and validation leaves the caller's dict as it was."""
+    payload = _config("solve", tol=1e-9)
+    before = json.dumps(payload)
+    full = cli._filled(payload, "solve")
+    assert json.dumps(payload) == before
+    assert set(full) == set(cli.SCHEMA["solve"]) and set(full["params"]) == set(cli.PARAMS["solve"])
+    assert full["params"]["tol"] == 1e-9 and full["params"]["max_iter"] == 20
+    assert full["params"]["init"] == {"kind": "random", "amplitude": 0.3, "offset": 1.0,
+                                      "path": None, "gauge_seed": None}
+    assert (full["seed"], full["group"], full["geometry"]["topology"]) == (0, "u1", "torus")
+    assert "geometry" not in cli._filled({"experiment": "target-check"}, "target-check")
+
+
+def test_library_defaults_agree_with_the_schema():
+    """Where a library signature also defaults a schema key, the two defaults agree.
+
+    Left out on purpose: curvature `oracle_eps` (3e-3) against `fd_oracle_curvature`'s
+    `eps` (1e-3).  The oracle's 1e-3 is the step of the closed-form fixture; the CLI's
+    default mode is lattice, whose chart metric is itself a Newton solve, and the
+    oracle's Richardson combination scales that rounding by about 1/eps^2, so the lattice
+    runs (the example config, acceptance criterion 5 and the curvature_box benchmark)
+    take the larger 3e-3 step."""
+
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    def schema(experiment, key):
+        return cli.PARAMS[experiment][key][0]
+
+    for key in ("radius", "tol", "n_samples"):
+        assert default(dfm.kuranishi, key) == schema("kuranishi", key)
+    for key in ("tol", "max_iter"):
+        assert default(gsw.solve_newton, key) == schema("solve", key)
+    fields = {f.name: f.default for f in dataclasses.fields(fq.SequenceSpec)}
+    for key, (value, _) in cli.PARAMS["sequence"].items():
+        assert fields[key] == (tuple(value) if isinstance(value, list) else value), key
+    assert default(fq.regularity_probe, "eps0") == schema("frequency", "probe_eps0")
+    assert default(fq.monotonicity_scan, "c0") == schema("frequency", "monotonicity_c0")
+    assert default(fq.fueter_library, "multiset") == tuple(schema("frequency", "multiset"))
+
+
+def test_every_example_config_validates():
+    """scripts/make_example_configs.py writes only configs the schema accepts."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "make_example_configs.py"
+    spec = importlib.util.spec_from_file_location("make_example_configs", path)
+    examples = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(examples)
+    assert len(examples.CONFIGS) == 8
+    for name, payload in examples.CONFIGS.items():
+        assert cli.validate_config(payload, payload["experiment"]) is payload, name
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_rows(intro):
+    """{key: (default, accepted values)} of the README table after the line starting `intro`."""
+    text = README.read_text()
+    lines = text[text.index("\n" + intro) + 1:].splitlines()
+    start = lines.index("| key | default | accepted values |")
+    rows = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        key, default, accepts = (cell.strip() for cell in line.strip("|").split("|"))
+        rows[key.strip("`")] = (default, accepts)
+    return rows
+
+
+def _schema_rows(schema, prefix=""):
+    """The same from the schema; an object with a default has one row, with no values."""
+    rows = {}
+    for key, (default, check) in schema.items():
+        if isinstance(check, dict) and default is cli.OPTIONAL:
+            rows.update(_schema_rows(check, prefix + key + "."))
+        elif isinstance(check, dict):
+            rows[prefix + key] = ("`{}`", None)
+        elif key != "experiment":
+            shown = "required" if default is cli.REQUIRED else f"`{json.dumps(default)}`"
+            rows[prefix + key] = (shown, check.accepts)
+    return rows
+
+
+@pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+def test_readme_tables_state_the_schema(experiment):
+    tables = [(cli.SCHEMA[experiment], "Every config"), (cli.PARAMS[experiment], f"`{experiment}` params")]
+    if "init" in cli.PARAMS[experiment]:
+        tables.append((cli.INIT, "`init`, the starting configuration"))
+    for schema, intro in tables:
+        expected, stated = _schema_rows(schema), _readme_rows(intro)
+        stated.pop("experiment", None)
+        assert set(stated) == set(expected), intro
+        for key, (default, accepts) in expected.items():
+            assert stated[key][0] == default, key
+            assert accepts is None or stated[key][1] == accepts, key

@@ -588,6 +588,26 @@ def test_radius_guard():
         lat.ball_integral(geom, np.ones(geom.dims), BallSpec((0.5,) * 4, 0.75))
 
 
+@pytest.mark.parametrize("h", [np.nan, np.inf])
+def test_geom_refuses_a_non_finite_spacing(h):
+    """A NaN or infinite h once made delta0() nan or inf."""
+    with pytest.raises(ValueError, match="finite"):
+        LatticeGeom((4,) * 4, h)
+
+
+def test_geom_refuses_a_non_integer_dimension():
+    """(2.7, 3, 3, 3) once became (2, 3, 3, 3) without a word."""
+    with pytest.raises(ValueError, match="integers"):
+        LatticeGeom((2.7, 3, 3, 3), 0.5)
+    assert LatticeGeom(tuple(np.array([3, 3, 3, 3])), 0.5).dims == (3, 3, 3, 3)
+
+
+def test_ball_refuses_a_nan_radius():
+    """A NaN radius once passed the guard, and ball_integral returned 0.0."""
+    with pytest.raises(ValueError, match="finite"):
+        BallSpec((0.5,) * 4, np.nan)
+
+
 # ---------------------------------------------------------------------------
 # snapshots
 
