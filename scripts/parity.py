@@ -9,11 +9,15 @@ Usage, from the root of a checkout (numpy only):
 `record` runs `setup_*`/`run_*` of each `bench/workloads.py` workload at
 seeds 1, 2 and 11, and every example config of
 `scripts/make_example_configs.py` through `cli.run` in a temporary
-directory, with BLAS pinned to one thread.  It writes every numeric
-output (bools as 0/1) to DIR/outputs.npz, keyed `workload/seed/key` or
-`config/file/column-or-key`, and to DIR/digest.json every string output
-and the sha256 of every output file.  Manifests, which carry wall times,
-are left out; `bench/` is only read.
+directory, with BLAS pinned to one thread.  It also evaluates the lattice
+differences on one seeded 3x4x2x5 lattice per topology x group x target:
+the axis-stacked forward_cov_diff, backward_cov_diff, backward_cov_diff_raw
+and cov_diff_component of both stencils, and dirac and grad_energy_density
+of both stencils.  It writes every numeric output (bools as 0/1) to
+DIR/outputs.npz, keyed `workload/seed/key`, `config/file/column-or-key` or
+`lattice/topology/group/kind/name`, and to DIR/digest.json every string
+output and the sha256 of every output file.  Manifests, which carry wall
+times, are left out; `bench/` is only read.
 
 `compare` prints per key "identical", or the largest relative difference
 max|a - b| / max(|a|, |b|) and the flat index where it occurs, then one
@@ -73,6 +77,32 @@ def read_output(prefix, path, nums, strs):
                 strs["%s/%s" % (prefix, column)] = "\n".join(cells)
 
 
+def lattice_outputs(nums):
+    """The differences, dirac and energy of one seeded 3x4x2x5 lattice per topology x
+    group x target into nums, keyed lattice/topology/group/kind/name."""
+    from gswlab import lattice as lat
+    from gswlab import quaternion as quat
+    from gswlab.targets import GaugeGroup, TargetKind
+
+    dims = (3, 4, 2, 5)
+    for topology in lat.Topology:
+        for group in GaugeGroup:
+            for kind in TargetKind:
+                rng = np.random.default_rng(5)
+                geom = lat.LatticeGeom(dims, 0.3, topology)
+                u = lat.SpinorField(geom, rng.normal(size=dims + (4,)) + quat.ONE, kind)
+                links = rng.normal(size=dims + (4,)) if group is GaugeGroup.U1 else None
+                a = lat.ConnectionField(geom, group, links)
+                key = "lattice/%s/%s/%s/" % (topology.value, group.value, kind.value) + "%s"
+                for fn in (lat.forward_cov_diff, lat.backward_cov_diff, lat.backward_cov_diff_raw):
+                    nums[key % fn.__name__] = np.stack([fn(u, a, i) for i in range(4)], axis=-2)
+                for st in lat.Stencil:
+                    nums[key % ("cov_diff_component_" + st.value)] = np.stack(
+                        [lat.cov_diff_component(u, a, i, st) for i in range(4)], axis=-2)
+                    nums[key % ("dirac_" + st.value)] = lat.dirac(u, a, st)
+                    nums[key % ("grad_energy_density_" + st.value)] = lat.grad_energy_density(u, a, st)
+
+
 def record(out_dir):
     sys.dont_write_bytecode = True  # import bench/ without writing into it
     sys.path[:0] = [os.path.join(ROOT, "src"), HERE]
@@ -86,6 +116,7 @@ def record(out_dir):
     for name, load in workloads.WORKLOADS.items():
         for seed in SEEDS:
             flatten("%s/%d" % (name, seed), load.run(load.setup(seed)), nums, strs)
+    lattice_outputs(nums)
     with tempfile.TemporaryDirectory() as tmp:
         for fname, payload in sorted(CONFIGS.items()):
             stem = os.path.splitext(fname)[0]

@@ -119,7 +119,7 @@ INIT = {
     "amplitude": (0.3, FINITE),
     "offset": (1.0, FINITE),
     "path": (None, _nullable(TEXT)),
-    "gauge_seed": (None, _nullable(_number(integer=True))),  # null: seed + 1
+    "gauge_seed": (None, _nullable(COUNT)),  # null: seed + 1
 }
 PARAMS = {
     "target-check": {
@@ -177,7 +177,7 @@ PARAMS = {
 SCHEMA = {
     name: {
         "experiment": (REQUIRED, _one_of(name)),
-        "seed": (0, _number(integer=True)),
+        "seed": (0, COUNT),
         "output_dir": (".", TEXT),
         "geometry": (OPTIONAL, GEOMETRY),  # required where the run has a lattice
         "target": ("flat_h", _one_of("flat_h", "cone_h_mod_z2")),

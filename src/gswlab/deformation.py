@@ -39,7 +39,7 @@ from . import quaternion as quat
 from .gsw import Configuration, Sources, phi4_diff, residual_norm, row_masks
 from .gsw import residual  # noqa: F401  (the full-field reference of residual_rowvec)
 from .lattice import LatticeGeom
-from .targets import GaugeGroup, TargetKind, moment_values
+from .targets import GaugeGroup, TargetKind, moment_values, moment_values_diff
 
 RANK_REL_CUTOFF = 1e-10
 RANK_MARGIN = 10.0
@@ -592,8 +592,6 @@ def lin_gauge_adjoint_formula(c: Configuration, zeta) -> LinearMap:
     The reference side of D* = d mu_zeta(I_zeta .): for every unit imaginary
     quaternion zeta it equals `lin_gauge(c).adjoint()`.
     """
-    from .targets import moment_values_diff
-
     geom = c.geom
     lay = layout(geom, c.group)
     rows, cols = lay.gauge, lay.tangent
@@ -711,33 +709,35 @@ def residual_rowvec(c: Configuration, s: Sources, space: EquationSpace):
 
 
 def second_derivative_rows(c: Configuration, t1: TangentConfig, t2: TangentConfig, space: EquationSpace):
-    """Exact mixed second derivative of the residual map along (t1, t2).
+    """Exact mixed second derivative of the residual map along (t1, t2), on the trusted
+    rows of `space`, gathered through the layout's `nb` as `linearize_fsw` gathers.
 
     Dirac rows pick up the gauge-coupling cross terms and the
     second-order link-exponential term; self-dual rows carry the
-    constant Hessian of the quadratic moment map.
+    constant Hessian of the quadratic moment map.  The transported
+    neighbours are gathered, not rolled, as every covariant difference
+    reads its neighbours through slices, whatever the transport.
     """
-    geom = c.geom
-    from .targets import moment_values_diff
+    vec = np.zeros(space.dim)
+    if c.a.links is None:
+        return vec
+    h, sites, ss = c.geom.h, space.dirac_sites, space.sd_sites
+    nb = layout(c.geom, c.group).nb
+    theta = h * _site_rows(c.a.links)[sites].T  # (axis, site)
 
-    dirac = np.zeros(geom.dims + (4,))
-    if c.a.links is not None:
-        # flat-kind fields: like linearize_fsw, no cone alignment of neighbours
-        u, v1, v2 = (lat.SpinorField(geom, f) for f in (c.u.values, t1.v, t2.v))
-        for i in range(4):
-            b1 = t1.b[..., i][..., None]
-            b2 = t2.b[..., i][..., None]
-            term = quat.mul(lat._transported(v1, c.a, i, +1), quat.QI) * b2
-            term = term + quat.mul(lat._transported(v2, c.a, i, +1), quat.QI) * b1
-            term = term - geom.h * lat._transported(u, c.a, i, +1) * (b1 * b2)
-            dirac += quat.mul(quat.BASIS[i], term)
-    if c.group is GaugeGroup.TRIVIAL:
-        sd = np.zeros(geom.dims + (3,))
-    else:
-        sd = 0.5 * (
-            moment_values_diff(t1.v, t2.v, c.group)
-        )
-    return space.pack(dirac, sd)
+    def carried(f):  # T f(x + e_i) at the Dirac sites, (axis, site, 4); flat kind: no cone alignment
+        return quat.mul_exp_i(_site_rows(f)[nb[:, sites]], theta)
+
+    b1, b2 = (_site_rows(t.b)[sites].T[..., None] for t in (t1, t2))
+    term = quat.mul(carried(t1.v), quat.QI) * b2
+    term = term + quat.mul(carried(t2.v), quat.QI) * b1
+    term = term - h * carried(c.u.values) * (b1 * b2)
+    dirac = np.zeros((sites.size, 4))
+    for i in range(4):
+        dirac += quat.mul(quat.BASIS[i], term[i])
+    vec[: dirac.size] = dirac.reshape(-1)
+    vec[dirac.size :] = 0.5 * moment_values_diff(_site_rows(t1.v)[ss], _site_rows(t2.v)[ss], c.group).reshape(-1)
+    return vec
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,11 @@ Conventions
   the backward value on the far face, the backward difference takes the
   forward value on the near face, and the centred difference is their
   mean.  Reductions are plain numpy sums (fixed order, deterministic).
-* With the identity transport (trivial group, flat target) a difference
-  reads the neighbour through a slice, with no rolled copy, and the
-  centred one sums two half steps, bit for bit the mean.
+* Every covariant difference, whatever the transport, comes from one link
+  kernel (_diff): it reads both ends of a link through slices, carries one
+  onto the other (a cone flip, then the U(1) phase; nothing under the
+  identity transport) and subtracts, with no rolled copy.  The centred
+  difference sums two half steps, bit for bit the mean.
 * The energy density |d_A u|^2 contracts undivided differences and
   divides once, so its rounding is not that of the stacked differences.
 """
@@ -183,22 +185,28 @@ def _cone_align(u_nb, u_ref):
     return np.where(quat.inner(u_nb, u_ref)[..., None] < 0.0, -u_nb, u_nb)
 
 
-def _transported(u: SpinorField, a: ConnectionField, axis, step):
-    """T u(x + step*e_axis): the neighbour value carried to x, step = +-1.
+def _transport(u: SpinorField, a: ConnectionField, axis):
+    """What carrying a value across a link along axis does: (the U(1) angles a_axis
+    or None, whether a cone value flips, h)."""
+    return None if a.links is None else a.links[..., axis], u.kind is TargetKind.CONE_H_MOD_Z2, u.geom.h
 
-    Cone targets first flip the neighbour into the half-space of u(x);
-    the U(1) phase is e^{+i h a(x)} forward and e^{-i h a(x - e)} backward.
-    """
-    topo = u.geom.topology
-    u_nb = _shift(u.values, axis, step, topo)
-    if u.kind is TargetKind.CONE_H_MOD_Z2:
-        u_nb = _cone_align(u_nb, u.values)
-    if a.links is None:
-        return u_nb
-    link = a.links[..., axis]
-    if step < 0:
-        link = _shift(link, axis, -1, topo)
-    return quat.mul_exp_i(u_nb, step * u.geom.h * link)
+
+#: the transport of the trivial group on a flat target: carrying does nothing
+_IDENTITY = (None, False, None)
+
+
+def _carried(v, transport, at, far, tails, sign):
+    """v on the planes far carried onto the planes at, across links stored on the planes
+    tails, from their heads (sign +1) or tails (sign -1): a cone value flips into the
+    half-space of v[at], then takes the U(1) phase e^{sign i h a}.  Under the identity
+    transport it is the slice v[far] itself, no copy."""
+    links, cone, h = transport
+    w = v[far]
+    if cone:
+        w = _cone_align(w, v[at])
+    if links is not None:
+        w = quat.mul_exp_i(w, sign * h * links[tails])
+    return w
 
 
 def _planes_at(axis, start, stop):
@@ -206,145 +214,108 @@ def _planes_at(axis, start, stop):
     return (slice(None),) * axis + (slice(start, stop),)
 
 
-def _link_diffs(v, axis, topology, head=False):
-    """v(x+e) - v(x), undivided, for each link x -> x + e along axis, stored at the
-    link's tail x, or with head at x + e; the neighbour is read through a slice,
-    so no rolled copy is made.  The one plane no link fills takes the wrapping
-    link on a torus and the zero difference v - v of _shift's edge clamp on a box."""
+def _diff(v, transport, out, at, up=None, down=None):
+    """The link kernel: out[at] = up - down, each end read through a slice and carried
+    onto at.  up and down are (far, tails) planes, carried from the heads and from the
+    tails of the links on tails; None is v[at] itself."""
+    np.subtract(v[at] if up is None else _carried(v, transport, at, *up, +1),
+                v[at] if down is None else _carried(v, transport, at, *down, -1), out=out[at])
+
+
+def _link_diffs(v, axis, topology, transport, head=False, fill=False):
+    """Undivided difference across each link x -> x + e along axis (any trailing shape),
+    head value minus tail value in the frame of the tail x, where it is stored, or of
+    the head x + e with head.  The one plane no link fills takes the wrapping link on a
+    torus.  On a box it takes its own plane carried onto itself (_shift's edge clamp),
+    or with fill the other orientation over the neighbouring link: the one-sided
+    stencil at the face."""
     n = v.shape[axis]
-    out = np.empty(v.shape)
     first, last = _planes_at(axis, 0, 1), _planes_at(axis, n - 1, n)
-    lo = int(head)
-    np.subtract(v[_planes_at(axis, 1, n)], v[_planes_at(axis, 0, n - 1)],
-                out=out[_planes_at(axis, lo, lo + n - 1)])
-    spare = first if head else last
+    out = np.empty(v.shape)
+
+    def across(tails, heads, at_head):  # stored at, and carried onto, one end
+        if at_head:
+            _diff(v, transport, out, heads, down=(tails, tails))
+        else:
+            _diff(v, transport, out, tails, up=(heads, tails))
+
+    across(_planes_at(axis, 0, n - 1), _planes_at(axis, 1, n), head)
     if topology is Topology.TORUS:
-        np.subtract(v[first], v[last], out=out[spare])
+        across(last, first, head)
+    elif not fill:
+        spare = first if head else last
+        across(spare, spare, head)
+    elif head:
+        across(first, _planes_at(axis, 1, 2), False)
     else:
-        np.subtract(v[spare], v[spare], out=out[spare])
+        across(_planes_at(axis, n - 2, n - 1), last, True)
     return out
 
 
-def _face_filled(d, axis, topology, head=False):
-    """d of _link_diffs with, on a box, its spare face plane copied from the
-    neighbouring plane: the one-sided stencil at the face.  Fills d in place."""
-    if topology is Topology.BOX:
-        n = d.shape[axis]
-        if head:
-            d[_planes_at(axis, 0, 1)] = d[_planes_at(axis, 1, 2)]
-        else:
-            d[_planes_at(axis, n - 1, n)] = d[_planes_at(axis, n - 2, n - 1)]
+def _difference(geom: LatticeGeom, v, axis, step, transport=_IDENTITY, fill=True):
+    """Difference of a site array along axis: step +1 forward, -1 backward (with fill,
+    each takes the other's value at the box face where its link is missing), 0 centred.
+    The centred value is the sum of the forward and backward half steps d / (2h): bit
+    for bit their mean, since dividing by 2h is dividing by h and halving, which is
+    exact."""
+    scale = geom.h if step else 2.0 * geom.h
+    d = _link_diffs(v, axis, geom.topology, transport, step < 0, fill)
+    d /= scale
+    if not step:
+        back = _link_diffs(v, axis, geom.topology, transport, True, fill)
+        back /= scale
+        d += back
     return d
 
 
 def identity_diff(geom: LatticeGeom, v, axis, step):
-    """Difference of a site array (any trailing shape) along axis under the identity
-    transport: step +1 forward, -1 backward (each takes the other's value at the box
-    face where its link is missing), 0 centred.  The centred value is g(x) + g(x - e) with the half step
-    g = (v(x+e) - v(x)) / (2h): bit for bit the mean of the forward and backward
-    differences, since dividing by 2h is dividing by h and halving, which is exact."""
-    topo = geom.topology
-    if step:
-        d = _link_diffs(v, axis, topo, step < 0)
-        d /= geom.h
-        return _face_filled(d, axis, topo, step < 0)
-    g = _link_diffs(v, axis, topo)
-    g /= 2.0 * geom.h
-    _face_filled(g, axis, topo)
-    n = v.shape[axis]
-    out = np.empty(v.shape)
-    np.add(g[_planes_at(axis, 1, n)], g[_planes_at(axis, 0, n - 1)], out=out[_planes_at(axis, 1, n)])
-    prev = _planes_at(axis, n - 1, n) if topo is Topology.TORUS else _planes_at(axis, 0, 1)
-    np.add(g[_planes_at(axis, 0, 1)], g[prev], out=out[_planes_at(axis, 0, 1)])
-    return out
-
-
-def _is_identity(u: SpinorField, a: ConnectionField):
-    """The transport is the identity: trivial group and flat target."""
-    return a.links is None and u.kind is not TargetKind.CONE_H_MOD_Z2
-
-
-def _one_sided_pair(u: SpinorField, a: ConnectionField, axis):
-    """(forward, backward) differences under a U(1) or cone transport, face-filled
-    from each other on a box."""
-    fwd = _transported(u, a, axis, +1)
-    fwd -= u.values
-    fwd /= u.geom.h
-    bwd = (u.values - _transported(u, a, axis, -1)) / u.geom.h
-    if u.geom.topology is Topology.BOX:
-        far = _planes_at(axis, -1, None)
-        near = _planes_at(axis, 0, 1)
-        fwd[far] = bwd[far]
-        bwd[near] = fwd[near]
-    return fwd, bwd
+    """Face-filled difference under the identity transport: step +1, -1 or 0 (centred)."""
+    return _difference(geom, v, axis, step)
 
 
 def _undivided_diff(u: SpinorField, a: ConnectionField, axis, centred):
     """T u(x+e) - T u(x-e) (centred) or T u(x+e) - u(x) (forward) along axis, not yet
     divided by the step.  On a box a face plane whose neighbour is missing takes the
     one-sided difference, doubled when centred, so that dividing by 2h gives the face
-    value of cov_diff_component; the forward one divided by h is forward_cov_diff.  The
-    identity transport reads neighbours through slices; U(1) and cone targets go
-    through _transported."""
-    v, topo, n = u.values, u.geom.topology, u.geom.dims[axis]
+    value of cov_diff_component; the forward one divided by h is forward_cov_diff."""
+    v, topo, tr = u.values, u.geom.topology, _transport(u, a, axis)
+    if not centred:
+        return _link_diffs(v, axis, topo, tr, fill=True)
+    n = v.shape[axis]
     first, last = _planes_at(axis, 0, 1), _planes_at(axis, n - 1, n)
-    if _is_identity(u, a):
-        up_first, down_last = v[_planes_at(axis, 1, 2)], v[_planes_at(axis, n - 2, n - 1)]
-        if not centred:
-            d = _link_diffs(v, axis, topo)
-        else:
-            d = np.empty(v.shape)
-            np.subtract(v[_planes_at(axis, 2, n)], v[_planes_at(axis, 0, n - 2)],
-                        out=d[_planes_at(axis, 1, n - 1)])
-            if topo is Topology.TORUS:  # the wrapping neighbours
-                np.subtract(up_first, v[last], out=d[first])
-                np.subtract(v[first], down_last, out=d[last])
-    else:
-        up = _transported(u, a, axis, +1)
-        down = _transported(u, a, axis, -1) if centred or topo is Topology.BOX else None
-        d = up - (down if centred else v)
-        up_first, down_last = up[first], None if down is None else down[last]
-    if topo is Topology.BOX:
-        np.subtract(v[last], down_last, out=d[last])
-        if centred:
-            np.subtract(up_first, v[first], out=d[first])
-            d[first] *= 2.0
-            d[last] *= 2.0
+    below, above = _planes_at(axis, n - 2, n - 1), _planes_at(axis, 1, 2)
+    d = np.empty(v.shape)
+    mid = _planes_at(axis, 1, n - 1)
+    _diff(v, tr, d, mid, up=(_planes_at(axis, 2, n), mid), down=(_planes_at(axis, 0, n - 2),) * 2)
+    if topo is Topology.TORUS:  # the wrapping neighbours
+        _diff(v, tr, d, first, up=(above, first), down=(last, last))
+        _diff(v, tr, d, last, up=(first, last), down=(below, below))
+    else:  # the one-sided difference over the link that exists, doubled
+        _diff(v, tr, d, first, up=(above, first))
+        _diff(v, tr, d, last, down=(below, below))
+        d[first] *= 2.0
+        d[last] *= 2.0
     return d
 
 
 def forward_cov_diff(u: SpinorField, a: ConnectionField, axis):
     """(T u(x+e) - u(x)) / h, backward-filled on the far face of a box."""
-    d = _undivided_diff(u, a, axis, False)
-    d /= u.geom.h
-    return d
+    return _difference(u.geom, u.values, axis, +1, _transport(u, a, axis))
 
 
 def backward_cov_diff_raw(u: SpinorField, a: ConnectionField, axis):
     """(u(x) - T u(x-e)) / h, valid where x - e_axis exists."""
-    if _is_identity(u, a):
-        d = _link_diffs(u.values, axis, u.geom.topology, head=True)
-        d /= u.geom.h
-        return d
-    return (u.values - _transported(u, a, axis, -1)) / u.geom.h
+    return _difference(u.geom, u.values, axis, -1, _transport(u, a, axis), fill=False)
 
 
 def backward_cov_diff(u: SpinorField, a: ConnectionField, axis):
     """Backward difference, forward-filled on the near face of a box."""
-    if _is_identity(u, a):
-        return identity_diff(u.geom, u.values, axis, -1)
-    return _one_sided_pair(u, a, axis)[1]
+    return _difference(u.geom, u.values, axis, -1, _transport(u, a, axis))
 
 
 def cov_diff_component(u, a, axis, stencil: Stencil):
-    if stencil is Stencil.FORWARD:
-        return forward_cov_diff(u, a, axis)
-    if _is_identity(u, a):
-        return identity_diff(u.geom, u.values, axis, 0)
-    fwd, bwd = _one_sided_pair(u, a, axis)
-    fwd += bwd
-    fwd *= 0.5
-    return fwd
+    step = +1 if stencil is Stencil.FORWARD else 0
+    return _difference(u.geom, u.values, axis, step, _transport(u, a, axis))
 
 
 def clifford_pair(hdir, vplus, vminus):
@@ -420,11 +391,9 @@ def d_site(geom: LatticeGeom, f):
     """Forward difference of a site scalar onto links, dims + (4,)."""
     out = np.zeros(geom.dims + (4,))
     for i in range(4):
-        out[..., i] = (_shift(f, i, +1, geom.topology) - f) / geom.h
+        out[..., i] = _difference(geom, f, i, +1, fill=False)
         if geom.topology is Topology.BOX:
-            idx = [slice(None)] * 4
-            idx[i] = slice(-1, None)
-            out[(*idx, i)] = 0.0
+            out[..., i][_planes_at(i, -1, None)] = 0.0
     return out
 
 
@@ -450,10 +419,9 @@ def d_star(geom: LatticeGeom, b):
 def plaquette_d(geom: LatticeGeom, b):
     """Discrete exterior derivative of a link one-form onto plaquettes."""
     vals = np.zeros(geom.dims + (6,))
+    d = functools.partial(_difference, geom, step=+1, fill=False)
     for p, (i, j) in enumerate(PLAQ_PAIRS):
-        di_bj = (_shift(b[..., j], i, +1, geom.topology) - b[..., j]) / geom.h
-        dj_bi = (_shift(b[..., i], j, +1, geom.topology) - b[..., i]) / geom.h
-        vals[..., p] = di_bj - dj_bi
+        vals[..., p] = d(b[..., j], i) - d(b[..., i], j)
         if geom.topology is Topology.BOX:
             mask = forward_link_exists(geom, i) & forward_link_exists(geom, j)
             vals[..., p] *= mask
@@ -491,13 +459,11 @@ def d_cube(f: TwoForm):
             return comp[(i, j)]
         return -comp[(j, i)]
 
+    d = functools.partial(_difference, geom, step=+1, fill=False)
     out = []
     for triple in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
         i, j, k = triple
-        di = (_shift(get(j, k), i, +1, geom.topology) - get(j, k)) / geom.h
-        dj = (_shift(get(i, k), j, +1, geom.topology) - get(i, k)) / geom.h
-        dk = (_shift(get(i, j), k, +1, geom.topology) - get(i, j)) / geom.h
-        out.append(di - dj + dk)
+        out.append(d(get(j, k), i) - d(get(i, k), j) + d(get(i, j), k))
     return np.stack(out, axis=-1)
 
 

@@ -588,12 +588,18 @@ def _config(experiment, **params):
     ("solve", {"max_iter": 2.5}),
     ("solve", {"tol": "1e-10"}),
     ("deform", {"complex_check": "no"}),
+    ("target-check", {"seed": -1}),
+    ("deform", {"init": {"kind": "pure_gauge_constant", "gauge_seed": -1}}),
 ])
 def test_refused_values_exit2_before_output(tmp_path, experiment, params):
     """Each of these once passed validation and then exited 3 after making the output
-    directory, or exited 0 (max_iter 2.5 ran as 2, complex_check "no" as true)."""
+    directory (a negative seed reached np.random.default_rng), or exited 0 (max_iter 2.5
+    ran as 2, complex_check "no" as true).  A top-level config key such as seed is laid
+    over the config itself, the rest over its params."""
     out = tmp_path / "out"
-    payload = {**_config(experiment, **params), "output_dir": str(out)}
+    top = {key: value for key, value in params.items() if key in cli.SCHEMA[experiment]}
+    params = {key: value for key, value in params.items() if key not in top}
+    payload = {**_config(experiment, **params), **top, "output_dir": str(out)}
     assert cli.run(experiment, write_cfg(tmp_path, "bad.json", payload)) == 2
     assert not out.exists()
 
@@ -623,8 +629,8 @@ def test_refused_values_exit2_before_output(tmp_path, experiment, params):
     ("curvature", "params.oracle", [True, False], [1, "yes"]),
     ("frequency", "params.stencil", ["forward"], ["Forward", None]),
     ("deform", "params.init.kind", ["zero", "snapshot"], ["bogus", None]),
-    ("solve", "params.init.gauge_seed", [None, 4], [4.0, True]),
-    ("solve", "seed", [0, 7], [True, 1.5, "7", None]),
+    ("solve", "params.init.gauge_seed", [None, 4, 0], [4.0, True, -1]),
+    ("solve", "seed", [0, 7], [True, 1.5, "7", None, -1]),
     ("solve", "geometry.dims", [[2, 3, 2, 2]], [[1, 2, 2, 2], [2, 2, 2], [2.0, 2, 2, 2], [True] * 4]),
     ("solve", "geometry.h", [0.4, 1], [0, -0.4, np.nan, "0.4"]),
     ("solve", "geometry.topology", ["box"], ["Box", None]),

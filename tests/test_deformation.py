@@ -782,10 +782,12 @@ def test_export_triplets_roundtrip(tmp_path):
     assert np.array_equal(mat, op.matrix)
 
 
-def test_hessians_symmetry_and_fd():
+@pytest.mark.parametrize("topology", list(Topology))
+def test_hessians_symmetry_and_fd(topology):
     # second_derivative_rows against the mixed central second difference of
-    # the residual rows, along directions with link and spinor parts
-    geom = torus()
+    # the residual rows, along directions with link and spinor parts; on a box
+    # only the trusted rows are gathered
+    geom = LatticeGeom((3,) * 4, 0.4, topology)
     c = gsw.random_config(geom, GaugeGroup.U1, seed=20, amplitude=0.4)
     s = gsw.manufacture(c)
     space = dfm.EquationSpace(geom, c.group)

@@ -52,11 +52,31 @@ def test_covariant_adjoint_pairing_torus():
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
 
+def _transported(u, a, axis, step):
+    """T u(x + step*e_axis): the neighbour value carried to x by a rolled copy, step = +-1.
+
+    Cone targets first flip the neighbour into the half-space of u(x); the U(1) phase
+    is e^{+i h a(x)} forward and e^{-i h a(x - e)} backward.  The reference of
+    test_one_transport_differences_bit_identical: the slice-read forward and backward
+    differences equal (T u(x + e) - u(x)) / h and (u(x) - T u(x - e)) / h bit for bit.
+    """
+    topo = u.geom.topology
+    u_nb = lat._shift(u.values, axis, step, topo)
+    if u.kind is TargetKind.CONE_H_MOD_Z2:
+        u_nb = lat._cone_align(u_nb, u.values)
+    if a.links is None:
+        return u_nb
+    link = a.links[..., axis]
+    if step < 0:
+        link = lat._shift(link, axis, -1, topo)
+    return quat.mul_exp_i(u_nb, step * u.geom.h * link)
+
+
 def _two_transport_pair(u, a, axis):
     """Two-transport (forward, backward) reference, face-filled from each other on a box."""
     h = u.geom.h
-    fwd = (lat._transported(u, a, axis, +1) - u.values) / h
-    bwd = (u.values - lat._transported(u, a, axis, -1)) / h
+    fwd = (_transported(u, a, axis, +1) - u.values) / h
+    bwd = (u.values - _transported(u, a, axis, -1)) / h
     raw = bwd.copy()
     if u.geom.topology is Topology.BOX:
         far = (slice(None),) * axis + (slice(-1, None),)
@@ -175,6 +195,32 @@ def test_identity_differences_make_no_rolled_copy(monkeypatch):
         for st in Stencil:
             lat.dirac(u, a, st)
             lat.grad_energy_density(u, a, st)
+
+
+@pytest.mark.parametrize("topology", list(Topology))
+@pytest.mark.parametrize("group", list(GaugeGroup))
+@pytest.mark.parametrize("kind", list(TargetKind))
+def test_differences_make_no_rolled_copy(monkeypatch, topology, group, kind):
+    """Whatever the transport (identity, U(1) phase, cone flip), the differences, dirac
+    and the energy density read neighbours through slices: np.roll is never called."""
+    geom = LatticeGeom((3, 4, 2, 5), 0.3, topology)
+    rng = np.random.default_rng(18)
+    u = SpinorField(geom, rng.normal(size=geom.dims + (4,)) + quat.ONE, kind)
+    a = ConnectionField(geom, group, rng.normal(size=geom.dims + (4,)) if group is GaugeGroup.U1 else None)
+
+    def no_roll(*args, **kwargs):
+        raise AssertionError("np.roll called by a covariant difference")
+
+    monkeypatch.setattr(np, "roll", no_roll)
+    for axis in range(4):
+        lat.forward_cov_diff(u, a, axis)
+        lat.backward_cov_diff(u, a, axis)
+        lat.backward_cov_diff_raw(u, a, axis)
+        for st in Stencil:
+            lat.cov_diff_component(u, a, axis, st)
+    for st in Stencil:
+        lat.dirac(u, a, st)
+        lat.grad_energy_density(u, a, st)
 
 
 def test_constant_field_parallel():
