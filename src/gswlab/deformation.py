@@ -302,7 +302,8 @@ class LinearMap:
     A map may also be a stack of maps between the same spaces, one per
     configuration of a stacked `Configuration`: the dense matrix, or the
     triplet values, then carry leading axes.  `matrix`, `apply` and
-    `range_projector` act map by map; the factorisations read a single map.
+    `range_projector` (from the triplets alone) act map by map; the
+    factorisations read a single map.
     """
 
     def __init__(self, matrix, row_space: BlockSpace, col_space: BlockSpace, blocks=None):
@@ -480,29 +481,75 @@ class LinearMap:
     def range_projector(self):
         """Callable t -> t - L L^+ t, the weighted projection off the range, t a vector or column stack.
 
-        Solves the normal system (L* L) z = L* t of each map of a stack.
-        LinAlgError (rank loss) unless each map's normal-matrix eigenvalues have
-        lambda_min > RANK_MARGIN n eps lambda_max, n = max(shape): `eigvalsh`
-        resolves no singular value below about sqrt(n eps) s_max, above the
-        `rank` cutoff, so when this returns `rank` keeps every column.  A stack
-        of maps projects the same t at each and returns a stack.
+        Reads the map's triplets, never a dense stacked matrix.  The blocks with
+        no stack axis are summed once into a dense block on the rows they name;
+        every other triplet must be alone in its row, so in unit weights each
+        map's normal matrix L* L is that block's normal matrix plus the
+        diagonal of the squared values of those triplets, summed by column (for
+        the gauge map D: L0 + diag |u(x)|^2, L0 the link Laplacian).  The
+        stacked triplets are applied by a gather and a segment sum.
+        LinAlgError (rank loss) unless each map's normal-matrix eigenvalues
+        have lambda_min > RANK_MARGIN n eps lambda_max, n = max(shape):
+        `eigvalsh` resolves no singular value below about sqrt(n eps) s_max,
+        above the `rank` cutoff, so when this returns `rank` keeps every
+        column.  Gershgorin discs bound lambda_min below and lambda_max above
+        (for D they give min |u|^2 and the largest disc); a map they certify
+        skips `eigvalsh`, which decides every other one, so the decision is
+        `eigvalsh`'s.  A stack of maps projects the same t, or its own t of a
+        stack of column stacks, at each and returns a stack.
         """
-        m_hat, sr, _ = self._normalised()
-        normal = np.swapaxes(m_hat, -1, -2) @ m_hat
-        lam = np.linalg.eigvalsh(normal)
-        floor = RANK_MARGIN * max(self.shape) * np.finfo(float).eps * lam.max(axis=-1, initial=0.0)
-        lost = ~(lam[..., 0] > floor) if lam.shape[-1] else np.zeros(lam.shape[:-1], bool)
-        if lost.any():
-            k = np.argmax(lost.reshape(-1))
-            raise np.linalg.LinAlgError(
-                "rank loss: the map is not injective (smallest normal-matrix eigenvalue "
-                "%.3e <= %.3e, %d columns)" % (lam[..., 0].reshape(-1)[k], floor.reshape(-1)[k], lam.shape[-1])
-            )
+        m, n = self.shape
+        w_r, sc = self.row_space.weights, np.sqrt(self.col_space.weights)
+        fixed, rows, cols, vals = _split_stacked(self.blocks)
+        fixed_rows = np.concatenate([r.ravel() for r, _, _ in fixed] + [np.zeros(0, int)])
+        held = np.flatnonzero(np.bincount(fixed_rows, minlength=m))
+        if np.bincount(np.concatenate([held, rows]), minlength=m).max(initial=0) > 1:
+            raise ValueError("range_projector needs each stacked triplet alone in its row")
+        # K = L / sc (columns in unit weights) on the rows the fixed blocks name and in the stacked
+        # triplets, and W K; the normal system (W K)^T K z = (W K)^T t, W the row weights, gives K z = L L^+ t
+        dense = (_assemble((held.size, n), [(np.searchsorted(held, r), c, v) for r, c, v in fixed]) if fixed
+                 else np.zeros((0, n))) / sc
+        held, rows = _span(held), _span(rows)  # views, not copies, of t's rows where they are runs
+        w_dense, vals = w_r[held][:, None] * dense, vals / sc[cols]
+        w_vals = w_r[rows] * vals
+        starts = np.flatnonzero(np.diff(cols, prepend=-1))  # cols is sorted: one segment per column
+        reached = _span(cols[starts])
+        diag = np.zeros(vals.shape[:-1] + (n,))
+        if starts.size:
+            diag[..., reached] = np.add.reduceat(w_vals * vals, starts, axis=-1)
+        fixed_normal = w_dense.T @ dense
+        normal = np.array(np.broadcast_to(fixed_normal, diag.shape[:-1] + (n, n)))
+        normal.reshape(diag.shape[:-1] + (n * n,))[..., :: n + 1] += diag
+
+        # Gershgorin discs of fixed_normal + diag(diag), diag >= 0
+        disc = np.abs(fixed_normal).sum(axis=-1)
+        lower = (2 * np.diagonal(fixed_normal) - disc + diag).min(axis=-1, initial=np.inf)
+        eps_floor = RANK_MARGIN * max(self.shape) * np.finfo(float).eps
+        open_ = ~(lower > eps_floor * (disc + diag).max(axis=-1, initial=0.0))
+        if open_.any():
+            lam = np.linalg.eigvalsh(normal[open_])
+            floor = eps_floor * lam[:, -1]
+            lost = ~(lam[:, 0] > floor)
+            if lost.any():
+                k = np.argmax(lost)
+                raise np.linalg.LinAlgError(
+                    "rank loss: the map is not injective (smallest normal-matrix eigenvalue "
+                    "%.3e <= %.3e, %d columns)" % (lam[k, 0], floor[k], n)
+                )
 
         def project(t):
-            cols = t[:, None] if np.ndim(t) == 1 else t
-            z = np.linalg.solve(normal, np.swapaxes(m_hat, -1, -2) @ (sr[:, None] * cols))
-            out = cols - (m_hat @ z) / sr[:, None]
+            cols_t = t[:, None] if np.ndim(t) == 1 else t
+            stack = np.broadcast_shapes(normal.shape[:-2], cols_t.shape[:-2])
+            rhs = np.zeros(stack + (n, cols_t.shape[-1]))
+            rhs += w_dense.T @ cols_t[..., held, :]
+            if starts.size:
+                rhs[..., reached, :] += np.add.reduceat(cols_t[..., rows, :] * w_vals[..., None], starts, axis=-2)
+            z = np.linalg.solve(normal, rhs)
+            out = np.array(np.broadcast_to(cols_t, stack + cols_t.shape[-2:]))
+            out[..., held, :] -= dense @ z
+            step = z[..., cols, :]
+            step *= vals[..., None]
+            out[..., rows, :] -= step
             return out[..., 0] if np.ndim(t) == 1 else out
 
         return project
@@ -563,6 +610,35 @@ def _assemble(shape, blocks):
         minlength=offset.size * size,
     )
     return out.reshape(stack + shape)
+
+
+def _split_stacked(blocks):
+    """(fixed, rows, cols, values): the blocks whose values have no stack axis, their index
+    arrays broadcast, and the triplets of the others flattened and sorted by column, with
+    their values (stack..., triplets) broadcast to one stack."""
+    fixed, rows, cols, vals = [], [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0)]
+    for r, c, v in blocks:
+        r, c = np.broadcast_arrays(r, c)
+        v = np.asarray(v, dtype=float)
+        lead = v.shape[: max(v.ndim - r.ndim, 0)]
+        if not lead:
+            fixed.append((r, c, v))
+            continue
+        rows.append(r.ravel())
+        cols.append(c.ravel())
+        vals.append(np.broadcast_to(v, lead + r.shape).reshape(lead + (-1,)))
+    stack = np.broadcast_shapes(*(x.shape[:-1] for x in vals))
+    vals = np.concatenate([np.broadcast_to(x, stack + x.shape[-1:]) for x in vals], axis=-1)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    order = np.argsort(cols, kind="stable")
+    return fixed, rows[order], cols[order], vals[..., order]
+
+
+def _span(idx):
+    """Ascending indices idx as a slice where they are one contiguous run, so that indexing gives a view."""
+    if idx.size and idx[-1] - idx[0] == idx.size - 1 and np.all(np.diff(idx) == 1):
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
 
 
 def _site_rows(field):

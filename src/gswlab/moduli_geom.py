@@ -165,8 +165,9 @@ class HopfFixtureSystem(QuotientSystem):
         return np.array([1.0, 0.0, 0.0, 0.0])
 
     def gauge_map(self, cvec):
-        col = -quat.mul(cvec, quat.QI)
-        return LinearMap(col[..., None], self.tan_space, self.gauge_space)
+        """D xi = -(q i) xi as triplets, one per tangent row; at a stack of points the values carry its axes."""
+        triplets = (np.arange(4), np.zeros(4, int), -quat.mul(cvec, quat.QI))
+        return LinearMap(None, self.tan_space, self.gauge_space, [triplets])
 
     def gauge_map_diff(self, cvec, wvec):
         return -quat.mul(wvec, quat.QI)[:, None]
@@ -188,10 +189,12 @@ class HopfFixtureSystem(QuotientSystem):
 def horizontal_projector(system: QuotientSystem, cvec):
     """Return a callable projecting tangent columns onto ker(D*): t - D D^+ t.
 
-    It is `D.range_projector()`, one small normal system D* D per point: a
+    It is `D.range_projector()`, one small normal system D* D per point, summed
+    from D's triplets (L0 + diag |u|^2 in unit weights) with no dense D: a
     reducible configuration (D not injective) raises LinAlgError; the trivial
     group (no gauge columns) gives a copy.  At a stack of points cvec (k, n)
-    the callable projects the same t at each point and returns a stack.
+    the callable projects the same t, or each point's own t of a stack
+    (k, n, c), at each point and returns a stack.
     """
     return system.gauge_map(cvec).range_projector()
 
@@ -342,9 +345,9 @@ def fd_oracle_curvature(metric_fn, dim, eps=1e-3):
     return richardson
 
 
-#: chunk budget of a stacked metric evaluation, in dense n x max(gauge, equation) maps
-#: of the system: no temporary of a chunk is larger than this many of them
-CHUNK_MAPS = 16
+#: chunk budget of a stacked metric evaluation, in bytes of each point's largest dense
+#: temporary (tangent x max(equation rows, metric columns) doubles) summed over the chunk
+CHUNK_BYTES = 8_000_000
 #: full equation-row norm every solution-chart point must reach
 CHART_NEWTON_TOL = 1e-12
 
@@ -352,15 +355,16 @@ CHART_NEWTON_TOL = 1e-12
 def _in_chunks(chunk_metric, xi, system, n_cols):
     """chunk_metric over a stack of chart points, cut into chunks.
 
-    A point's largest temporary is a dense tangent-by-k array, k the
-    widest of the gauge map, the equation map and the n_cols metric
-    columns; a chunk holds CHUNK_MAPS maps' worth of it, at least one
-    point.  A single point (dim,) is a stack of one and gives one matrix.
+    The gauge map is applied from its triplets, so the largest dense array a
+    point still forms is tangent by k doubles, k the wider of the equation rows
+    (its stacked E) and the n_cols metric columns (its projected columns); a
+    chunk holds as many points as fit CHUNK_BYTES of it, at least one.  A
+    single point (dim,) is a stack of one and gives one matrix.
     """
     xi = np.asarray(xi, dtype=float)
     pts = xi.reshape(-1, xi.shape[-1])
-    widest_map = max(system.gauge_space.dim, system.eq_space.dim, 1)
-    size = max(1, CHUNK_MAPS * widest_map // max(widest_map, n_cols))
+    per_point = np.dtype(float).itemsize * system.tan_space.dim * max(system.eq_space.dim, n_cols)
+    size = max(1, CHUNK_BYTES // per_point)
     out = []
     for lo in range(0, len(pts), size):
         g = chunk_metric(pts[lo : lo + size])
@@ -373,19 +377,24 @@ def _lstsq(a, b):
     """Minimum-norm least-squares solutions of a stack of systems a x = b.
 
     Singular values at or below `np.linalg.lstsq`'s default cutoff,
-    eps max(m, n) s_max, are dropped as it drops them.  A stack of square
-    systems that keeps every singular value is solved by LU; otherwise the
-    solution is read from one stacked SVD.
+    eps max(m, n) s_max, are dropped as it drops them.  Each square system
+    that keeps every singular value is solved by LU, every other one from its
+    SVD, so a system's solution does not depend on the rest of its stack.
     """
     cutoff = np.finfo(float).eps * max(a.shape[-2:])
+    lu = np.zeros(a.shape[:-2], bool)
     if a.shape[-1] == a.shape[-2]:
         s = np.linalg.svd(a, compute_uv=False)
-        if np.all(s > cutoff * s[..., :1]):
-            return np.linalg.solve(a, b)
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    keep = s > cutoff * s[..., :1]
-    s_inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
-    return np.swapaxes(vt, -1, -2) @ (s_inv[..., None] * (np.swapaxes(u, -1, -2) @ b))
+        lu = s[..., -1] > cutoff * s[..., 0]
+    x = np.empty(a.shape[:-2] + (a.shape[-1], b.shape[-1]))
+    if lu.any():
+        x[lu] = np.linalg.solve(a[lu], b[lu])
+    if not lu.all():
+        u, s, vt = np.linalg.svd(a[~lu], full_matrices=False)
+        keep = s > cutoff * s[..., :1]
+        s_inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
+        x[~lu] = np.swapaxes(vt, -1, -2) @ (s_inv[..., None] * (np.swapaxes(u, -1, -2) @ b[~lu]))
+    return x
 
 
 def slice_chart_metric(system: QuotientSystem, cvec, v, w):
@@ -395,7 +404,8 @@ def slice_chart_metric(system: QuotientSystem, cvec, v, w):
     the inner product of horizontally-projected basis vectors at the
     moved configuration.  Basis vector 0 is v, vector 1 is w; with
     plane=True only those two.  metric_fn takes one point (dim,) or a
-    stack (k, dim), evaluated in chunks (see `solution_chart_metric`).
+    stack (k, dim), evaluated in chunks of CHUNK_BYTES (see `_in_chunks`),
+    each one stacked projector over the chunk.
     A reducible cvec raises LinAlgError here, a plane outside the gauge
     slice ker D* ValueError; a reducible chart point raises it from metric_fn.
     """
@@ -431,11 +441,12 @@ def solution_chart_metric(system, cvec, v, w, max_iter=80):
 
     metric_fn takes one point (dim,) or a stack of points (k, dim) and
     returns (dim, dim) or (k, dim, dim) (2 x 2 with plane=True).  A stack
-    is evaluated in chunks whose largest temporary (a dense E, D or
-    projected column stack per point) stays within CHUNK_MAPS maps: one chord
-    Newton over the chunk (`ChartFrame.solve`, each point with its own
-    stop rule), the stacked equation and gauge maps, one stacked
-    least-squares solve for the differential and stacked projectors.
+    is evaluated in chunks whose points' largest temporaries (a dense E or
+    projected column stack per point) sum to at most CHUNK_BYTES (see
+    `_in_chunks`): one chord Newton over the chunk (`ChartFrame.solve`, each
+    point with its own stop rule), the stacked equation map, one stacked
+    least-squares solve for the differential (its route chosen system by
+    system) and the stacked projector, applied from the gauge maps' triplets.
     Any point that fails fails the call.
     """
     d = system.gauge_map(cvec)

@@ -1,3 +1,5 @@
+import importlib.util
+import pathlib
 import warnings
 
 import numpy as np
@@ -9,6 +11,8 @@ from gswlab.deformation import TangentConfig
 from gswlab.gsw import Configuration, Sources
 from gswlab.lattice import ConnectionField, LatticeGeom, SpinorField, Topology
 from gswlab.targets import GaugeGroup
+
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
 
 def torus(n=2, h=0.5):
@@ -243,6 +247,60 @@ def test_range_projector_raises_on_zero_spinor():
         mg.horizontal_projector(sys_, sys_.center())
 
 
+def test_rank_certificate_decides_as_eigvalsh(monkeypatch):
+    """With u scaled so that min |u|^2 straddles the rank-loss floor, `range_projector` keeps exactly
+    the maps that `eigvalsh` of the dense normal matrix keeps; Gershgorin's bound certifies some without
+    `eigvalsh`, and leaves it the rest; a lost map inside a stack fails the stack."""
+    geom = LatticeGeom((2,) * 4, 0.5, Topology.BOX)
+    vals = np.zeros(geom.dims + (4,))
+    vals[..., 0] = 1.0
+    vals[0, 0, 0, 0, 0] = 0.1  # min |u|^2 a hundredth of the mean: the bound and eigvalsh part ways
+    sys_ = mg.LatticeSystem(Configuration(ConnectionField(geom, GaugeGroup.U1), SpinorField(geom, vals)),
+                            Sources.zero(geom))
+    pts = np.array([sys_.tan_space.pack(None, s * vals) for s in np.logspace(-8, -3, 51)])
+    sr, sc = np.sqrt(sys_.tan_space.weights), np.sqrt(sys_.gauge_space.weights)
+    real, opened = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: opened.append(len(a)) or real(a))
+    kept, certified = [], []
+    for p in pts:
+        d = sys_.gauge_map(p)
+        m_hat = sr[:, None] * d.matrix / sc
+        lam = real(m_hat.T @ m_hat)
+        opened.clear()
+        try:
+            d.range_projector()
+            kept.append(True)
+        except np.linalg.LinAlgError as err:
+            assert str(err).startswith("rank loss")
+            kept.append(False)
+        assert kept[-1] == (lam[0] > dfm.RANK_MARGIN * max(d.shape) * np.finfo(float).eps * lam[-1])
+        certified.append(not opened)
+    kept, certified = np.array(kept), np.array(certified)
+    assert (~kept).any() and (kept & ~certified).any() and certified.any() and not (certified & ~kept).any()
+    sys_.gauge_map(pts[kept]).range_projector()
+    with pytest.raises(np.linalg.LinAlgError, match="rank loss"):
+        sys_.gauge_map(np.concatenate([pts[kept][:3], pts[~kept][-1:], pts[kept][3:]])).range_projector()
+
+
+@pytest.mark.parametrize("case", ["hopf", "box_2"])
+def test_range_projector_never_reads_a_stacked_matrix(case, monkeypatch):
+    """A stack of gauge maps is projected from its triplets, `matrix` unread, map by map as alone."""
+    sys_, c0 = _gauge_case(case)
+    rng = np.random.default_rng(59)
+    pts = c0 + 0.05 * rng.normal(size=(3, c0.size))
+    t = rng.normal(size=(sys_.tan_space.dim, 2))
+    ts = rng.normal(size=(3, sys_.tan_space.dim, 2))
+    singles = [np.array([mg.horizontal_projector(sys_, p)(x) for p, x in zip(pts, xs)]) for xs in ([t] * 3, ts)]
+
+    def unread(self):
+        raise AssertionError("range_projector read a dense matrix")
+
+    monkeypatch.setattr(dfm.LinearMap, "matrix", property(unread))
+    proj = mg.horizontal_projector(sys_, pts)
+    for got, want in zip((proj(t), proj(ts)), singles):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_slice_chart_refuses_a_reducible_centre():
     """u = 0 on a U(1) torus: `slice_chart_metric` raises rank loss at its centre, before it returns metric_fn."""
     geom = torus()
@@ -453,6 +511,8 @@ def test_stacked_metric_matches_single_points(case, monkeypatch):
     """metric_fn on a stack of every oracle point is each point evaluated alone, within 1e-12;
     each point's chord Newton takes as many iterations to the same verdict as alone."""
     mf, dim, eps = _plane_case(case)
+    if case == "box_2":  # the default budget holds the 2^4 plane stack in one chunk; cut it into 18-point chunks
+        monkeypatch.setattr(mg, "CHUNK_BYTES", 100_000)
     infos = []
     real_solve = dfm.ChartFrame.solve
 
@@ -495,6 +555,83 @@ def test_stacked_lstsq_is_lstsq():
         b = rng.normal(size=a.shape[:-1] + (2,))
         want = np.array([np.linalg.lstsq(x, y, rcond=None)[0] for x, y in zip(a, b)])
         assert np.abs(mg._lstsq(a, b) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_stacked_lstsq_decides_the_route_per_system():
+    """A full-rank square system solves by LU beside a rank-deficient one: bit for bit as alone."""
+    rng = np.random.default_rng(64)
+    a = rng.normal(size=(6, 6, 6))
+    a[2, :, -1] = a[2, :, 0]
+    b = rng.normal(size=(6, 6, 3))
+    x = mg._lstsq(a, b)
+    for i in (0, 1, 3, 4, 5):
+        assert np.array_equal(x[i], mg._lstsq(a[i], b[i]))
+    want = np.linalg.lstsq(a[2], b[2], rcond=None)[0]
+    assert np.abs(x[2] - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_chunk_sizes(monkeypatch):
+    """CHUNK_BYTES cuts criterion 5's 3^4 chart into chunks of 16 plane and 5 full points,
+    and leaves every call on the 2^4 chart in one chunk."""
+    sizes = []
+    real = mg._in_chunks
+
+    def counting(chunk_metric, xi, system, n_cols):
+        def dry(x):
+            sizes.append(len(x))
+            return np.zeros((len(x), n_cols, n_cols))
+
+        return real(dry, xi, system, n_cols)
+
+    monkeypatch.setattr(mg, "_in_chunks", counting)
+    for case, plane_chunk, full_chunk in (("box_3", 16, 5), ("box_2", None, None)):
+        mf, dim, eps = _plane_case(case)
+        for pts, plane, chunk in zip(_oracle_points(dim, eps), (False, True), (full_chunk, plane_chunk)):
+            sizes.clear()
+            mf(pts, plane=plane)
+            chunk = chunk or len(pts)
+            assert sizes == [chunk] * (len(pts) // chunk) + [len(pts) % chunk] * bool(len(pts) % chunk)
+
+
+def _dense_range_projector(lm):
+    """The dense route: each map's weight-normalised matrix m_hat = sr M / sc and its normal system."""
+    sr, sc = np.sqrt(lm.row_space.weights), np.sqrt(lm.col_space.weights)
+    m_hat = lm.matrix * sr[:, None] / sc
+    normal = np.swapaxes(m_hat, -1, -2) @ m_hat
+
+    def project(t):
+        cols = t[:, None] if np.ndim(t) == 1 else t
+        z = np.linalg.solve(normal, np.swapaxes(m_hat, -1, -2) @ (sr[:, None] * cols))
+        out = cols - (m_hat @ z) / sr[:, None]
+        return out[..., 0] if np.ndim(t) == 1 else out
+
+    return project
+
+
+def _curvature_box_chart(seed=11):
+    """(metric_fn, dim, eps) of the benchmark's curvature_box lattice chart."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    wl = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(wl)
+    inp = wl.setup_curvature_box(seed)
+    sys_, c0 = inp["system"], inp["cvec"]
+    v, w = mg.sample_solution_plane(sys_, c0, seed=inp["plane_seed"])[0]
+    return (*mg.solution_chart_metric(sys_, c0, v, w), wl.ORACLE_EPS)
+
+
+@pytest.mark.parametrize("case", ["curvature_box", "box_3"])
+def test_oracle_metric_matches_the_dense_projector(case, monkeypatch):
+    """Oracle-point metrics from the triplet projector are the dense route's within 1e-12 relative:
+    every point of the curvature_box chart, and criterion 5's 3^4 chart at its full points and a plane chunk."""
+    mf, dim, eps = _curvature_box_chart() if case == "curvature_box" else _plane_case(case)
+    stacks = [(pts, plane) for e in (eps, eps / 2) for pts, plane in zip(_oracle_points(dim, e), (False, True))]
+    if case == "box_3":
+        stacks = [(stacks[0][0], False), (stacks[1][0][:16], True)]
+    triplet = [mf(pts, plane=plane) for pts, plane in stacks]
+    monkeypatch.setattr(dfm.LinearMap, "range_projector", _dense_range_projector)
+    for got, (pts, plane) in zip(triplet, stacks):
+        want = mf(pts, plane=plane)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_stacked_metric_fails_with_any_failing_point():
