@@ -9,8 +9,10 @@ numbers in range (integers where they count, never bools), flags JSON
 booleans, names one of their listed strings, and null is accepted only
 where the default is null.  Any other value, an unknown key, a missing
 required key, a frequency grid that leaves the lattice, an unreadable
-snapshot or a dense problem over the size limit exits 2 with no outputs.
-The dense experiments (solve, deform, kuranishi, lattice curvature) use
+snapshot or a dense problem over the size limit exits 2 with no outputs
+(a torus `solve` has no limit: its Newton steps are matrix-free and
+Fourier preconditioned).  The dense experiments (solve, deform,
+kuranishi, lattice curvature) use
 the forward stencil, whose matrix transposes are the exact discrete
 adjoints, and take no `stencil`.  Every run writes a manifest.json with
 the config hash, package version and wall time.  Exit codes: 0 success,
@@ -218,7 +220,8 @@ def validate_config(cfg, experiment):
 
 def _filled(cfg, experiment):
     """cfg with every default filled in, after one pass over the schema and the checks that
-    need the lattice: the frequency grid, a snapshot's lattice and the dense limit."""
+    need the lattice: the frequency grid, a snapshot's lattice and the dense limit, which a
+    torus `solve` has not."""
     full = _fill(cfg, SCHEMA[experiment])
     params = full["params"]
     lattice_free = experiment == "target-check" or (experiment == "curvature" and params["mode"] == "fixture")
@@ -237,11 +240,12 @@ def _filled(cfg, experiment):
         except (OSError, ValueError, KeyError, TypeError) as err:
             raise ConfigError(f"unreadable snapshot {path!r}: {err}") from err
     if dense:  # the run's lattice is the snapshot's, whatever geometry says
-        lattice = (u.geom, a.group) if snapshot else (build_geometry(full), GaugeGroup(full["group"]))
-        lay = dfm.layout(*lattice)
-        dim = max(lay.equations.dim + lay.gauge.dim, lay.tangent.dim)
-        _require(dim <= dfm.MAX_DENSE_DIM, f"elliptic operator dimension {dim} is over "
-                 f"the dense limit {dfm.MAX_DENSE_DIM}; use a smaller lattice")
+        geom, group = (u.geom, a.group) if snapshot else (build_geometry(full), GaugeGroup(full["group"]))
+        if experiment != "solve" or geom.topology is not Topology.TORUS:  # a torus solve is matrix-free
+            lay = dfm.layout(geom, group)
+            dim = max(lay.equations.dim + lay.gauge.dim, lay.tangent.dim)
+            _require(dim <= dfm.MAX_DENSE_DIM, f"elliptic operator dimension {dim} is over "
+                     f"the dense limit {dfm.MAX_DENSE_DIM}; use a smaller lattice")
     return full
 
 

@@ -12,7 +12,14 @@ where read.  A map whose blocks decouple is factored part by part: at
 u = 0, E is the Dirac operator on spinors beside d^+ on one-forms, and D*
 is d* on one-forms with every spinor in its kernel.  The Newton step of
 `gsw.solve_newton` never densifies: it runs `lsqr` on the
-weight-normalized triplets.
+weight-normalized triplets.  On a torus that LSQR is right-preconditioned
+by P = M^(-1/2), M = A0^T A0 + mu I, A0 the flat [E; D*] at u = 0, a = 0
+and mu the mean |u|^2 (`fourier_preconditioner`): A0 is translation
+invariant, so the FFT diagonalises M into one small block per mode
+(Davies et al., "Fourier acceleration in lattice gauge theories", Phys.
+Rev. D 37 (1988) 1581).  The step is the minimum-norm one where [E; D*]
+is injective, at u = 0, and for every inconsistent system, which `lsqr`
+solves again without P.  A box keeps plain LSQR.
 
 Equation rows are restricted to the trusted stencil support
 (`gsw.row_masks`); on a box this leaves the faces unconstrained, which
@@ -240,7 +247,7 @@ def moved(c: Configuration, vec) -> Configuration:
 # linear maps
 
 
-def lsqr(matvec, rmatvec, b):
+def lsqr(matvec, rmatvec, b, precondition=None):
     """Minimum-norm least-squares solution of A x = b by LSQR; returns (x, iterations).
 
     Paige & Saunders, ACM TOMS 8 (1982), from x = 0 with no damping, on
@@ -249,25 +256,41 @@ def lsqr(matvec, rmatvec, b):
     |r| <= btol |b| + atol |A| |x| (a consistent system) or |A^T r| <=
     atol |A| |r| (a least-squares one), |A| the running Frobenius estimate.
     Raises LinAlgError when neither holds after LSQR_MAX_ITER iterations.
+
+    `precondition`, g -> (P g, P^2 g) as one (2, n) array for a symmetric
+    positive definite P, runs the same loop on A P (right preconditioning)
+    and returns x = P y, y its minimum-norm solution: of the least-squares
+    solutions, the one of least |P^-1 x|, which is the least |x| where A is
+    injective or ker A is an invariant subspace of P.  Each vector of the
+    loop (v, w, y) is carried beside its image under P, so A P v is
+    matvec(P v) and x comes with y.  The stop test is LSQR's own on A P:
+    it reads |y| = |P^-1 x| for |x|, A P's running Frobenius estimate for
+    |A|, and |P A^T r| for |A^T r|.  A square A whose run ends on the
+    least-squares test leaves part of b off its range, so it has a kernel,
+    where the two norms may part: the loop then runs again without P and
+    returns that x, with the iterations of both runs.  Without a
+    preconditioner the vectors are carried alone, and the iterates are
+    those of the unpreconditioned loop bit for bit.
     """
+    lift = (lambda g: g[None]) if precondition is None else precondition
     beta = np.linalg.norm(b)
     u = b / beta if beta > 0 else b
-    v = rmatvec(u)
-    alpha = np.linalg.norm(v)
-    x = np.zeros_like(v)
+    v = lift(rmatvec(u))  # rows: v, then P v when preconditioned
+    alpha = np.linalg.norm(v[0])
+    x = np.zeros_like(v)  # rows: y, then x = P y
     if alpha == 0:  # b = 0, or b orthogonal to the range
-        return x, 0
+        return x[-1], 0
     v = v / alpha
     w = v.copy()
     b_norm, phibar, rhobar, a_norm2 = beta, beta, alpha, 0.0
     for it in range(1, LSQR_MAX_ITER + 1):
-        u = matvec(v) - alpha * u
+        u = matvec(v[-1]) - alpha * u
         beta = np.linalg.norm(u)
         if beta > 0:
             u = u / beta
             a_norm2 += alpha**2 + beta**2
-            v = rmatvec(u) - beta * v
-            alpha = np.linalg.norm(v)
+            v = lift(rmatvec(u)) - beta * v
+            alpha = np.linalg.norm(v[0])
             if alpha > 0:
                 v = v / alpha
         # a plane rotation eliminates the subdiagonal beta
@@ -279,9 +302,13 @@ def lsqr(matvec, rmatvec, b):
         w = v - (theta / rho) * w
         a_norm = np.sqrt(a_norm2)
         ar_norm = alpha * abs(s * phi)
-        if (phibar <= LSQR_TOL * (b_norm + a_norm * np.linalg.norm(x))
-                or ar_norm <= LSQR_TOL * a_norm * phibar):
-            return x, it
+        if phibar <= LSQR_TOL * (b_norm + a_norm * np.linalg.norm(x[0])):
+            return x[-1], it
+        if ar_norm <= LSQR_TOL * a_norm * phibar:
+            if precondition is None or b.size != x.shape[-1]:
+                return x[-1], it
+            x, more = lsqr(matvec, rmatvec, b)  # a square A with a kernel: the least |x|
+            return x, it + more
     raise np.linalg.LinAlgError("LSQR did not converge in %d iterations" % LSQR_MAX_ITER)
 
 
@@ -463,19 +490,25 @@ class LinearMap:
             x[cols] = vt[:r].T @ ((u[:, :r].T @ y_hat[rows]) / s[:r][col])
         return x / sc[col]
 
-    def lsqr_apply(self, y):
-        """`pinv_apply` of the vector y by `lsqr`, matrix-free: returns (x, LSQR iterations).
-
-        Reads only the map's triplets, weight-normalised to sr M / sc, and
-        never forms, factors or rank-checks a dense matrix.
-        """
+    def _unit_triplets(self):
+        """(rows, cols, values) of all blocks, flattened, with the values weight-normalised to sr M / sc."""
         rows, cols, vals = (np.concatenate([a.ravel() for a in arrays])
                             for arrays in zip(*(np.broadcast_arrays(*b) for b in self.blocks)))
         sr, sc = np.sqrt(self.row_space.weights), np.sqrt(self.col_space.weights)
-        vals = vals * sr[rows] / sc[cols]
+        return rows, cols, vals * sr[rows] / sc[cols]
+
+    def lsqr_apply(self, y, precondition=None):
+        """`pinv_apply` of the vector y by `lsqr`, matrix-free: returns (x, LSQR iterations).
+
+        Reads only the map's triplets, weight-normalised to sr M / sc, and
+        never forms, factors or rank-checks a dense matrix.  `precondition`
+        acts in those unit-weight columns (see `lsqr`).
+        """
+        rows, cols, vals = self._unit_triplets()
+        sr, sc = np.sqrt(self.row_space.weights), np.sqrt(self.col_space.weights)
         m, n = self.shape
         z, iters = lsqr(lambda x: np.bincount(rows, vals * x[cols], m),
-                        lambda u: np.bincount(cols, vals * u[rows], n), sr * y)
+                        lambda u: np.bincount(cols, vals * u[rows], n), sr * y, precondition)
         return z / sc, iters
 
     def range_projector(self):
@@ -747,6 +780,111 @@ def stacked_op(eq: LinearMap, gauge: LinearMap) -> LinearMap:
 def elliptic_op(c: Configuration) -> LinearMap:
     """The linearized equations stacked over the gauge slice condition."""
     return stacked_op(linearize_fsw(c), lin_gauge(c))
+
+
+# ---------------------------------------------------------------------------
+# the Newton step's Fourier preconditioner on a torus
+
+
+def _channels(vec, n_links):
+    """Tangent vectors (..., dim) on a torus as (..., k, sites): the k channels are the one-form
+    axes (every link exists; axis-major), then the spinor components."""
+    lead, sites = vec.shape[:-1], (vec.shape[-1] - n_links) // 4
+    spinor = np.swapaxes(vec[..., n_links:].reshape(lead + (sites, 4)), -1, -2)
+    return np.concatenate([vec[..., :n_links].reshape(lead + (-1, sites)), spinor], axis=-2)
+
+
+def _from_channels(f, n_links):
+    """The tangent vectors (..., dim) of channels (..., k, sites), inverting `_channels`."""
+    lead, k = f.shape[:-2], n_links // f.shape[-1]
+    spinor = np.swapaxes(f[..., k:, :], -1, -2)
+    return np.concatenate([f[..., :k, :].reshape(lead + (-1,)), spinor.reshape(lead + (-1,))], axis=-1)
+
+
+def _spectra(fields, dims):
+    """`rfftn` of fields (k, sites) over the site axes dims, as (modes, k), modes in rfftn's order.
+
+    Each axis is transformed as the last, contiguous one, last site axis
+    first, and a transpose then brings the next one last: the transforms of
+    rfftn, bit for bit, without its strided passes over the leading axes.
+    """
+    spectra = np.fft.rfft(fields.reshape(-1, dims[-1]))
+    for size in dims[-2::-1]:
+        spectra = np.fft.fft(spectra.T.reshape(-1, size))
+    return spectra.T.reshape(-1, fields.shape[0])
+
+
+def _from_spectra(modes, dims):
+    """Real fields (j, sites) of the spectra (modes, j), inverting `_spectra` (`irfftn`'s transforms)."""
+    fields = modes
+    for size in dims[:-1]:  # the leading site axis is brought last and transformed
+        fields = np.fft.ifft(fields.reshape(size, -1).T)
+    return np.fft.irfft(fields.reshape(dims[-1] // 2 + 1, -1).T, dims[-1]).reshape(modes.shape[-1], -1)
+
+
+@functools.lru_cache(maxsize=8)
+def flat_symbol(geom: LatticeGeom, group: GaugeGroup):
+    """(lam, vec): the Fourier symbol of A0^T A0 on a torus, diagonalised mode by mode; read-only.
+
+    A0 is [E; D*] in unit weights at u = 0, a = 0.  It is translation
+    invariant, so A0^T A0 is block circulant, with one k x k block (k = 8
+    channels of `_channels`, 4 for the trivial group) per site offset.  The
+    blocks are the impulse responses A0^T A0 e_j, e_j channel j at site 0,
+    applied through `elliptic_op`'s own triplets.  `rfftn` over the sites
+    gives one Hermitian matrix per mode of the half spectrum, which
+    multiplies the mode's channels; `eigh` of the (modes, k, k) stack gives
+    its eigenvalues lam (modes, k) and eigenvectors vec (modes, k, k).
+    """
+    zero = Configuration(lat.ConnectionField(geom, group), lat.SpinorField(geom, np.zeros(geom.dims + (4,))))
+    op = elliptic_op(zero)
+    rows, cols, vals = op._unit_triplets()
+    (m, n), n_links = op.shape, layout(geom, group).tangent.n_links
+    k = 4 + n_links // geom.n_sites
+    impulses = np.zeros((k, k, geom.n_sites))
+    impulses[np.arange(k), np.arange(k), 0] = 1.0
+    responses = np.array([np.bincount(cols, vals * np.bincount(rows, vals * e[cols], m)[rows], n)
+                          for e in _from_channels(impulses, n_links)])
+    # channel i of response j is the (i, j) entry of each mode's block
+    sym = _spectra(_channels(responses, n_links).reshape(k * k, -1), geom.dims)
+    lam, vec = np.linalg.eigh(np.swapaxes(sym.reshape(-1, k, k), -1, -2))
+    lam.flags.writeable = vec.flags.writeable = False
+    return lam, vec
+
+
+def fourier_preconditioner(c: Configuration):
+    """For `lsqr` on [E; D*] at c in unit weights, g -> (P g, P^2 g): P = M^(-1/2), M = A0^T A0 + mu I
+    (`flat_symbol`); None off a torus.
+
+    mu, the mean |u|^2 at c, stands for the pointwise blocks A0 leaves out:
+    the link term of the Dirac rows, d Phi_4 and the -u i of D*.  The trivial
+    group has none, [E; D*] is A0 itself there, and mu = 0.  M has the
+    symbol's eigenvectors and its eigenvalues plus mu.  Those at or below
+    RANK_REL_CUTOFF times the largest (with mu = 0, A0's kernel: the
+    constants, and on tori of 4k or 6k sites a side the momenta where the
+    Dirac symbol is a null complex quaternion) are raised to the smallest of
+    the rest.  That makes M definite and keeps its eigenvectors, so A0's
+    kernel stays an invariant subspace of P, and at u = 0 the step is still
+    the minimum-norm one.  One application is one `rfftn` of g, one product
+    with the (modes, 2k, k) stack of P's and P^2's blocks, and one `irfftn`
+    of the pair.
+    """
+    geom = c.geom
+    if geom.topology is not lat.Topology.TORUS:
+        return None
+    lam, vec = flat_symbol(geom, c.group)
+    mu = 0.0 if c.group is GaugeGroup.TRIVIAL else float(np.mean(np.sum(c.u.values**2, axis=-1)))
+    lam = lam + mu
+    small = lam <= RANK_REL_CUTOFF * lam.max()
+    lam[small] = lam[~small].min()
+    vec_h = np.conj(np.swapaxes(vec, -1, -2))
+    pair = np.concatenate([(vec * lam[:, None, :] ** -0.5) @ vec_h, (vec / lam[:, None, :]) @ vec_h], axis=1)
+    n_links = layout(geom, c.group).tangent.n_links
+
+    def apply(g):
+        both = pair @ _spectra(_channels(g, n_links), geom.dims)[..., None]
+        return _from_channels(_from_spectra(both[..., 0], geom.dims).reshape(2, -1, geom.n_sites), n_links)
+
+    return apply
 
 
 def residual_rowvec(c: Configuration, s: Sources, space: EquationSpace):

@@ -202,15 +202,6 @@ def weitzenbock_residual(c: Configuration, stencil=Stencil.CENTERED):
     return quat.norm(lhs - rhs)
 
 
-def energy_identity(c: Configuration, stencil=Stencil.FORWARD):
-    """int |d_A u|^2, the energy side of the identity.
-
-    On closed on-shell data it equals -int (s_X/4) |chi0 o u|^2, which is
-    zero on the flat lattice.
-    """
-    return float(np.sum(lat.grad_energy_density(c.u, c.a, stencil)) * c.geom.h**4)
-
-
 # ---------------------------------------------------------------------------
 # stress tensor and Bochner residual
 

@@ -204,7 +204,13 @@ def solve_newton(
         [ D F_sw ; D* ] step = [ -residual ; 0 ]
     re-linearised at the current iterate, which is init moved additively
     (flat targets) by the sum of the steps.  It is matrix-free: LSQR on
-    the Jacobian's triplets (`LinearMap.lsqr_apply`).  The loop and its
+    the Jacobian's triplets (`LinearMap.lsqr_apply`), on a torus
+    right-preconditioned by the FFT-diagonal M^(-1/2) of
+    `deformation.fourier_preconditioner`, so no lattice size limit applies
+    there.  The step is then still the minimum-norm one wherever the
+    stacked map is injective, at u = 0, and wherever the system is
+    inconsistent (see `deformation.lsqr`, also for the norms its stop test
+    reads).  The loop and its
     stop rule are `deformation.newton` on the trusted equation rows.
     Returns (configuration, diagnostics), one dict per iterate: iter,
     residual_norm, step_norm and lsqr_iters (those of the step that
@@ -225,7 +231,7 @@ def solve_newton(
         c = dfm.moved(init, x)
         d = dfm.lin_gauge(c)
         dx, iters = dfm.stacked_op(dfm.linearize_fsw(c), d).lsqr_apply(
-            -np.concatenate([r, np.zeros(d.col_space.dim)])
+            -np.concatenate([r, np.zeros(d.col_space.dim)]), dfm.fourier_preconditioner(c)
         )
         lsqr_iters.append(iters)
         return dx

@@ -273,12 +273,12 @@ def identity_diff(geom: LatticeGeom, v, axis, step):
     return _difference(geom, v, axis, step)
 
 
-def _undivided_diff(u: SpinorField, a: ConnectionField, axis, centred):
-    """T u(x+e) - T u(x-e) (centred) or T u(x+e) - u(x) (forward) along axis, not yet
-    divided by the step.  On a box a face plane whose neighbour is missing takes the
-    one-sided difference, doubled when centred, so that dividing by 2h gives the face
-    value of cov_diff_component; the forward one divided by h is forward_cov_diff."""
-    v, topo, tr = u.values, u.geom.topology, _transport(u, a, axis)
+def _undivided_diff(v, tr, topo, axis, centred):
+    """T v(x+e) - T v(x-e) (centred) or T v(x+e) - v(x) (forward) along axis, under the
+    transport tr (`_transport`) on a lattice of topology topo, not yet divided by the
+    step.  On a box a face plane whose neighbour is missing takes the one-sided
+    difference, doubled when centred, so that dividing by 2h gives the face value of
+    cov_diff_component; the forward one divided by h is forward_cov_diff."""
     if not centred:
         return _link_diffs(v, axis, topo, tr, fill=True)
     n = v.shape[axis]
@@ -346,15 +346,6 @@ def dirac(u: SpinorField, a: ConnectionField, stencil=Stencil.FORWARD):
 ENERGY_SLAB_PLANES = 2
 
 
-def _planes(u: SpinorField, a: ConnectionField, lo, hi):
-    """u and a on the axis-0 planes lo..hi-1 (wrapped), as fields of their own lattice."""
-    n = u.geom.dims[0]
-    rows = slice(lo, hi) if 0 <= lo and hi <= n else np.arange(lo, hi) % n
-    geom = LatticeGeom((hi - lo,) + u.geom.dims[1:], u.geom.h, u.geom.topology)
-    links = None if a.links is None else a.links[rows]
-    return SpinorField(geom, u.values[rows], u.kind), ConnectionField(geom, a.group, links)
-
-
 def grad_energy_density(u: SpinorField, a: ConnectionField, stencil=Stencil.FORWARD):
     """|d_A u|^2 sitewise over slabs of ENERGY_SLAB_PLANES axis-0 planes (the last
     takes the remainder): axes 1-3 on the slab, axis 0 on the slab plus a plane on
@@ -369,19 +360,27 @@ def grad_energy_density(u: SpinorField, a: ConnectionField, stencil=Stencil.FORW
     site.  For a field linear in x with dyadic coefficients on a dyadic spacing
     every step is exact, face planes included.
     """
-    n, box = u.geom.dims[0], u.geom.topology is Topology.BOX
-    centred = stencil is Stencil.CENTERED
-    scale = (2.0 * u.geom.h) ** 2 if centred else u.geom.h**2
+    n, topo, h = u.geom.dims[0], u.geom.topology, u.geom.h
+    centred, cone = stencil is Stencil.CENTERED, u.kind is TargetKind.CONE_H_MOD_Z2
+    scale = (2.0 * h) ** 2 if centred else h**2
     out = np.empty(u.geom.dims)
+
+    def planes(lo, hi):  # values and links on the axis-0 planes lo..hi-1 (wrapped); no field is rebuilt
+        rows = slice(lo, hi) if 0 <= lo and hi <= n else np.arange(lo, hi) % n
+        return u.values[rows], None if a.links is None else a.links[rows]
+
+    def diff(v, links, axis):  # _undivided_diff of the slab's values under its links along axis
+        return _undivided_diff(v, (None if links is None else links[..., axis], cone, h), topo, axis, centred)
+
     edges = [*range(0, n - 1, ENERGY_SLAB_PLANES), n]
     for p0, p1 in zip(edges, edges[1:]):
-        lo, hi = (max(p0 - 1, 0), min(p1 + 1, n)) if box else (p0 - 1, p1 + 1)
+        lo, hi = (max(p0 - 1, 0), min(p1 + 1, n)) if topo is Topology.BOX else (p0 - 1, p1 + 1)
         slab = out[p0:p1]
-        d = _undivided_diff(*_planes(u, a, lo, hi), 0, centred)[p0 - lo:p1 - lo]
+        d = diff(*planes(lo, hi), 0)[p0 - lo:p1 - lo]
         np.einsum("...k,...k->...", d, d, out=slab)
-        us, as_ = _planes(u, a, p0, p1)
+        v, links = planes(p0, p1)
         for i in range(1, 4):
-            d = _undivided_diff(us, as_, i, centred)
+            d = diff(v, links, i)
             slab += np.einsum("...k,...k->...", d, d)
         slab /= scale
     return out

@@ -4,6 +4,7 @@ import inspect
 import json
 import os
 import pathlib
+import time
 
 import numpy as np
 import pytest
@@ -86,6 +87,30 @@ def test_dense_limit_rejected_before_output(tmp_path):
     assert not out.exists()
     payload["geometry"]["dims"] = [4, 4, 4, 4]  # 2048 x 2048: accepted
     assert cli.validate_config(payload, "deform") is payload
+
+
+def test_torus_solve_past_the_dense_limit(tmp_path):
+    """A 6^4 U(1) torus (10,368 tangent dofs, over the dense limit) is a valid solve config,
+    and its matrix-free, Fourier-preconditioned Newton run converges in a few seconds."""
+    out = tmp_path / "big_solve"
+    payload = {
+        "experiment": "solve",
+        "seed": 3,
+        "output_dir": str(out),
+        "geometry": {"dims": [6, 6, 6, 6], "h": 0.25, "topology": "torus"},
+        "group": "u1",
+        "params": {"init": {"kind": "random", "amplitude": 0.3}, "perturb_amplitude": 0.05, "tol": 1e-11},
+    }
+    lay = dfm.layout(cli.build_geometry(payload), GaugeGroup.U1)
+    assert lay.tangent.dim == 10368 > dfm.MAX_DENSE_DIM
+    assert cli.validate_config(payload, "solve") is payload
+    t0 = time.perf_counter()
+    assert cli.run("solve", write_cfg(tmp_path, "big_solve.json", payload)) == 0
+    wall = time.perf_counter() - t0
+    extra = json.loads((out / "manifest.json").read_text())["extra"]
+    assert extra["final_residual"] <= 1e-11
+    assert extra["lsqr_iters"][0] == 0 and all(0 < k < 400 for k in extra["lsqr_iters"][1:])
+    assert wall <= 5.0, f"6^4 torus solve took {wall:.1f} s"
 
 
 def test_snapshot_lattice_checked_before_output(tmp_path):
@@ -590,11 +615,17 @@ def _config(experiment, **params):
     ("deform", {"complex_check": "no"}),
     ("target-check", {"seed": -1}),
     ("deform", {"init": {"kind": "pure_gauge_constant", "gauge_seed": -1}}),
+    ("solve", {"geometry": {"dims": [6, 6, 6, 6], "h": 0.25, "topology": "box"}, "group": "u1"}),
+    ("deform", {"geometry": {"dims": [6, 6, 6, 6], "h": 0.25, "topology": "torus"}, "group": "u1"}),
+    ("kuranishi", {"geometry": {"dims": [6, 6, 6, 6], "h": 0.25, "topology": "torus"}}),
+    ("curvature", {"mode": "lattice", "geometry": {"dims": [5, 5, 5, 5], "h": 0.4, "topology": "box"},
+                   "group": "u1"}),
 ])
 def test_refused_values_exit2_before_output(tmp_path, experiment, params):
     """Each of these once passed validation and then exited 3 after making the output
     directory (a negative seed reached np.random.default_rng), or exited 0 (max_iter 2.5
-    ran as 2, complex_check "no" as true).  A top-level config key such as seed is laid
+    ran as 2, complex_check "no" as true); or it is a dense problem over the size limit,
+    which only a torus `solve` may pass.  A top-level config key such as seed is laid
     over the config itself, the rest over its params."""
     out = tmp_path / "out"
     top = {key: value for key, value in params.items() if key in cli.SCHEMA[experiment]}

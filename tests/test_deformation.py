@@ -901,8 +901,8 @@ def test_kuranishi_samples_carry_the_divergence_flag():
 # triplet maps and the matrix-free Newton step
 
 
-def zero_torus(n):
-    geom = LatticeGeom((n,) * 4, 0.25, Topology.TORUS)
+def zero_torus(n, h=0.25):
+    geom = LatticeGeom((n,) * 4, h, Topology.TORUS)
     return Configuration(ConnectionField(geom, GaugeGroup.U1), SpinorField(geom, np.zeros(geom.dims + (4,))))
 
 
@@ -938,6 +938,23 @@ def test_lsqr_matches_scipy():
     x, iters = dfm.lsqr(lambda v: a @ v, lambda u: a.T @ u, np.zeros(25))
     assert iters == 0 and not x.any()
 
+    # right preconditioning on a torus: scipy's lsqr on the dense A P gives y, and x = P y, with
+    # P = (A0^T A0 + mu I)^(-1/2) formed from the dense flat map A0 at u = 0 and mu the mean |u|^2
+    c = gsw.random_config(torus(2), GaugeGroup.U1, seed=9, amplitude=0.3)
+    a = dfm.elliptic_op(c)._normalised()[0]
+    a0 = dfm.elliptic_op(zero_torus(2, c.geom.h))._normalised()[0]
+    lam, vec = np.linalg.eigh(a0.T @ a0 + np.mean(np.sum(c.u.values**2, axis=-1)) * np.eye(a.shape[1]))
+    p = (vec / np.sqrt(lam)) @ vec.T
+    precondition = dfm.fourier_preconditioner(c)
+    pair = np.stack([precondition(e) for e in np.eye(a.shape[1])], axis=-1)  # (P, P^2) column by column
+    assert np.abs(pair[0] - p).max() <= 1e-12 * np.abs(p).max()
+    assert np.abs(pair[1] - p @ p).max() <= 1e-12 * np.abs(p @ p).max()
+    b = rng.normal(size=a.shape[0])
+    x, iters = dfm.lsqr(lambda v: a @ v, lambda u: a.T @ u, b, precondition)
+    ref = scipy_lsqr(a @ p, b, atol=dfm.LSQR_TOL, btol=dfm.LSQR_TOL, conlim=0.0, iter_lim=dfm.LSQR_MAX_ITER)
+    assert ref[1] in (1, 2) and 0 < iters < dfm.lsqr(lambda v: a @ v, lambda u: a.T @ u, b)[1]
+    assert np.linalg.norm(x - p @ ref[0]) <= 1e-10 * np.linalg.norm(x)
+
 
 def test_lsqr_raises_past_its_iteration_cap(monkeypatch):
     op = dfm.elliptic_op(gsw.random_config(torus(2), GaugeGroup.U1, seed=3))
@@ -966,6 +983,67 @@ def test_lsqr_apply_matches_pinv_apply(n, point):
         assert iters > 0
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
     assert op.rank()[0] == op.shape[1] - {"random": 0, "zero": 8}[point]  # 640 of 648 at 3^4, u = 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("point", ["random", "zero"])
+def test_preconditioned_step_is_the_minimum_norm_step(n, point):
+    """The Fourier-preconditioned step is pinv_apply's: at a random point [E; D*] is injective,
+    and at u = 0 its kernel (the constants, and on 4^4 the null momenta of the Dirac symbol)
+    is an invariant subspace of the preconditioner."""
+    c = zero_torus(n)
+    if point == "random":
+        c = gsw.random_config(c.geom, GaugeGroup.U1, seed=9, amplitude=0.3)
+    op = dfm.elliptic_op(c)
+    off_shell = gsw.random_config(c.geom, GaugeGroup.U1, seed=8, amplitude=0.3)
+    rows = dfm.residual_rowvec(off_shell, gsw.manufacture(c), dfm.layout(c.geom, c.group).equations)
+    newton_rhs = np.concatenate([rows, np.zeros(op.shape[0] - rows.size)])
+    precondition = dfm.fourier_preconditioner(c)
+    for y in (newton_rhs, np.random.default_rng(n).normal(size=op.shape[0])):
+        x, iters = op.lsqr_apply(y, precondition)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", dfm.RankMarginWarning)
+            ref = op.pinv_apply(y)
+        assert iters > 0
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_preconditioned_step_where_the_map_loses_rank_off_zero():
+    """At the constant spinor |u| = 2/h with a = 0 on a 2^4 torus, [E; D*] loses rank away from
+    u = 0 (h1 = h2 = 6), and its kernel is not an invariant subspace of P.  A generic right side
+    is then inconsistent, LSQR ends on its least-squares test, and the step is solved again
+    without P: pinv_apply's, and bit for bit the unpreconditioned one.  A consistent right side
+    A x0 ends on the consistent test: its step solves the system and has the least |P^-1 x|,
+    which is not the least |x| there."""
+    geom = LatticeGeom((2,) * 4, 0.25, Topology.TORUS)
+    vals = np.zeros(geom.dims + (4,))
+    vals[..., 0] = 2.0 / geom.h
+    c = Configuration(ConnectionField(geom, GaugeGroup.U1), SpinorField(geom, vals))
+    rep = dfm.cohomology(c)
+    assert (rep.h0, rep.h1, rep.h2) == (0, 6, 6)
+    op = dfm.elliptic_op(c)
+    y = np.random.default_rng(3).normal(size=op.shape[0])
+    x, iters = op.lsqr_apply(y, dfm.fourier_preconditioner(c))
+    plain, plain_iters = op.lsqr_apply(y)
+    ref = op.pinv_apply(y)
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+    assert np.array_equal(x, plain) and iters > plain_iters
+
+    y = op.apply(np.random.default_rng(4).normal(size=op.shape[1]))
+    precondition = dfm.fourier_preconditioner(c)
+    x, _ = op.lsqr_apply(y, precondition)
+    ref = op.pinv_apply(y)
+    assert np.linalg.norm(op.apply(x) - y) <= 1e-12 * np.linalg.norm(y)
+    p = np.stack([precondition(e)[0] for e in np.eye(op.shape[1])], axis=-1)
+    sc = np.sqrt(op.col_space.weights)
+    assert np.linalg.norm(np.linalg.solve(p, sc * x)) <= np.linalg.norm(np.linalg.solve(p, sc * ref))
+    assert np.linalg.norm(x - ref) > 1e-3 * np.linalg.norm(ref)
+
+
+def test_fourier_preconditioner_only_on_a_torus():
+    """A box has no circulant structure: no preconditioner, so its Newton steps are plain LSQR."""
+    c, _ = box_fueter_config(3)
+    assert dfm.fourier_preconditioner(c) is None
 
 
 def test_newton_step_forms_no_dense_matrix(monkeypatch):
