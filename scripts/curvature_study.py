@@ -1,67 +1,43 @@
 #!/usr/bin/env python3
-"""Dual-route curvature study: fixture closed forms plus lattice samples.
+"""Dual-route curvature study: the flat C^2/U(1) fixture and an N^4 U(1) box, run through `gswlab.cli`.
 
-Prints a table of pipeline-vs-oracle sectional curvatures on the flat
-C^2/U(1) fixture (closed forms 3 and 4) and on a small box solution
-set, and writes the sample CSV.
+Usage: python scripts/curvature_study.py [N (3)] [ORACLE: on (default) or off] [OUT_DIR (out/curvature_study)]
+The box is at the `fueter_z1` point with offset 0.8.  Prints each run's CSV rows and `wall_time_s`.
 """
 
+import json
+import pathlib
 import sys
-import time
 
-import gswlab.quaternion as quat
-from gswlab import cli, frequency as fq, gsw, moduli_geom as mg
-from gswlab.lattice import ConnectionField, LatticeGeom, SpinorField, Topology
-from gswlab.targets import GaugeGroup
+from gswlab import cli
 
 
-def fixture_rows():
-    sys_ = mg.HopfFixtureSystem()
-    c0 = sys_.center()
-    v, w = quat.QJ.copy(), quat.QK.copy()
-    out = mg.gauss_sectional_vec(sys_, c0, v, w)
-    mf, dim = mg.solution_chart_metric(sys_, c0, v, w)
-    oracle = mg.fd_oracle_curvature(mf, dim, eps=1e-3)
-    row = {"sample_id": "fixture", **{k: out[k] for k in ("K_C", "bracket_norm_sq", "K_B", "gauss_terms", "K_M")}}
-    row["oracle_K"] = oracle
-    row["rel_err"] = abs(oracle - out["K_M"]) / abs(out["K_M"])
-    return [row]
+def configs(n, oracle, out_dir):
+    """{name: config} of the fixture and lattice runs, each writing into out_dir/name."""
+    params = {"n_samples": 2, "oracle": oracle}
+    return {"fixture": {"experiment": "curvature", "seed": 1, "output_dir": str(out_dir / "fixture"),
+                        "params": dict(params, mode="fixture", oracle_eps=1e-3)},
+            "lattice": {"experiment": "curvature", "seed": 5, "output_dir": str(out_dir / "lattice"),
+                        "geometry": {"dims": [n] * 4, "h": 1.0 / n, "topology": "box"}, "group": "u1",
+                        "params": dict(params, mode="lattice", init={"kind": "fueter_z1", "offset": 0.8},
+                                       oracle_eps=3e-3)}}
 
 
-def lattice_rows(n=3, n_samples=2, seed=5):
-    geom = LatticeGeom((n,) * 4, 1.0 / n, Topology.BOX)
-    u = fq.fueter_library(geom, "z1")
-    vals = u.values.copy()
-    vals[..., 0] += 0.8
-    vals[..., 1] += 0.1
-    c = gsw.Configuration(ConnectionField(geom, GaugeGroup.U1), SpinorField(geom, vals))
-    s = gsw.manufacture(c)
-    system = mg.LatticeSystem(c, s)
-    c0 = system.center()
-    rows = []
-    for k in range(n_samples):
-        v, w = mg.sample_solution_plane(system, c0, seed + k)[0]
-        out = mg.gauss_sectional_vec(system, c0, v, w)
-        t0 = time.time()
-        mf, dim = mg.solution_chart_metric(system, c0, v, w)
-        oracle = mg.fd_oracle_curvature(mf, dim, eps=3e-3)
-        row = {"sample_id": k, **{key: out[key] for key in ("K_C", "bracket_norm_sq", "K_B", "gauss_terms", "K_M")}}
-        row["oracle_K"] = oracle
-        row["rel_err"] = abs(oracle - out["K_M"]) / max(abs(out["K_M"]), 1e-300)
-        rows.append(row)
-        print(f"  lattice sample {k}: K_M={out['K_M']:.6g} oracle={oracle:.6g} "
-              f"rel={row['rel_err']:.2e} ({time.time()-t0:.0f}s)")
-    return rows
-
-
-def main(out_csv="curvature_study.csv"):
-    rows = fixture_rows()
-    print(f"fixture: K_B={rows[0]['K_B']:.6f} (analytic 3), K_M={rows[0]['K_M']:.6f} "
-          f"(analytic 4), oracle rel err {rows[0]['rel_err']:.2e}")
-    rows += lattice_rows()
-    cli._write_csv(out_csv, mg.CSV_FIELDS, rows)
-    print("wrote", out_csv)
+def main(argv):
+    n, oracle, out_dir = argv + ["3", "on", "out/curvature_study"][len(argv):]
+    if oracle not in ("on", "off"):
+        sys.exit(__doc__)
+    out_dir, status = pathlib.Path(out_dir), 0
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, cfg in configs(int(n), oracle == "on", out_dir).items():
+        path = out_dir / (name + ".json")
+        path.write_text(json.dumps(cfg))
+        status = max(status, cli.run("curvature", str(path)))
+        manifest = json.loads(pathlib.Path(cfg["output_dir"], "manifest.json").read_text())
+        print("".join(pathlib.Path(cfg["output_dir"], out).read_text() for out in manifest["outputs"]), end="")
+        print("%s: exit %d, wall_time_s %.3f" % (name, manifest["exit_code"], manifest["wall_time_s"]))
+    return status
 
 
 if __name__ == "__main__":
-    main(*sys.argv[1:])
+    sys.exit(main(sys.argv[1:]))

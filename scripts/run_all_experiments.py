@@ -22,11 +22,10 @@ def main(configs_dir="configs"):
     worst = 0
     for path in paths:
         with open(path) as fh:
-            experiment = json.load(fh)["experiment"]
-        code = cli.run(experiment, path)
+            cfg = json.load(fh)
+        code = cli.run(cfg["experiment"], path)
         worst = max(worst, code)
-        with open(path) as fh:
-            out_dir = json.load(fh).get("output_dir", ".")
+        out_dir = cfg.get("output_dir", ".")
         manifest = {}
         mpath = os.path.join(out_dir, "manifest.json")
         if os.path.exists(mpath):

@@ -485,15 +485,13 @@ def _curvature_sample_rows(system, cvec, seed, n_samples, with_oracle, eps):
     for k in range(n_samples):
         v, w = mg.sample_solution_plane(system, cvec, seed + k)[0]
         vals = mg.gauss_sectional_vec(system, cvec, v, w)
-        row = {"sample_id": k}
-        row.update({key: vals[key] for key in ("K_C", "bracket_norm_sq", "K_B", "gauss_terms", "K_M")})
+        row = {"sample_id": k, **{key: vals[key] for key in ("K_C", "bracket_norm_sq", "K_B", "gauss_terms", "K_M")}}
         if with_oracle:
             mf, dim = mg.solution_chart_metric(system, cvec, v, w)
             row["oracle_K"] = mg.fd_oracle_curvature(mf, dim, eps=eps)
             row["rel_err"] = abs(row["oracle_K"] - row["K_M"]) / max(abs(row["K_M"]), 1e-300)
         else:
-            row["oracle_K"] = float("nan")
-            row["rel_err"] = float("nan")
+            row["oracle_K"] = row["rel_err"] = float("nan")
         rows.append(row)
     return rows
 
@@ -507,13 +505,10 @@ def run_curvature(cfg, out, opts):
     seed = cfg["seed"]
     if mode == "fixture":
         system = mg.HopfFixtureSystem()
-        cvec = system.center()
     else:
         c = build_configuration(cfg)
-        s = gsw.manufacture(c)
-        system = mg.LatticeSystem(c, s)
-        cvec = system.center()
-    rows = _curvature_sample_rows(system, cvec, seed, n, with_oracle, eps)
+        system = mg.LatticeSystem(c, gsw.manufacture(c))
+    rows = _curvature_sample_rows(system, system.center(), seed, n, with_oracle, eps)
     path = os.path.join(out, "curvature_samples.csv")
     _write_csv(path, mg.CSV_FIELDS, rows)
     worst = max((r["rel_err"] for r in rows if np.isfinite(r["rel_err"])), default=0.0)

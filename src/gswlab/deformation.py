@@ -1093,17 +1093,16 @@ def on_slice(eq: LinearMap, slice_op: LinearMap):
 class ChartFrame:
     """Linear data of the solution-set chart at a point, all from one factored map, E S (`on_slice`).
 
-    `kernel` is S ker(E S), a basis of ker [E; D*], led by the plane (v, w) of `lead`; `coker` is coker(E S);
-    `w_basis`, S coimage(E S), completes the kernel in the slice (for the oracle).  A chord step is S (E S)^+ (-r).
+    One frame per centre holds E (`eq`), D (`gauge`), D* (`slice_op`), S (`slice_basis`) and E S (`reduced`),
+    each factored at most once.  `kernel` is S ker(E S), a basis of ker [E; D*] that a chart turns to lead with its
+    plane; `coker` is coker(E S); `w_basis`, S coimage(E S), completes it in the slice.  A chord step is S (E S)^+ (-r).
     """
 
-    def __init__(self, eq: LinearMap, gauge: LinearMap, lead=None):
-        self.eq = eq
+    def __init__(self, eq: LinearMap, gauge: LinearMap):
+        self.eq, self.gauge = eq, gauge
         self.slice_op = gauge.adjoint()
         self.slice_basis, self.reduced = on_slice(eq, self.slice_op)
         self.kernel = self.slice_basis @ self.reduced.kernel_basis()
-        if lead is not None:
-            self.kernel = _plane_led(self.kernel, eq.col_space.weights, *lead, "solution-set tangent space")
         self.coker = self.reduced.cokernel_basis()
 
     @functools.cached_property
@@ -1155,13 +1154,9 @@ class KuranishiChart:
     """
 
     def __init__(self, c: Configuration, s: Sources, tol=1e-11, max_iter=60):
-        self.c = c
-        self.s = s
-        self.tol = tol
-        self.max_iter = max_iter
-        self.eq, self.gauge = linearize_fsw(c), lin_gauge(c)
-        self.space = self.eq.col_space
-        self.frame = ChartFrame(self.eq, self.gauge)
+        self.c, self.s, self.tol, self.max_iter = c, s, tol, max_iter
+        self.frame = ChartFrame(linearize_fsw(c), lin_gauge(c))
+        self.space = self.frame.eq.col_space
 
     @property
     def h1_dim(self):
@@ -1173,16 +1168,16 @@ class KuranishiChart:
 
     def h_dims(self):
         """`cohomology`'s (h0, h1, h2) = (dim gauge - rank D*, dim ker(E S), dim coker(E S)), with no SVD."""
-        return self.gauge.col_space.dim - self.frame.slice_op.rank()[0], self.h1_dim, self.h2_dim
+        return self.frame.gauge.col_space.dim - self.frame.slice_op.rank()[0], self.h1_dim, self.h2_dim
 
     def solve(self, xi):
         """Return (phi_vec, kappa_coeffs, info) for chart coordinates xi."""
         base = self.frame.kernel @ np.asarray(xi, dtype=float)
         vec, r, info = self.frame.solve(
-            lambda t: residual_rowvec(moved(self.c, t), self.s, self.eq.row_space),
+            lambda t: residual_rowvec(moved(self.c, t), self.s, self.frame.eq.row_space),
             base, self.tol, self.max_iter,
         )
-        info["full_residual"] = self.eq.row_space.norm(r)
+        info["full_residual"] = self.frame.eq.row_space.norm(r)
         return vec, self.frame.coker_coeffs(r), info
 
     def kappa_norm(self, xi):

@@ -186,6 +186,18 @@ class HopfFixtureSystem(QuotientSystem):
 # pipeline route
 
 
+def chart_frame(system: QuotientSystem, cvec):
+    """The `ChartFrame` at cvec, shared by every sample and route there: D*, E S and E factored once each.
+
+    The system keeps the frame of the last point asked about, keyed on the bytes
+    of cvec, so a caller that edits its array afterwards gets a new frame.
+    """
+    key = np.asarray(cvec, dtype=float).tobytes()
+    if getattr(system, "_frame", (None,))[0] != key:
+        system._frame = key, dfm.ChartFrame(system.equation_map(cvec), system.gauge_map(cvec))
+    return system._frame[1]
+
+
 def horizontal_projector(system: QuotientSystem, cvec):
     """Return a callable projecting tangent columns onto ker(D*): t - D D^+ t.
 
@@ -212,14 +224,11 @@ def vertical_bracket_vec(system: QuotientSystem, cvec, t1, t2):
 
     Computed as (D*)^+ [(d_{t2} D)* t1 - (d_{t1} D)* t2], which is
     D (D* D)^+ applied to that gauge-algebra element: twice the
-    submersion A-tensor; manifestly antisymmetric, vanishing for the
-    trivial group.
+    submersion A-tensor, from the factors of D* in the centre's
+    `chart_frame`; manifestly antisymmetric, vanishing for the trivial group.
     """
-    d = system.gauge_map(cvec)
-    if d.col_space.dim == 0:
-        return np.zeros(system.tan_space.dim)
     omega = a_term(system, cvec, t2, t1) - a_term(system, cvec, t1, t2)
-    return d.adjoint().pinv_apply(omega)
+    return chart_frame(system, cvec).slice_op.pinv_apply(omega)
 
 
 def _plane_normalize(space: BlockSpace, v, w):
@@ -253,11 +262,12 @@ def second_fundamental_vec(system: QuotientSystem, cvec, v, w):
     Pi(v, w) = -E^+ B(v, w) = -E* (E E*)^+ B(v, w) with E the
     linearized equations and B the exact mixed second derivative of the
     equation map; without equation rows it is zero.  Column stacks v, w
-    (n, k) give one column per pair (v[:, j], w[:, j]), in one solve.
+    (n, k) give one column per pair (v[:, j], w[:, j]), in one solve of
+    the factored E of the centre's `chart_frame`.
     """
     b = (np.stack([system.equation_second(cvec, x, y) for x, y in zip(v.T, w.T)], axis=1) if np.ndim(v) == 2
          else system.equation_second(cvec, v, w))
-    return -system.equation_map(cvec).pinv_apply(b)
+    return -chart_frame(system, cvec).eq.pinv_apply(b)
 
 
 def gauss_sectional_vec(system: QuotientSystem, cvec, v, w):
@@ -407,12 +417,13 @@ def slice_chart_metric(system: QuotientSystem, cvec, v, w):
     stack (k, dim), evaluated in chunks of CHUNK_BYTES (see `_in_chunks`),
     each one stacked projector over the chunk.
     A reducible cvec raises LinAlgError here, a plane outside the gauge
-    slice ker D* ValueError; a reducible chart point raises it from metric_fn.
+    slice ker D* (S of the centre's `chart_frame`) ValueError; a reducible
+    chart point raises it from metric_fn.
     """
-    d = system.gauge_map(cvec)
-    d.range_projector()  # rank loss ends the run before any oracle call
+    frame = chart_frame(system, cvec)
+    frame.gauge.range_projector()  # rank loss ends the run before any oracle call
     wts = system.tan_space.weights
-    basis = dfm._plane_led(d.adjoint().kernel_basis(), wts, v, w, "gauge slice")
+    basis = dfm._plane_led(frame.slice_basis, wts, v, w, "gauge slice")
 
     def metric_fn(xi, plane=False):
         cols = basis[:, :2] if plane else basis
@@ -429,8 +440,8 @@ def slice_chart_metric(system: QuotientSystem, cvec, v, w):
 def solution_chart_metric(system, cvec, v, w, max_iter=80):
     """(metric_fn, dim) for the solution set in its kernel chart.
 
-    Chart coordinates xi run over ker(elliptic operator) with v, w as
-    the leading basis vectors; the chart point solves the equations in
+    Chart coordinates xi run over ker(elliptic operator), the centre's
+    `chart_frame` kernel led by v, w; the chart point solves the equations in
     the gauge slice, orthogonal to the kernel.  The chart differential
     is obtained from the linearized equations at the solved point, and
     the metric is the quotient (horizontally projected) inner product; with
@@ -449,11 +460,10 @@ def solution_chart_metric(system, cvec, v, w, max_iter=80):
     system) and the stacked projector, applied from the gauge maps' triplets.
     Any point that fails fails the call.
     """
-    d = system.gauge_map(cvec)
-    d.range_projector()  # rank loss ends the run before any oracle call
-    frame = dfm.ChartFrame(system.equation_map(cvec), d, lead=(v, w))
-    basis, w_basis = frame.kernel, frame.w_basis
+    frame = chart_frame(system, cvec)
+    frame.gauge.range_projector()  # rank loss ends the run before any oracle call
     wts = system.tan_space.weights
+    basis, w_basis = dfm._plane_led(frame.kernel, wts, v, w, "solution-set tangent space"), frame.w_basis
     n_w = w_basis.shape[1]
     applied = {plane: np.hstack([w_basis, basis[:, :2] if plane else basis]) for plane in (False, True)}
 
@@ -496,9 +506,9 @@ def omega_form(c: Configuration, v, w):
 
 
 def sample_solution_plane(system: QuotientSystem, cvec, seed, n_planes=1):
-    """Orthonormal plane pairs tangent to the solution set at cvec: tangent-space Gaussians
-    projected onto the chart's kernel, so a change of kernel basis moves them only by rounding."""
-    kernel = dfm.ChartFrame(system.equation_map(cvec), system.gauge_map(cvec)).kernel
+    """Orthonormal plane pairs tangent to the solution set at cvec: tangent-space Gaussians projected
+    onto the kernel of the centre's `chart_frame`, so a change of kernel basis moves them only by rounding."""
+    kernel = chart_frame(system, cvec).kernel
     if kernel.shape[1] < 2:
         raise ValueError("solution-set tangent space has dimension < 2")
     rng = np.random.default_rng(seed)

@@ -576,6 +576,23 @@ def test_curvature_cli_reducible_configuration_exits_before_the_oracle(tmp_path)
     assert not any(f.endswith("in fd_oracle_curvature") for f in frames)
 
 
+def test_curvature_study_runs_the_cli(tmp_path, capsys):
+    """scripts/curvature_study.py on a 2^4 box without the oracle writes the CSV `cli.run` writes for its config."""
+    spec = importlib.util.spec_from_file_location(
+        "curvature_study", pathlib.Path(__file__).resolve().parents[1] / "scripts" / "curvature_study.py")
+    study = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(study)
+    assert study.main(["2", "off", str(tmp_path / "study")]) == 0
+    printed = capsys.readouterr().out
+    assert "fixture: exit 0" in printed and "lattice: exit 0" in printed
+    cfg = study.configs(2, False, tmp_path / "ref")["lattice"]
+    assert cli.run("curvature", write_cfg(tmp_path, "ref.json", cfg)) == 0
+    got, want = (tmp_path / "study" / "lattice" / "curvature_samples.csv").read_bytes(), (
+        tmp_path / "ref" / "lattice" / "curvature_samples.csv").read_bytes()
+    rows = got.decode().splitlines()
+    assert got == want and len(rows) == 3 and all(row in printed.splitlines() for row in rows)
+
+
 # ---------------------------------------------------------------------------
 # the schema: one default and one check per key
 

@@ -293,7 +293,7 @@ def test_chart_at_the_reducible_point_factors_by_parts(monkeypatch):
     s = gsw.manufacture(c)
     calls = recorded_svd(monkeypatch)
     chart = dfm.KuranishiChart(c, s)
-    largest = max(len(rows) * len(cols) for rows, cols in chart.eq._parts(chart.eq._normalised()[0]))
+    largest = max(len(rows) * len(cols) for rows, cols in chart.frame.eq._parts(chart.frame.eq._normalised()[0]))
     assert calls and all(np.prod(shape) <= largest for shape, _, _ in calls)
     assert (567, 648) not in [shape for shape, _, _ in calls]
     monkeypatch.undo()
@@ -301,8 +301,8 @@ def test_chart_at_the_reducible_point_factors_by_parts(monkeypatch):
     assert chart.h_dims() == (1, 8, 7) == (rep.h0, rep.h1, rep.h2)
     assert chart.kappa_norm(np.zeros(chart.h1_dim))[0] == 0.0
     kernel = chart.frame.kernel
-    assert np.abs(chart.eq.matrix @ kernel).max() <= 1e-12
-    assert np.abs(chart.gauge.adjoint().matrix @ kernel).max() <= 1e-12
+    assert np.abs(chart.frame.eq.matrix @ kernel).max() <= 1e-12
+    assert np.abs(chart.frame.gauge.adjoint().matrix @ kernel).max() <= 1e-12
 
 
 def test_trivial_group_empty_map():
@@ -441,7 +441,7 @@ def test_chart_frame_completes_the_kernel_inside_the_slice(name):
         s = gsw.manufacture(c)
     chart = dfm.KuranishiChart(c, s)
     frame, w = chart.frame, chart.space.weights
-    d_star = chart.gauge.adjoint()
+    d_star = chart.frame.gauge.adjoint()
     assert np.abs(d_star.matrix @ frame.w_basis).max() <= 1e-12
     assert np.abs(frame.kernel.T @ (frame.w_basis * w[:, None])).max() <= 1e-12
     full = np.hstack([frame.kernel, frame.w_basis])
@@ -555,7 +555,7 @@ def test_chart_takes_one_svd_of_d_star_and_of_e_s_per_part(name, monkeypatch):
     monkeypatch.undo()
     frame = chart.frame
     assert sorted(factored) == sorted(part_shapes(frame.slice_op) + part_shapes(frame.reduced))
-    assert chart.eq.shape not in factored and dfm.elliptic_op(c).shape not in factored
+    assert frame.eq.shape not in factored and dfm.elliptic_op(c).shape not in factored
 
 
 def test_sampling_reads_only_the_chart_kernel(monkeypatch):
@@ -583,25 +583,59 @@ def test_samples_do_not_depend_on_the_kernel_basis(monkeypatch):
 
     c = zero_point(Topology.TORUS)
     s = gsw.manufacture(c)
-    system = mg.LatticeSystem(c, s)
 
-    def samples():
+    def samples():  # a fresh system each time, so the sampler builds its own frame
+        system = mg.LatticeSystem(c, s)
         planes = mg.sample_solution_plane(system, system.center(), seed=3, n_planes=2)
         return np.array(planes), np.array([r["kappa_norm"] for r in dfm.kuranishi(c, s, n_samples=3).samples])
 
     planes, kappas = samples()
-    real_init = dfm.ChartFrame.__init__
+    real_init, rotated = dfm.ChartFrame.__init__, []
 
     def rotated_kernel(self, *args, **kwargs):
         real_init(self, *args, **kwargs)
         q, _ = np.linalg.qr(np.random.default_rng(72).normal(size=(self.kernel.shape[1],) * 2))
         self.kernel = self.kernel @ q
+        rotated.append(self)
 
     monkeypatch.setattr(dfm.ChartFrame, "__init__", rotated_kernel)
     rot_planes, rot_kappas = samples()
+    assert len(rotated) == 2  # the sampler's frame and the Kuranishi chart's
     assert kappas.min() > 1e-8  # the obstructed point: kappa is not rounding
     assert np.abs(rot_planes - planes).max() <= 1e-12 * np.abs(planes).max()
     assert np.abs(rot_kappas - kappas).max() <= 1e-12 * kappas.max()
+
+
+def test_curvature_run_factors_its_centre_once(tmp_path, monkeypatch):
+    """A lattice `curvature` run of 3 samples without the oracle takes one full SVD of D*, of E S (part by
+    part) and of E, in that order, and builds the gauge and equation maps once, at the centre."""
+    import json
+
+    from gswlab import cli, moduli_geom as mg
+
+    cfg = tmp_path / "curvature.json"
+    cfg.write_text(json.dumps({
+        "experiment": "curvature", "seed": 5, "output_dir": str(tmp_path / "out"), "group": "u1",
+        "geometry": {"dims": [3] * 4, "h": 1.0 / 3, "topology": "box"},
+        "params": {"mode": "lattice", "init": {"kind": "fueter_z1"}, "n_samples": 3, "oracle": False},
+    }))
+    points = {"gauge_map": [], "equation_map": []}
+    for name, seen in points.items():
+        def built(self, cvec, real=getattr(mg.LatticeSystem, name), seen=seen):
+            seen.append((self, np.array(cvec)))
+            return real(self, cvec)
+
+        monkeypatch.setattr(mg.LatticeSystem, name, built)
+    calls = recorded_svd(monkeypatch)
+    assert cli.run("curvature", str(cfg)) == 0
+    monkeypatch.undo()
+    assert [len(seen) for seen in points.values()] == [1, 1]
+    (system, centre), = points["gauge_map"]
+    assert np.array_equal(points["equation_map"][0][1], centre) and np.array_equal(centre, system.center())
+    frame = mg.chart_frame(system, centre)
+    assert all(kwargs == {"full_matrices": True} for _, _, kwargs in calls)
+    want = part_shapes(frame.slice_op) + part_shapes(frame.reduced) + [frame.eq.shape]
+    assert [shape for shape, _, _ in calls] == want
 
 
 def test_kuranishi_reports_the_h1_it_samples(monkeypatch):

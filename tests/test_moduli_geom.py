@@ -147,6 +147,17 @@ def test_curvature_plane_reads_the_chart_kernel(monkeypatch):
     assert stacked == (23, 96) and shapes and stacked not in shapes
 
 
+def test_chart_frame_follows_the_bytes_of_its_point():
+    """The system keeps one frame per centre: the same values give the same frame, an edited array a new one."""
+    sys_ = mg.HopfFixtureSystem()
+    c0 = sys_.center()
+    frame = mg.chart_frame(sys_, c0)
+    assert mg.chart_frame(sys_, c0.copy()) is frame
+    c0[1] = 0.5
+    moved = mg.chart_frame(sys_, c0)
+    assert moved is not frame and np.array_equal(moved.eq.matrix, sys_.equation_map(c0).matrix)
+
+
 def test_solution_chart_newton_failure_raises():
     sys_ = mg.HopfFixtureSystem()
     mf, dim = mg.solution_chart_metric(sys_, sys_.center(), quat.QJ.copy(), quat.QK.copy(),
