@@ -446,14 +446,12 @@ class LinearMap:
             self._rank = r, (retained, discarded)
         return self._rank
 
-    def _gathered(self, side, null=True):
-        """Kernel (side 1) or cokernel (side 0) basis, weighted-orthonormal, gathered part by part;
-        with null=False the coimage or range basis."""
+    def _gathered(self, side):
+        """Kernel (side 1) or cokernel (side 0) basis, weighted-orthonormal, gathered part by part."""
         parts, ranks, sr, sc = self._factored()
         found = []
         for (rows, cols, u, s, vt), r in zip(parts, ranks):
-            vectors = vt.T if side else u
-            found.append((cols if side else rows, vectors[:, r:] if null else vectors[:, :r]))
+            found.append((cols if side else rows, (vt.T if side else u)[:, r:]))
         ends = np.cumsum([basis.shape[1] for _, basis in found])
         out = np.zeros((self.shape[side], ends[-1]))
         for (idx, basis), end in zip(found, ends):  # each part's columns, zero off its own rows
@@ -467,10 +465,6 @@ class LinearMap:
 
     def cokernel_basis(self):
         return self._gathered(0)
-
-    def coimage_basis(self):
-        """Columns: the leading right singular vectors, the kernel's weighted-orthonormal complement."""
-        return self._gathered(1, null=False)
 
     def kernel_space(self):
         """Unit-weight coordinates on `kernel_basis`, one named block per part, so a map on them splits as this one."""
@@ -1095,7 +1089,8 @@ class ChartFrame:
 
     One frame per centre holds E (`eq`), D (`gauge`), D* (`slice_op`), S (`slice_basis`) and E S (`reduced`),
     each factored at most once.  `kernel` is S ker(E S), a basis of ker [E; D*] that a chart turns to lead with its
-    plane; `coker` is coker(E S); `w_basis`, S coimage(E S), completes it in the slice.  A chord step is S (E S)^+ (-r).
+    plane; `coker` is coker(E S).  A chord step is S (E S)^+ (-r), taken from the factors of E S; `chord`, the
+    dense S (E S)^+ (tangent x rows) read from those same factors, is formed only when first read.
     """
 
     def __init__(self, eq: LinearMap, gauge: LinearMap):
@@ -1106,12 +1101,16 @@ class ChartFrame:
         self.coker = self.reduced.cokernel_basis()
 
     @functools.cached_property
-    def w_basis(self):
-        return self.slice_basis @ self.reduced.coimage_basis()
+    def chord(self):
+        return self.slice_basis @ self.reduced.pinv_apply(np.eye(self.eq.shape[0]))
 
     def coker_coeffs(self, r):
         """Cokernel coefficients of equation rows r (or of each row vector of a stack)."""
         return (r * self.eq.row_space.weights) @ self.coker
+
+    def off_coker(self, r):
+        """Equation rows r (or each row vector of a stack) with their cokernel part removed."""
+        return r - self.coker_coeffs(r) @ self.coker.T
 
     def solve(self, rows_at, base, tol, max_iter):
         """Chord Newton from base, inside base + ker D*, with rows_at = 0 off the cokernel.
@@ -1124,13 +1123,9 @@ class ChartFrame:
         stack, rows_at then takes stacks, and each entry of info is an array
         over the points.
         """
-
-        def off_coker(r):
-            return r - self.coker_coeffs(r) @ self.coker.T
-
         x, r, records, status = newton(
             rows_at, lambda x, r: (self.slice_basis @ self.reduced.pinv_apply(-r.T)).T, base, tol, max_iter,
-            lambda r: self.eq.row_space.norm(off_coker(r)), self.eq.col_space.norm,
+            lambda r: self.eq.row_space.norm(self.off_coker(r)), self.eq.col_space.norm,
         )
         if np.ndim(base) == 1:
             records, status = [records], [status]

@@ -245,7 +245,11 @@ def _plane_normalize(space: BlockSpace, v, w):
 
 def oneill_sectional_vec(system: QuotientSystem, cvec, v, w):
     """Sectional curvature of the quotient at the horizontal plane (v, w)."""
-    det = _plane_normalize(system.tan_space, v, w)
+    return _oneill_terms(system, cvec, v, w, _plane_normalize(system.tan_space, v, w))
+
+
+def _oneill_terms(system: QuotientSystem, cvec, v, w, det):
+    """`oneill_sectional_vec`'s terms for the plane's Gram determinant det."""
     vb = vertical_bracket_vec(system, cvec, v, w)
     bracket_sq = system.tan_space.inner(vb, vb)
     k_c = 0.0  # <Rm^C(v, w) w, v> vanishes: the ambient metric is constant
@@ -279,7 +283,7 @@ def gauss_sectional_vec(system: QuotientSystem, cvec, v, w):
     sphere fixture).
     """
     det = _plane_normalize(system.tan_space, v, w)
-    base = oneill_sectional_vec(system, cvec, v, w)
+    base = _oneill_terms(system, cvec, v, w, det)
     pi_vv, pi_ww, pi_vw = second_fundamental_vec(system, cvec, np.stack([v, w, v], 1), np.stack([v, w, w], 1)).T
     inner = system.tan_space.inner
     gauss = inner(pi_vv, pi_ww) - inner(pi_vw, pi_vw)
@@ -383,30 +387,6 @@ def _in_chunks(chunk_metric, xi, system, n_cols):
     return out.reshape(xi.shape[:-1] + out.shape[1:])
 
 
-def _lstsq(a, b):
-    """Minimum-norm least-squares solutions of a stack of systems a x = b.
-
-    Singular values at or below `np.linalg.lstsq`'s default cutoff,
-    eps max(m, n) s_max, are dropped as it drops them.  Each square system
-    that keeps every singular value is solved by LU, every other one from its
-    SVD, so a system's solution does not depend on the rest of its stack.
-    """
-    cutoff = np.finfo(float).eps * max(a.shape[-2:])
-    lu = np.zeros(a.shape[:-2], bool)
-    if a.shape[-1] == a.shape[-2]:
-        s = np.linalg.svd(a, compute_uv=False)
-        lu = s[..., -1] > cutoff * s[..., 0]
-    x = np.empty(a.shape[:-2] + (a.shape[-1], b.shape[-1]))
-    if lu.any():
-        x[lu] = np.linalg.solve(a[lu], b[lu])
-    if not lu.all():
-        u, s, vt = np.linalg.svd(a[~lu], full_matrices=False)
-        keep = s > cutoff * s[..., :1]
-        s_inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
-        x[~lu] = np.swapaxes(vt, -1, -2) @ (s_inv[..., None] * (np.swapaxes(u, -1, -2) @ b[~lu]))
-    return x
-
-
 def slice_chart_metric(system: QuotientSystem, cvec, v, w):
     """(metric_fn, dim) for the quotient pulled back to the gauge slice.
 
@@ -442,41 +422,54 @@ def solution_chart_metric(system, cvec, v, w, max_iter=80):
 
     Chart coordinates xi run over ker(elliptic operator), the centre's
     `chart_frame` kernel led by v, w; the chart point solves the equations in
-    the gauge slice, orthogonal to the kernel.  The chart differential
-    is obtained from the linearized equations at the solved point, and
-    the metric is the quotient (horizontally projected) inner product; with
-    plane=True only the leading two columns.  A reducible cvec raises
-    LinAlgError here, a plane outside ker(elliptic operator) ValueError;
-    metric_fn raises RuntimeError unless the chart Newton converges with
-    the full equation rows within CHART_NEWTON_TOL.
+    the gauge slice, orthogonal to the kernel.  Its differential at the
+    solved point cv is a defect correction from the chart columns against
+    the centre's `ChartFrame.chord`, dphi <- dphi - chord E(cv) dphi, with no
+    factorisation at cv; the sweeps stop once the largest column's row norm
+    off the centre's cokernel is within CHART_NEWTON_TOL, so at a centre with
+    h2 > 0 dphi is the derivative of the chart `ChartFrame.solve` samples.
+    The metric is the quotient (horizontally projected) inner product of
+    dphi; with plane=True only the leading two columns.  A reducible cvec
+    raises LinAlgError here, a plane outside ker(elliptic operator)
+    ValueError; metric_fn raises RuntimeError unless the chart Newton
+    converges with the full equation rows within CHART_NEWTON_TOL, and
+    unless every sweep shrinks that row norm and max_iter sweeps reach it.
 
     metric_fn takes one point (dim,) or a stack of points (k, dim) and
     returns (dim, dim) or (k, dim, dim) (2 x 2 with plane=True).  A stack
     is evaluated in chunks whose points' largest temporaries (a dense E or
     projected column stack per point) sum to at most CHUNK_BYTES (see
     `_in_chunks`): one chord Newton over the chunk (`ChartFrame.solve`, each
-    point with its own stop rule), the stacked equation map, one stacked
-    least-squares solve for the differential (its route chosen system by
-    system) and the stacked projector, applied from the gauge maps' triplets.
-    Any point that fails fails the call.
+    point with its own stop rule), the stacked equation map, the correction
+    sweeps over the chunk and the stacked projector, applied from the gauge
+    maps' triplets.  Any point that fails fails the call.
     """
     frame = chart_frame(system, cvec)
     frame.gauge.range_projector()  # rank loss ends the run before any oracle call
     wts = system.tan_space.weights
-    basis, w_basis = dfm._plane_led(frame.kernel, wts, v, w, "solution-set tangent space"), frame.w_basis
-    n_w = w_basis.shape[1]
-    applied = {plane: np.hstack([w_basis, basis[:, :2] if plane else basis]) for plane in (False, True)}
+    basis = dfm._plane_led(frame.kernel, wts, v, w, "solution-set tangent space")
+
+    def differential(e_here, cols):
+        dphi, last = cols, np.inf
+        for sweep in range(max_iter + 1):
+            defect = e_here.apply(dphi)
+            res = frame.eq.row_space.norm(frame.off_coker(np.swapaxes(defect, -1, -2))).max()
+            if res <= CHART_NEWTON_TOL:
+                return dphi
+            if not res < last or sweep == max_iter:
+                raise RuntimeError("solution chart differential did not converge (row norm %.3e)" % res)
+            dphi, last = dphi - frame.chord @ defect, res
 
     def metric_fn(xi, plane=False):
-        cols = applied[plane][:, n_w:]
+        cols = basis[:, :2] if plane else basis
 
         def chunk_metric(x):
             cv, r, info = frame.solve(system.equation_rows, cvec + x @ basis.T, CHART_NEWTON_TOL, max_iter)
             if not info["converged"].all() or np.any(frame.eq.row_space.norm(r) > CHART_NEWTON_TOL):
                 raise RuntimeError("solution chart Newton did not converge")
-            e_here = system.equation_map(cv).apply(applied[plane])
-            dy = _lstsq(e_here[..., :n_w], -e_here[..., n_w:])
-            dphi_h = horizontal_projector(system, cv)(cols + w_basis @ dy)
+            # E(cv) is freed before the projector is built, which lowers the chunk's peak heap
+            dphi = differential(system.equation_map(cv), cols)
+            dphi_h = horizontal_projector(system, cv)(dphi)
             return np.swapaxes(dphi_h, -1, -2) @ (dphi_h * wts[:, None])
 
         return _in_chunks(chunk_metric, xi, system, cols.shape[1])

@@ -18,6 +18,7 @@ from gswlab import moduli_geom as mg
 from gswlab.gsw import Configuration
 from gswlab.lattice import BallSpec, ConnectionField, LatticeGeom, SpinorField, Stencil, Topology
 from gswlab.targets import GaugeGroup
+from tests_helpers import box_fueter_config
 
 
 def report(num, name, ok, detail, t0, budget):
@@ -26,16 +27,6 @@ def report(num, name, ok, detail, t0, budget):
     print("\n" + line)
     assert ok, line
     assert wall < budget, f"criterion {num} exceeded its {budget}s budget ({wall:.1f}s)"
-
-
-def box_fueter_config(n):
-    geom = LatticeGeom((n,) * 4, 1.0 / n, Topology.BOX)
-    u = fq.fueter_library(geom, "z1")
-    vals = u.values.copy()
-    vals[..., 0] += 0.8
-    vals[..., 1] += 0.1
-    c = Configuration(ConnectionField(geom, GaugeGroup.U1), SpinorField(geom, vals))
-    return c, gsw.manufacture(c)
 
 
 def test_criterion_1_algebraic_suite():

@@ -9,23 +9,11 @@ from gswlab import lattice as lat
 from gswlab.gsw import Configuration, Sources
 from gswlab.lattice import ConnectionField, LatticeGeom, SelfDualForm, SpinorField, Topology
 from gswlab.targets import GaugeGroup, TargetKind
+from tests_helpers import box_fueter_config, stacked_chart_reference
 
 
 def torus(n=3, h=0.4):
     return LatticeGeom((n,) * 4, h, Topology.TORUS)
-
-
-def box_fueter_config(n=3):
-    """u = z1 + offset on a box: an exact solution with psi = 0."""
-    from gswlab import frequency as fq
-
-    geom = LatticeGeom((n,) * 4, 1.0 / n, Topology.BOX)
-    u = fq.fueter_library(geom, "z1")
-    vals = u.values.copy()
-    vals[..., 0] += 0.8
-    vals[..., 1] += 0.1
-    c = Configuration(ConnectionField(geom, GaugeGroup.U1), SpinorField(geom, vals))
-    return c, gsw.manufacture(c)
 
 
 def pure_gauge_constant(geom, seed=11, value=1.3):
@@ -93,7 +81,7 @@ def test_lin_gauge_reducible_kernel():
 
 def test_pinv_apply_column_stack():
     """A column stack is solved column by column, as by a weighted np.linalg.pinv."""
-    c, _ = box_fueter_config(n=3)
+    c, _ = box_fueter_config(3)
     eq = dfm.linearize_fsw(c)  # under-determined on a box: a kernel
     ys = np.random.default_rng(51).normal(size=(eq.row_space.dim, 3))
     sr, sc = np.sqrt(eq.row_space.weights), np.sqrt(eq.col_space.weights)
@@ -164,7 +152,7 @@ def test_pinv_apply_rank_deficient_square_map():
 
 def test_kernel_and_cokernel_after_a_values_only_rank():
     """A values-only rank is the rank the full factors are read with."""
-    c, _ = box_fueter_config(n=2)
+    c, _ = box_fueter_config(2)
     geom = torus()
     zero = Configuration(ConnectionField(geom, GaugeGroup.U1), SpinorField(geom, np.zeros(geom.dims + (4,))))
     for lm in (dfm.linearize_fsw(c), dfm.lin_gauge(c), dfm.lin_gauge(zero), weighted_map([1.0, 0.5, 0.0, 0.0], 66)):
@@ -430,7 +418,8 @@ def noisy_box():
 
 @pytest.mark.parametrize("name", ["zero_torus", "noisy_box"])
 def test_chart_frame_completes_the_kernel_inside_the_slice(name):
-    """[kernel | w_basis] is a weighted-orthonormal basis of the slice ker D*, w_basis orthogonal to the kernel.
+    """[kernel | w_basis] is a weighted-orthonormal basis of the slice ker D*, with w_basis the reference's
+    completion of its own kernel: the frame's kernel is orthogonal to it.
 
     On the noisy box the chart point at xi = 0 then solves the equations.
     """
@@ -442,9 +431,10 @@ def test_chart_frame_completes_the_kernel_inside_the_slice(name):
     chart = dfm.KuranishiChart(c, s)
     frame, w = chart.frame, chart.space.weights
     d_star = chart.frame.gauge.adjoint()
-    assert np.abs(d_star.matrix @ frame.w_basis).max() <= 1e-12
-    assert np.abs(frame.kernel.T @ (frame.w_basis * w[:, None])).max() <= 1e-12
-    full = np.hstack([frame.kernel, frame.w_basis])
+    w_basis = stacked_chart_reference(frame.eq, frame.gauge)[2]
+    assert np.abs(d_star.matrix @ w_basis).max() <= 1e-12
+    assert np.abs(frame.kernel.T @ (w_basis * w[:, None])).max() <= 1e-12
+    full = np.hstack([frame.kernel, w_basis])
     assert full.shape[1] == chart.space.dim - d_star.rank()[0]
     assert np.abs(full.T @ (full * w[:, None]) - np.eye(full.shape[1])).max() <= 1e-12
     if name == "noisy_box":
@@ -496,48 +486,21 @@ def test_chart_kernel_from_e_matches_the_stacked_kernel(name, monkeypatch):
     assert chart.h2_dim == eq.row_space.dim - eq.rank()[0]
 
 
-def stacked_chart_reference(eq, gauge):
-    """(kernel, coker, w_basis, chord step) of the chart as built from E before E S was factored.
-
-    The kernel is ker E times the kernel of D* on ker E, the cokernel coker E;
-    w_basis completes the kernel's slice coordinates by a complete QR, and the
-    chord step is w_basis times the pseudo-inverse of E w_basis projected off
-    the cokernel, applied to -r projected off the cokernel.
-    """
-    w_tan, w_eq = eq.col_space.weights, eq.row_space.weights
-    slice_op = gauge.adjoint()
-    ker_e = eq.kernel_basis()
-    on_ker_e = dfm.BlockSpace([("ker E", ker_e.shape[1], 1.0)])
-    kernel = ker_e @ dfm.LinearMap(slice_op.matrix @ ker_e, slice_op.row_space, on_ker_e).kernel_basis()
-    coker = eq.cokernel_basis()
-    slice_basis = slice_op.kernel_basis()
-    coords = slice_basis.T @ (kernel * w_tan[:, None])
-    w_basis = slice_basis @ np.linalg.qr(coords, mode="complete")[0][:, kernel.shape[1]:]
-    red = eq.matrix @ w_basis
-    red = red - coker @ (coker.T @ (red * w_eq[:, None]))
-    chord = dfm.LinearMap(red, eq.row_space, dfm.BlockSpace([("w", w_basis.shape[1], 1.0)]))
-
-    def step(r):
-        return w_basis @ chord.pinv_apply(-(r - coker @ (coker.T @ (r * w_eq))))
-
-    return kernel, coker, w_basis, step
-
-
 @pytest.mark.parametrize("name", ["zero_torus", "fueter_box", "random_torus", "noisy_box"])
 def test_chart_from_e_s_matches_the_stacked_reference(name):
-    """Kernel, cokernel, w_basis and chord step from E S agree with the reference from E to 1e-12."""
+    """Kernel, cokernel, the chord step and the dense `chord` from E S agree with the reference from E to 1e-12."""
     c = noisy_box()[0] if name == "noisy_box" else chart_points()[name]
     frame = dfm.ChartFrame(dfm.linearize_fsw(c), dfm.lin_gauge(c))
-    kernel, coker, w_basis, step = stacked_chart_reference(dfm.linearize_fsw(c), dfm.lin_gauge(c))
+    kernel, coker, _, step = stacked_chart_reference(dfm.linearize_fsw(c), dfm.lin_gauge(c))
     for got, want, w in ((frame.kernel, kernel, frame.eq.col_space.weights),
-                         (frame.coker, coker, frame.eq.row_space.weights),
-                         (frame.w_basis, w_basis, frame.eq.col_space.weights)):
+                         (frame.coker, coker, frame.eq.row_space.weights)):
         assert got.shape == want.shape
         assert np.abs(weighted_projector(got, w) - weighted_projector(want, w)).max(initial=0.0) <= 1e-12
     r = np.random.default_rng(73).normal(size=frame.eq.shape[0])
     base = np.zeros(frame.eq.shape[1])
     got = frame.solve(lambda t: r, base, 0.0, 1)[0]  # one chord step from base = 0
     assert np.abs(got - step(r)).max() <= 1e-12 * np.abs(step(r)).max()
+    assert np.abs(frame.chord @ -r - step(r)).max() <= 1e-12 * np.abs(step(r)).max()
 
 
 @pytest.mark.parametrize("name", ["zero_torus", "fueter_box", "random_torus"])

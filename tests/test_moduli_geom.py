@@ -11,24 +11,13 @@ from gswlab.deformation import TangentConfig
 from gswlab.gsw import Configuration, Sources
 from gswlab.lattice import ConnectionField, LatticeGeom, SpinorField, Topology
 from gswlab.targets import GaugeGroup
+from tests_helpers import box_fueter_config, stacked_chart_reference
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
 
 def torus(n=2, h=0.5):
     return LatticeGeom((n,) * 4, h, Topology.TORUS)
-
-
-def box_fueter_config(n=2):
-    from gswlab import frequency as fq
-
-    geom = LatticeGeom((n,) * 4, 1.0 / n, Topology.BOX)
-    u = fq.fueter_library(geom, "z1")
-    vals = u.values.copy()
-    vals[..., 0] += 0.8
-    vals[..., 1] += 0.1
-    c = Configuration(ConnectionField(geom, GaugeGroup.U1), SpinorField(geom, vals))
-    return c, gsw.manufacture(c)
 
 
 # ---------------------------------------------------------------------------
@@ -126,11 +115,10 @@ def test_slice_chart_rejects_a_plane_outside_the_slice():
         mg.slice_chart_metric(sys_, sys_.center(), quat.QI.copy(), quat.QJ.copy())
 
 
-def test_curvature_plane_reads_the_chart_kernel(monkeypatch):
-    """The plane sampler and the solution chart make no SVD of the stacked [E; D*]."""
-    c, s = box_fueter_config(2)
-    sys_ = mg.LatticeSystem(c, s)
-    c0 = sys_.center()
+@pytest.mark.parametrize("case", ["box_2", "curvature_box"])
+def test_curvature_plane_reads_the_chart_kernel(case, monkeypatch):
+    """The plane sampler and the solution chart make no SVD of the stacked [E; D*], and once the
+    centre's frame is built the oracle on the chart makes no SVD at all."""
     shapes = []
     real_svd = np.linalg.svd
 
@@ -139,12 +127,15 @@ def test_curvature_plane_reads_the_chart_kernel(monkeypatch):
         return real_svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
-    v, w = mg.sample_solution_plane(sys_, c0, seed=0)[0]
+    sys_, c0, (v, w), eps = _chart_case(case)
     mf, dim = mg.solution_chart_metric(sys_, c0, v, w)
+    built = len(shapes)
     mf(np.zeros(dim))
+    mg.fd_oracle_curvature(mf, dim, eps=eps)
     monkeypatch.undo()
-    stacked = dfm.elliptic_op(c).matrix.shape
-    assert stacked == (23, 96) and shapes and stacked not in shapes
+    stacked = dfm.elliptic_op(sys_.c0).matrix.shape
+    assert stacked == (23, 96) and built and stacked not in shapes
+    assert len(shapes) == built
 
 
 def test_chart_frame_follows_the_bytes_of_its_point():
@@ -165,6 +156,18 @@ def test_solution_chart_newton_failure_raises():
     assert mf(np.zeros(dim)).shape == (2, 2)  # on the level set: no step needed
     with pytest.raises(RuntimeError, match="did not converge"):
         mf(np.array([0.1, 0.0]))
+
+
+@pytest.mark.parametrize("scale", [0.0, 0.01])
+def test_solution_chart_differential_failure_raises(scale):
+    """The differential's sweeps raise when a sweep does not shrink the row norm off the cokernel (a zero
+    chord), or when max_iter sweeps leave it above CHART_NEWTON_TOL (a chord cut to 1%)."""
+    sys_ = mg.HopfFixtureSystem()
+    mf, dim = mg.solution_chart_metric(sys_, sys_.center(), quat.QJ.copy(), quat.QK.copy())
+    frame = mg.chart_frame(sys_, sys_.center())
+    frame.chord = scale * frame.chord
+    with pytest.raises(RuntimeError, match="differential did not converge"):
+        mf(np.array([0.01, 0.0]))
 
 
 def test_solution_chart_divergence_raises_without_warnings():
@@ -474,11 +477,8 @@ def _plane_case(case):
         v, w = mg.sample_solution_plane(sys_, sys_.center(), seed=20)[0]
         return (*mg.solution_chart_metric(sys_, sys_.center(), v, w), 3e-3)
     if case in ("box_2", "box_3"):
-        c, s = box_fueter_config(int(case[-1]))
-        sys_ = mg.LatticeSystem(c, s)
-        c0 = sys_.center()
-        v, w = mg.sample_solution_plane(sys_, c0, seed=23 if case == "box_2" else 107)[0]
-        return (*mg.solution_chart_metric(sys_, c0, v, w), 3e-3)
+        sys_, c0, (v, w), eps = _chart_case(case)
+        return (*mg.solution_chart_metric(sys_, c0, v, w), eps)
     sys_ = mg.HopfFixtureSystem()
     chart = mg.slice_chart_metric if case == "hopf_slice" else mg.solution_chart_metric
     return (*chart(sys_, sys_.center(), quat.QJ.copy(), quat.QK.copy()), 1e-3)
@@ -555,32 +555,6 @@ def test_stacked_metric_matches_single_points(case, monkeypatch):
     assert worst <= 1e-12
 
 
-def test_stacked_lstsq_is_lstsq():
-    """The chart differential's stacked solve is `np.linalg.lstsq(rcond=None)` system by system:
-    square of full rank (LU), and square rank-deficient, tall and wide (SVD)."""
-    rng = np.random.default_rng(63)
-    square = rng.normal(size=(3, 6, 6))
-    deficient = square.copy()
-    deficient[1, :, -1] = deficient[1, :, 0]
-    for a in (square, deficient, rng.normal(size=(3, 8, 5)), rng.normal(size=(3, 4, 7))):
-        b = rng.normal(size=a.shape[:-1] + (2,))
-        want = np.array([np.linalg.lstsq(x, y, rcond=None)[0] for x, y in zip(a, b)])
-        assert np.abs(mg._lstsq(a, b) - want).max() <= 1e-12 * np.abs(want).max()
-
-
-def test_stacked_lstsq_decides_the_route_per_system():
-    """A full-rank square system solves by LU beside a rank-deficient one: bit for bit as alone."""
-    rng = np.random.default_rng(64)
-    a = rng.normal(size=(6, 6, 6))
-    a[2, :, -1] = a[2, :, 0]
-    b = rng.normal(size=(6, 6, 3))
-    x = mg._lstsq(a, b)
-    for i in (0, 1, 3, 4, 5):
-        assert np.array_equal(x[i], mg._lstsq(a[i], b[i]))
-    want = np.linalg.lstsq(a[2], b[2], rcond=None)[0]
-    assert np.abs(x[2] - want).max() <= 1e-12 * np.abs(want).max()
-
-
 def test_chunk_sizes(monkeypatch):
     """CHUNK_BYTES cuts criterion 5's 3^4 chart into chunks of 16 plane and 5 full points,
     and leaves every call on the 2^4 chart in one chunk."""
@@ -619,30 +593,60 @@ def _dense_range_projector(lm):
     return project
 
 
-def _curvature_box_chart(seed=11):
-    """(metric_fn, dim, eps) of the benchmark's curvature_box lattice chart."""
+def _curvature_box_setup(seed=11):
+    """(inputs, oracle step) of the benchmark's curvature_box workload."""
     spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
     wl = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(wl)
-    inp = wl.setup_curvature_box(seed)
-    sys_, c0 = inp["system"], inp["cvec"]
-    v, w = mg.sample_solution_plane(sys_, c0, seed=inp["plane_seed"])[0]
-    return (*mg.solution_chart_metric(sys_, c0, v, w), wl.ORACLE_EPS)
+    return wl.setup_curvature_box(seed), wl.ORACLE_EPS
+
+
+def _chart_case(case):
+    """(system, centre, plane, eps) of a lattice solution chart: the benchmark's curvature_box,
+    or the Fueter box at 2^4 (box_2) or criterion 5's at 3^4 (box_3)."""
+    if case == "curvature_box":
+        inp, eps = _curvature_box_setup()
+        sys_, c0, seed = inp["system"], inp["cvec"], inp["plane_seed"]
+    else:
+        sys_, eps, seed = mg.LatticeSystem(*box_fueter_config(int(case[-1]))), 3e-3, 23 if case == "box_2" else 107
+        c0 = sys_.center()
+    return sys_, c0, mg.sample_solution_plane(sys_, c0, seed=seed)[0], eps
+
+
+def _lstsq_chart_metric(sys_, c0, v, w, pts, plane):
+    """The chart metric by the least-squares route, point by point: the chart columns plus w_basis dy,
+    dy from `np.linalg.lstsq` on E(cv) w_basis, w_basis from `stacked_chart_reference`."""
+    frame, wts = mg.chart_frame(sys_, c0), sys_.tan_space.weights
+    w_basis = stacked_chart_reference(frame.eq, frame.gauge)[2]
+    basis = dfm._plane_led(frame.kernel, wts, v, w, "solution-set tangent space")
+    cols = basis[:, :2] if plane else basis
+    out = []
+    for x in pts:
+        cv, _, info = frame.solve(sys_.equation_rows, c0 + basis @ x, mg.CHART_NEWTON_TOL, 80)
+        assert info["converged"]
+        e = sys_.equation_map(cv).matrix
+        dy = np.linalg.lstsq(e @ w_basis, -(e @ cols), rcond=None)[0]
+        dphi_h = mg.horizontal_projector(sys_, cv)(cols + w_basis @ dy)
+        out.append(dphi_h.T @ (dphi_h * wts[:, None]))
+    return np.array(out)
 
 
 @pytest.mark.parametrize("case", ["curvature_box", "box_3"])
-def test_oracle_metric_matches_the_dense_projector(case, monkeypatch):
-    """Oracle-point metrics from the triplet projector are the dense route's within 1e-12 relative:
-    every point of the curvature_box chart, and criterion 5's 3^4 chart at its full points and a plane chunk."""
-    mf, dim, eps = _curvature_box_chart() if case == "curvature_box" else _plane_case(case)
+def test_oracle_metric_matches_the_reference_routes(case, monkeypatch):
+    """Oracle-point metrics agree within 1e-12 relative with two references: the least-squares route for
+    the chart differential, and the dense projector.  Every point of the curvature_box chart, and criterion
+    5's 3^4 chart at its full points and first plane chunk."""
+    sys_, c0, (v, w), eps = _chart_case(case)
+    mf, dim = mg.solution_chart_metric(sys_, c0, v, w)
     stacks = [(pts, plane) for e in (eps, eps / 2) for pts, plane in zip(_oracle_points(dim, e), (False, True))]
     if case == "box_3":
         stacks = [(stacks[0][0], False), (stacks[1][0][:16], True)]
-    triplet = [mf(pts, plane=plane) for pts, plane in stacks]
+    got = [mf(pts, plane=plane) for pts, plane in stacks]
+    lstsq = [_lstsq_chart_metric(sys_, c0, v, w, pts, plane) for pts, plane in stacks]
     monkeypatch.setattr(dfm.LinearMap, "range_projector", _dense_range_projector)
-    for got, (pts, plane) in zip(triplet, stacks):
-        want = mf(pts, plane=plane)
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    for g, want_lstsq, (pts, plane) in zip(got, lstsq, stacks):
+        for want in (want_lstsq, mf(pts, plane=plane)):
+            assert np.abs(g - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_stacked_metric_fails_with_any_failing_point():
@@ -783,6 +787,19 @@ def test_nonorthonormal_plane_warns():
     v, w = mg.sample_horizontal_plane(sys_, c0, seed=31)
     with pytest.warns(UserWarning, match="not orthonormal"):
         mg.oneill_sectional_vec(sys_, c0, 2.0 * v, w)
+
+
+def test_gauss_normalizes_the_plane_once():
+    """A non-orthonormal plane warns once per Gauss call, and K_B, gauss_terms and K_M are the
+    orthonormal plane's."""
+    sys_ = mg.HopfFixtureSystem()
+    c0 = sys_.center()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = mg.gauss_sectional_vec(sys_, c0, 2.0 * quat.QJ, quat.QK.copy())
+    assert [str(x.message) for x in caught if "not orthonormal" in str(x.message)] == [
+        "plane not orthonormal; normalizing by the Gram determinant"]
+    assert abs(out["K_B"] - 3.0) <= 1e-12 and abs(out["K_M"] - 4.0) <= 1e-12
 
 
 def test_csv_writer(tmp_path):

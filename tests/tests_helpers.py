@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from gswlab import deformation as dfm, frequency as fq, gsw
 from gswlab.gsw import Configuration
 from gswlab.lattice import ConnectionField, LatticeGeom, SpinorField, Topology
 from gswlab.targets import GaugeGroup
@@ -53,3 +54,41 @@ def smooth_u1_box_config(n):
     return Configuration(
         ConnectionField(geom, GaugeGroup.U1, links), SpinorField(geom, uv)
     )
+
+
+def box_fueter_config(n):
+    """u = z1 + offset on an n^4 unit box: an exact U(1) solution with psi = 0, and its sources."""
+    geom = LatticeGeom((n,) * 4, 1.0 / n, Topology.BOX)
+    u = fq.fueter_library(geom, "z1")
+    vals = u.values.copy()
+    vals[..., 0] += 0.8
+    vals[..., 1] += 0.1
+    c = Configuration(ConnectionField(geom, GaugeGroup.U1), SpinorField(geom, vals))
+    return c, gsw.manufacture(c)
+
+
+def stacked_chart_reference(eq, gauge):
+    """(kernel, coker, w_basis, chord step) of the chart as built from E before E S was factored.
+
+    The kernel is ker E times the kernel of D* on ker E, the cokernel coker E;
+    w_basis completes the kernel's slice coordinates by a complete QR, and the
+    chord step is w_basis times the pseudo-inverse of E w_basis projected off
+    the cokernel, applied to -r projected off the cokernel.
+    """
+    w_tan, w_eq = eq.col_space.weights, eq.row_space.weights
+    slice_op = gauge.adjoint()
+    ker_e = eq.kernel_basis()
+    on_ker_e = dfm.BlockSpace([("ker E", ker_e.shape[1], 1.0)])
+    kernel = ker_e @ dfm.LinearMap(slice_op.matrix @ ker_e, slice_op.row_space, on_ker_e).kernel_basis()
+    coker = eq.cokernel_basis()
+    slice_basis = slice_op.kernel_basis()
+    coords = slice_basis.T @ (kernel * w_tan[:, None])
+    w_basis = slice_basis @ np.linalg.qr(coords, mode="complete")[0][:, kernel.shape[1]:]
+    red = eq.matrix @ w_basis
+    red = red - coker @ (coker.T @ (red * w_eq[:, None]))
+    chord = dfm.LinearMap(red, eq.row_space, dfm.BlockSpace([("w", w_basis.shape[1], 1.0)]))
+
+    def step(r):
+        return w_basis @ chord.pinv_apply(-(r - coker @ (coker.T @ (r * w_eq))))
+
+    return kernel, coker, w_basis, step
